@@ -147,50 +147,3 @@ def sweep_designs(
         out[d] = SweepResult(design=d, loads=loads, results=_results(chunk))
     return out
 
-
-def find_saturation(
-    design: str,
-    base: Optional[SimConfig] = None,
-    lo: float = 0.05,
-    hi: float = 1.0,
-    tolerance: float = 0.02,
-    threshold: float = 0.95,
-    max_iters: int = 12,
-    cache: CacheLike = None,
-    **overrides,
-) -> float:
-    """Locate the saturation offered-load of ``design`` by bisection.
-
-    A load is "stable" when accepted >= threshold * offered.  Compared to a
-    fixed grid this needs ~log2(range/tolerance) simulations and returns
-    the crossover to within ``tolerance``.  The probes go through the
-    runner, so passing ``cache`` makes repeated searches incremental.
-
-    Returns ``hi`` if the design never saturates in range and ``lo`` if it
-    is already saturated at the lower bound.
-    """
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    base = base or SimConfig()
-    store = as_cache(cache)
-
-    def stable(load: float) -> bool:
-        spec = RunSpec(base.with_(design=design, offered_load=load, **overrides))
-        r = _results(run_specs([spec], cache=store))[0]
-        return r.accepted_load >= threshold * load
-
-    if not stable(lo):
-        return lo
-    if stable(hi):
-        return hi
-    iters = 0
-    while hi - lo > tolerance and iters < max_iters:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return 0.5 * (lo + hi)

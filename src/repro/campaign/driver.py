@@ -34,9 +34,8 @@ from ..analysis.reliability import (
     ReliabilityReport,
     build_report,
 )
-from ..runner import ResultCache, RunOutcome, RunSpec, run_specs
+from ..runner import ResultCache, RunOutcome, run_specs
 from ..runner.executor import ProgressFn
-from ..sim.config import SimConfig
 from ..sim.stats import SimResult
 from .spec import CampaignJob, CampaignSpec
 
@@ -215,66 +214,6 @@ def _report_payload(
 
 
 # ----------------------------------------------------------------------
-# batched fast path
-# ----------------------------------------------------------------------
-def _batch_prewarm(
-    campaign_jobs: Iterable[CampaignJob],
-    cache: ResultCache,
-    *,
-    batch_size: int = 32,
-) -> int:
-    """Seed the result cache by stepping the campaign's vector-eligible
-    cache misses through the lockstep batch driver
-    (:class:`~repro.sim.vector.batch.VectorBatchRunner`); returns how many
-    jobs it completed.
-
-    Selection is conservative: open-loop jobs with no workload spec whose
-    config accepts ``backend="vector"`` (the design has fault-aware vector
-    kernels, no trace sink, ...) and does not *force* the object backend.
-    Results are cached under the **original** job spec — ``backend``
-    participates in ``config_hash``, so executing under an explicit-vector
-    copy must not change the cache key — and the vector kernels are
-    bit-exact with the object walk, so the cached dict is byte-identical
-    either way.  ``run_specs`` then satisfies these cells as ordinary
-    cache hits; anything that fails here is simply left uncached, keeping
-    the executor's retry and error reporting authoritative.
-    """
-    from ..sim.config import ConfigError
-    from ..sim.vector.batch import VectorBatchRunner, _shape_key
-
-    groups: Dict[tuple, List[Tuple[RunSpec, SimConfig]]] = {}
-    seen: set = set()
-    for job in campaign_jobs:
-        spec = job.spec
-        key = spec.job_id()
-        if key in seen:
-            continue
-        seen.add(key)
-        if spec.workload is not None or spec.config.max_cycles is not None:
-            continue
-        try:
-            exec_cfg = spec.config.with_(backend="vector")
-        except ConfigError:
-            continue  # design/config has no vector path; serial executor runs it
-        if cache.contains(spec):
-            continue
-        groups.setdefault(_shape_key(exec_cfg), []).append((spec, exec_cfg))
-
-    completed = 0
-    for members in groups.values():
-        for i in range(0, len(members), batch_size):
-            chunk = members[i : i + batch_size]
-            try:
-                results = VectorBatchRunner([cfg for _, cfg in chunk]).run()
-            except Exception:
-                continue  # leave the chunk uncached; run_specs re-runs it
-            for (spec, _), result in zip(chunk, results):
-                cache.put(spec, result.to_dict())
-                completed += 1
-    return completed
-
-
-# ----------------------------------------------------------------------
 # driver entry points
 # ----------------------------------------------------------------------
 def run_campaign(
@@ -291,8 +230,6 @@ def run_campaign(
     journal: bool = True,
     progress: Optional[ProgressFn] = None,
     plugins: Iterable[str] = (),
-    batch: bool = True,
-    batch_size: int = 32,
 ) -> CampaignResult:
     """Run (or resume) the campaign living in ``root``.
 
@@ -304,26 +241,15 @@ def run_campaign(
     executes, never what it computes.  ``threshold`` parameterises the
     yield analytics.  Writes ``report.json`` and returns the full
     :class:`CampaignResult`.
-
-    ``batch`` (default on) first steps the vector-eligible cache misses
-    through the lockstep batched kernels in chunks of ``batch_size``
-    (:mod:`repro.sim.vector.batch`), seeding the result cache; the
-    executor then satisfies those cells as cache hits.  Bit-exact, so
-    batched, serial, parallel and resumed campaigns stay byte-identical
-    on disk.  Auditing or per-job checkpointing disables the fast path
-    (those execution knobs need the per-job driver loop).
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     spec = _resolve_spec(root, spec)
     campaign_jobs = spec.jobs()
-    cache = ResultCache(root / "cache")
-    if batch and not audit and checkpoint_every == 0:
-        _batch_prewarm(campaign_jobs, cache, batch_size=batch_size)
     outcomes = run_specs(
         [j.spec for j in campaign_jobs],
         jobs=jobs,
-        cache=cache,
+        cache=ResultCache(root / "cache"),
         progress=progress,
         plugins=plugins,
         retries=retries,

@@ -569,7 +569,6 @@ def cmd_campaign_run(args) -> int:
             checkpoint_every=args.checkpoint_every,
             audit=_audit_from(args),
             journal=not args.no_journal,
-            batch=not args.no_batch,
             progress=progress,
         )
     except CampaignError as exc:
@@ -817,10 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--job-timeout", type=float, default=None, metavar="SEC")
     g.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="snapshot each job every N cycles (0 = off)")
-    g.add_argument("--no-batch", action="store_true",
-                   help="disable the batched vector fast path and run "
-                        "every cell through the per-job executor "
-                        "(results are byte-identical either way)")
     g.add_argument("--no-journal", action="store_true",
                    help="skip the run journal under <root>/journal")
     g.add_argument("--quiet", action="store_true",

@@ -56,23 +56,19 @@ register_design(
 register_design("buffered8", Buffered8Router, routing="dor", label="Buffered 8")
 register_design(
     "dxbar_dor", DXbarRouter, routing="dor", label="DXbar DOR",
-    base="dxbar", supports_faults=True, supports_vector=True,
-    supports_vector_faults=True, vector_min_work=12.0,
+    base="dxbar", supports_faults=True,
 )
 register_design(
     "dxbar_wf", DXbarRouter, routing="wf", label="DXbar WF",
-    base="dxbar", supports_faults=True, supports_vector=True,
-    supports_vector_faults=True, vector_min_work=12.0,
+    base="dxbar", supports_faults=True,
 )
 register_design(
     "unified_dor", UnifiedRouter, routing="dor", label="Unified DOR",
-    base="unified", supports_faults=True, supports_vector=True,
-    supports_vector_faults=True, vector_min_work=16.0,
+    base="unified", supports_faults=True,
 )
 register_design(
     "unified_wf", UnifiedRouter, routing="wf", label="Unified WF",
-    base="unified", supports_faults=True, supports_vector=True,
-    supports_vector_faults=True, vector_min_work=16.0,
+    base="unified", supports_faults=True,
 )
 register_design("afc", AFCRouter, routing="adaptive", label="AFC")
 

@@ -158,7 +158,6 @@ class DesignSpec:
     base: Optional[str] = None
     supports_faults: bool = False
     supports_vector: bool = False
-    supports_vector_faults: bool = False
     #: Minimum expected flits-in-flight per cycle (``k**2 * offered_load``)
     #: below which the design's vector kernel is *slower* than the active
     #: object walk; ``backend="auto"`` resolves to ``object`` under it.
@@ -183,7 +182,6 @@ def register_design(
     base: Optional[str] = None,
     supports_faults: bool = False,
     supports_vector: bool = False,
-    supports_vector_faults: bool = False,
     vector_min_work: Optional[float] = None,
     energy: Any = None,
     replace: bool = False,
@@ -210,7 +208,6 @@ def register_design(
             base=base,
             supports_faults=supports_faults,
             supports_vector=supports_vector,
-            supports_vector_faults=supports_vector_faults,
             vector_min_work=vector_min_work,
             energy=energy,
             metadata=dict(metadata),

@@ -6,8 +6,7 @@ so that sweep harnesses fail fast on bad parameter grids.
 
 Designs and patterns are validated against the plugin registries in
 :mod:`repro.registry`, so a design registered out-of-tree is immediately
-accepted here.  The legacy ``KNOWN_DESIGNS`` / ``KNOWN_PATTERNS`` names
-remain importable as dynamic views of those registries.
+accepted here.
 
 Configs are losslessly serialisable: :meth:`SimConfig.to_dict` /
 :meth:`SimConfig.from_dict` round-trip across process boundaries (the
@@ -346,15 +345,6 @@ class SimConfig:
                 f"design {self.design!r} has no vectorized kernel "
                 f"(supports_vector=False in its DesignSpec)"
             )
-        if self.faults.active and not self.spec.supports_vector_faults:
-            # This design's SoA kernels implement no fault model; the
-            # diagnostic names the design and the fault granularity so a
-            # campaign log full of fallbacks is attributable at a glance.
-            return (
-                f"design {self.design!r} carries a fault plan at "
-                f"{self.faults.granularity!r} granularity and the vector "
-                f"kernels support no fault injection"
-            )
         if self.telemetry.trace_path or self.telemetry.trace_buffer:
             return (
                 "flit-lifecycle tracing requires the per-flit object walk"
@@ -464,11 +454,3 @@ class SimConfig:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-
-def __getattr__(name: str):
-    # Legacy aliases: live views of the plugin registries (PEP 562).
-    if name == "KNOWN_DESIGNS":
-        return DESIGNS.names()
-    if name == "KNOWN_PATTERNS":
-        return PATTERNS.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

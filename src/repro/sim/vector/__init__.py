@@ -12,16 +12,11 @@ from __future__ import annotations
 from .base import VectorNetwork
 from .bless import VectorBlessNetwork
 from .buffered import VectorBufferedNetwork
-from .dxbar import VectorDXbarNetwork, VectorUnifiedNetwork
 
 #: Designs with a vector kernel (mirrors ``DesignSpec.supports_vector``).
 VECTOR_NETWORKS = {
     "flit_bless": VectorBlessNetwork,
     "buffered4": VectorBufferedNetwork,
-    "dxbar_dor": VectorDXbarNetwork,
-    "dxbar_wf": VectorDXbarNetwork,
-    "unified_dor": VectorUnifiedNetwork,
-    "unified_wf": VectorUnifiedNetwork,
 }
 
 
@@ -41,7 +36,5 @@ __all__ = [
     "VectorNetwork",
     "VectorBlessNetwork",
     "VectorBufferedNetwork",
-    "VectorDXbarNetwork",
-    "VectorUnifiedNetwork",
     "build_vector_network",
 ]

@@ -624,9 +624,7 @@ class VectorNetwork:
             "active_flits": self._active_flits,
             "next_packet_id": self._next_packet_id,
             "next_flit_id": self._next_flit_id,
-            "fault_signature": (
-                self.fault_plan.signature() if self.fault_plan is not None else None
-            ),
+            "fault_signature": None,
             "routers": [self._router_state(node) for node in range(self.num_nodes)],
             "links": links,
             "credit_channels": [
@@ -646,11 +644,10 @@ class VectorNetwork:
                 "checkpoint topology does not match this network "
                 f"(k={self.config.k}, design={self.config.design})"
             )
-        want = self.fault_plan.signature() if self.fault_plan is not None else None
-        if state.get("fault_signature") != want:
+        if state.get("fault_signature") is not None:
             raise ValueError(
-                "checkpoint fault plan does not match the deterministically "
-                "rebuilt plan — refusing to resume into diverged fault state"
+                "checkpoint carries a fault plan; the vector kernels run "
+                "fault-free configs only"
             )
         self.cycle = state["cycle"]
         self._active_flits = state["active_flits"]

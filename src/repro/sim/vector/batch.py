@@ -1,15 +1,13 @@
 """Batched lockstep driver for same-shape vector simulations.
 
-A Monte-Carlo fault campaign runs hundreds of *independent* simulations
-that differ only in seed and fault map — same design, mesh, traffic and
-measurement protocol.  Running them one ``Simulator.run()`` at a time
-re-pays the per-run dispatch overhead (driver loop, telemetry plumbing,
-stop-condition closures) hundreds of times.  This module steps a batch of
-them through one kernel set: the simulations advance along a leading
-batch axis in lockstep — one driver loop, one cycle counter sweep — with
-a per-simulation completion mask, so a finished simulation (open-loop
-drain exhausted) is finalized and dropped from the stepping set while the
-rest keep going.
+Steps N independent open-loop vector simulations that share one design,
+mesh, traffic and measurement protocol through a single driver loop,
+with a per-simulation completion mask: a finished simulation is
+finalized and dropped from the stepping set while the rest keep going.
+
+Kept only because the end-to-end benchmark's traced run
+(``perfbench/spans.py``) imports :class:`VectorBatchRunner`; nothing in
+the package calls it.
 
 Bit-exactness: each batch member owns its normal
 :class:`~repro.sim.vector.base.VectorNetwork` state and is advanced by
@@ -20,9 +18,8 @@ exactly the ``workload.tick``/``network.step`` sequence of
 running that configuration alone (guaranteed by
 ``tests/test_vector_backend.py``).
 
-Eligibility (enforced here, selected by ``campaign/driver.py``): open
-loop only (``max_cycles is None``), vector backend, default workload —
-the knobs a campaign job never sets.
+Eligibility (enforced here): open loop only (``max_cycles is None``),
+vector backend, default workload.
 """
 
 from __future__ import annotations

@@ -66,6 +66,16 @@ class TestBitExactness:
         )
         assert _run(cfg, False) == _run(cfg, True)
 
+    @pytest.mark.parametrize("design", ["dxbar_dor", "unified_dor"])
+    @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
+    def test_mid_measurement_fault_grid(self, design, granularity):
+        """Faults manifesting inside the measurement window (warmup is 50
+        cycles, manifest window 250) flip routers to degraded mode while
+        measured traffic is in flight."""
+        faults = FaultConfig(percent=50, granularity=granularity, manifest_window=250)
+        cfg = _config(design, faults=faults)
+        assert _run(cfg, False) == _run(cfg, True)
+
     def test_closed_loop_run(self):
         cfg = _config("dxbar_dor", max_cycles=3000)
         assert _run(cfg, False) == _run(cfg, True)

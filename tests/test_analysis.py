@@ -122,37 +122,3 @@ class TestSweeps:
         sweep = sweep_loads("buffered4", [0.05], base=self._base())
         assert sweep.accepted[0] == pytest.approx(0.05, abs=0.02)
 
-
-class TestFindSaturation:
-    def _base(self):
-        return SimConfig(
-            k=4,
-            warmup_cycles=80,
-            measure_cycles=300,
-            drain_cycles=100,
-            packet_size=1,
-            seed=5,
-        )
-
-    def test_validates_bounds(self):
-        from repro.analysis.sweep import find_saturation
-
-        with pytest.raises(ValueError):
-            find_saturation("dxbar_dor", lo=0.5, hi=0.2)
-        with pytest.raises(ValueError):
-            find_saturation("dxbar_dor", tolerance=0)
-
-    def test_finds_a_crossover_in_range(self):
-        from repro.analysis.sweep import find_saturation
-
-        sat = find_saturation(
-            "buffered4", base=self._base(), lo=0.05, hi=0.9, tolerance=0.05
-        )
-        assert 0.1 < sat < 0.6
-
-    def test_dxbar_saturates_above_buffered4(self):
-        from repro.analysis.sweep import find_saturation
-
-        b4 = find_saturation("buffered4", base=self._base(), lo=0.05, hi=0.9, tolerance=0.05)
-        dx = find_saturation("dxbar_dor", base=self._base(), lo=0.05, hi=0.9, tolerance=0.05)
-        assert dx >= b4 - 0.05

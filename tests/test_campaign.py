@@ -284,10 +284,7 @@ class TestCampaignDriver:
         victims = sorted((root / "cache").glob("*.json"))[::2]
         for path in victims:
             path.unlink()
-        # batch=False: this test pins the serial executor's resume
-        # accounting (the batched prewarm would refill the cache first and
-        # turn every outcome into a hit — covered by TestBatchedCampaign).
-        res = run_campaign(root, batch=False)
+        res = run_campaign(root)
         assert not res.failures
         executed = [o for o in res.outcomes if not o.cached]
         assert len(executed) == len(victims)
@@ -330,10 +327,8 @@ class TestCampaignDriver:
         assert {p.name for p in (root / "cache").glob("*.json")} == cache_before
 
     def test_journal_events_written(self, tmp_path):
-        # batch=False: "completed" is an executor event; batched jobs
-        # finish in the prewarm pass and reach the journal as cache hits.
         root = tmp_path / "c"
-        run_campaign(root, small_spec(samples=1), batch=False)
+        run_campaign(root, small_spec(samples=1))
         shards = list((root / "journal").glob("*.jsonl"))
         assert shards
         events = [
@@ -350,42 +345,20 @@ class TestCampaignDriver:
         run_campaign(root, small_spec(samples=1), journal=False)
         assert not (root / "journal").exists()
 
-
-class TestBatchedCampaign:
-    """The batched vector fast path (default-on) must be observationally
-    identical to the serial executor at the report level."""
-
-    def test_batched_report_identical_to_serial(self, tmp_path):
-        spec = small_spec(
-            designs=("dxbar_dor", "unified_dor"), granularity="crosspoint"
-        )
-        run_campaign(tmp_path / "a", spec)  # batch=True is the default
-        run_campaign(tmp_path / "b", spec, batch=False)
-        assert (tmp_path / "a" / "report.json").read_bytes() == (
-            tmp_path / "b" / "report.json"
-        ).read_bytes()
-
-    def test_batched_prewarm_refills_missing_cells(self, tmp_path):
+    def test_every_cell_runs_through_the_executor(self, tmp_path):
+        """A fresh campaign executes each job in the executor (one
+        ``completed`` journal event apiece); its re-run is all cache hits."""
         root = tmp_path / "c"
-        run_campaign(root, small_spec())
-        want = (root / "report.json").read_bytes()
-        victims = sorted((root / "cache").glob("*.json"))[::2]
-        for path in victims:
-            path.unlink()
-        res = run_campaign(root)
-        assert not res.failures
-        # The prewarm re-ran the missing cells through the batched
-        # kernels, so the executor sees a fully warm cache.
-        assert all(o.cached for o in res.outcomes)
-        assert (root / "report.json").read_bytes() == want
-
-    def test_audit_disables_batching(self, tmp_path):
-        """Audited campaigns take the per-job path (the auditor hooks the
-        solo driver loop) and must still complete."""
-        res = run_campaign(tmp_path / "c", small_spec(samples=1), audit=True)
-        assert not res.failures
-        executed = [o for o in res.outcomes if not o.cached]
-        assert executed  # nothing was prewarmed
+        res = run_campaign(root, small_spec())
+        assert res.outcomes and not any(o.cached for o in res.outcomes)
+        events = [
+            json.loads(line)
+            for shard in (root / "journal").glob("*.jsonl")
+            for line in shard.read_text().splitlines()
+        ]
+        completed = [e for e in events if e["event"] == "completed"]
+        assert len(completed) == len(res.outcomes)
+        assert all(o.cached for o in run_campaign(root).outcomes)
 
 
 class TestCampaignPhysics:

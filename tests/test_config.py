@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.config import KNOWN_DESIGNS, KNOWN_PATTERNS, FaultConfig, SimConfig
+from repro.registry import DESIGNS, PATTERNS
+from repro.sim.config import FaultConfig, SimConfig
 
 
 class TestSimConfigValidation:
@@ -80,8 +81,8 @@ class TestSimConfigDerived:
         assert cfg.design == "dxbar_dor"
 
     def test_known_lists_cover_each_other(self):
-        assert "dxbar_dor" in KNOWN_DESIGNS
-        assert len(KNOWN_PATTERNS) == 9
+        assert "dxbar_dor" in DESIGNS.names()
+        assert len(PATTERNS.names()) == 9
 
 
 class TestFaultConfig:

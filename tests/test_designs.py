@@ -28,9 +28,9 @@ class TestRegistry:
         assert len(PAPER_DESIGNS) == 6
 
     def test_labels_cover_all_configs(self):
-        from repro.sim.config import KNOWN_DESIGNS
+        from repro.registry import DESIGNS
 
-        assert set(DESIGN_LABELS) == set(KNOWN_DESIGNS)
+        assert set(DESIGN_LABELS) == set(DESIGNS.names())
 
     @pytest.mark.parametrize(
         "design,router_cls",

@@ -201,12 +201,10 @@ class TestPluginPattern:
 
 class TestLegacySurface:
     def test_known_designs_view_is_live(self):
-        from repro.sim import config as config_module
-
         with DESIGNS.temporary():
             register_design("live_view", DXbarRouter, base="dxbar")
-            assert "live_view" in config_module.KNOWN_DESIGNS
-        assert "live_view" not in config_module.KNOWN_DESIGNS
+            assert "live_view" in DESIGNS.names()
+        assert "live_view" not in DESIGNS.names()
 
     def test_design_labels_view_is_live(self):
         from repro.designs import DESIGN_LABELS

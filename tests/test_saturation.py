@@ -508,6 +508,28 @@ class TestReporting:
 
 
 # ----------------------------------------------------------------------
+# real simulations
+# ----------------------------------------------------------------------
+class TestPaperOrdering:
+    def test_dxbar_saturates_at_or_above_buffered4(self, tmp_path):
+        """The paper's throughput claim at smoke scale: at k=4 UR the
+        dual-crossbar router saturates no earlier than Buffered 4."""
+        spec = SaturationSpec(
+            designs=("buffered4", "dxbar_dor"), k=4, tolerance=0.05,
+            min_load=0.05, max_load=0.9, seed=5,
+            sim={"warmup_cycles": 80, "measure_cycles": 300,
+                 "drain_cycles": 100, "packet_size": 1},
+        )
+        res = run_saturation(tmp_path / "s", spec)
+        sat = {e["design"]: e for e in res.results}
+        assert all(e["status"] == "converged" for e in sat.values())
+        assert (
+            sat["dxbar_dor"]["saturation_load"]
+            >= sat["buffered4"]["saturation_load"] - spec.tolerance
+        )
+
+
+# ----------------------------------------------------------------------
 # CLI (one tiny real-simulation search)
 # ----------------------------------------------------------------------
 class TestCli:

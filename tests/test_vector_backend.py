@@ -20,9 +20,9 @@ from repro.traffic.splash2 import make_splash2_workload
 
 PILOTED = ["flit_bless", "buffered4"]
 
-#: The paper's dual-crossbar family: vectorized *including* live fault
-#: plans (``supports_vector_faults``), unlike the piloted designs above.
-DUAL_XBAR = ["dxbar_dor", "unified_dor"]
+#: The paper's dual-crossbar family: no vector kernel, the object routers
+#: are the one implementation of its semantics.
+DUAL_XBAR = ["dxbar_dor", "dxbar_wf", "unified_dor", "unified_wf"]
 
 
 def _config(design: str, **overrides) -> SimConfig:
@@ -145,119 +145,32 @@ class TestCheckpointAcrossBackends:
         assert sims[0].state_dict() == sims[1].state_dict()
 
 
-class TestDualCrossbarBitExactness:
-    """The dual-crossbar kernels (fault masks, degraded-mode steering,
-    buffered waiters, allocator arbitration) vs the object routers."""
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    def test_fault_free(self, design):
-        obj, vec = _pair(design)
-        assert obj == vec
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
-    @pytest.mark.parametrize("percent", [25, 100])
-    def test_fault_grid(self, design, granularity, percent):
-        faults = FaultConfig(percent=percent, granularity=granularity)
-        obj, vec = _pair(design, faults=faults)
-        assert obj == vec
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    def test_mid_measurement_transients(self, design):
-        """Faults manifesting inside the measurement window (warmup is 50
-        cycles, manifest window 250) flip routers to degraded mode while
-        measured traffic is in flight."""
-        faults = FaultConfig(
-            percent=50, granularity="crosspoint", manifest_window=250
-        )
-        obj, vec = _pair(design, faults=faults)
-        assert obj == vec
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    @pytest.mark.parametrize("seed", [2, 19])
-    def test_seeds_with_faults(self, design, seed):
-        faults = FaultConfig(percent=50, granularity="crossbar", seed=seed)
-        obj, vec = _pair(design, faults=faults, seed=seed)
-        assert obj == vec
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    def test_audited_faulty_vector_run_is_bit_exact(self, design):
-        faults = FaultConfig(percent=50, granularity="crosspoint")
-        cfg = _config(design, backend="vector", faults=faults)
-        assert _run(cfg, audit=True) == _run(cfg)
-
-
-class TestFaultedCheckpointAcrossBackends:
-    """Checkpoints taken mid-run under a live fault plan stay
-    backend-neutral — including faults that manifest only after the
-    checkpoint cycle."""
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    @pytest.mark.parametrize(
-        "src,dst", [("object", "vector"), ("vector", "object")]
-    )
-    def test_cross_backend_resume_with_faults(self, design, src, dst, tmp_path):
-        # Checkpoint at cycle 120, manifests uniform in [1, 250]: some
-        # faults are live at save time, others strike after resume.
-        faults = FaultConfig(
-            percent=50, granularity="crosspoint", manifest_window=250
-        )
-        golden = _run(_config(design, backend="object", faults=faults))
-        sim = Simulator(_config(design, backend=src, faults=faults))
-        for cycle in range(120):
-            sim.workload.tick(cycle, sim.network)
-            sim.network.step()
-        path = tmp_path / "ckpt.json"
-        sim.save_checkpoint(path)
-        resumed = Simulator.resume_from(
-            path, config=_config(design, backend=dst, faults=faults)
-        )
-        result = resumed.run(check_invariants=True).to_dict()
-        result.get("extra", {}).pop("profile", None)
-        assert result == golden
-
-    @pytest.mark.parametrize("design", DUAL_XBAR)
-    def test_faulted_state_dicts_match(self, design):
-        faults = FaultConfig(percent=100, granularity="crossbar")
-        sims = []
-        for backend in ("object", "vector"):
-            sim = Simulator(_config(design, backend=backend, faults=faults))
-            for cycle in range(150):
-                sim.workload.tick(cycle, sim.network)
-                sim.network.step()
-            sims.append(sim)
-        assert sims[0].state_dict() == sims[1].state_dict()
-
-
 class TestBatchedStepping:
     """``run_batch`` steps N same-shape simulations in lockstep; each
     member's SimResult must be byte-identical to running it alone."""
 
-    def test_batch_matches_solo_over_sampled_fault_maps(self):
-        from repro.campaign import CampaignSpec
+    @pytest.mark.parametrize("design", PILOTED)
+    def test_batch_matches_solo_over_seeds(self, design):
         from repro.sim.vector.batch import run_batch
 
-        spec = CampaignSpec(
-            designs=("dxbar_dor",), loads=(0.3,), percents=(0.0, 25.0, 75.0),
-            samples=4, seed=3, k=4, granularity="crosspoint",
-            sim=dict(warmup_cycles=20, measure_cycles=60, drain_cycles=40),
-        )
-        jobs = spec.jobs()
-        assert sum(1 for j in jobs if j.percent > 0) >= 8
-        configs = [j.spec.config.with_(backend="vector") for j in jobs]
+        configs = [
+            _config(design, backend="vector", seed=seed, warmup_cycles=20,
+                    measure_cycles=60, drain_cycles=40)
+            for seed in (1, 2, 3, 5, 8)
+        ]
         batched = run_batch(configs, check_invariants=True)
-        for job, cfg, res in zip(jobs, configs, batched):
+        for cfg, res in zip(configs, batched):
             solo = Simulator(cfg).run().to_dict()
             solo.get("extra", {}).pop("profile", None)
             got = res.to_dict()
             got.get("extra", {}).pop("profile", None)
-            assert got == solo, job.spec.tag
+            assert got == solo, cfg.seed
 
     def test_mixed_shapes_rejected(self):
         from repro.sim.vector.batch import run_batch
 
-        a = _config("dxbar_dor", backend="vector")
-        b = _config("unified_dor", backend="vector")
+        a = _config("flit_bless", backend="vector")
+        b = _config("buffered4", backend="vector")
         with pytest.raises(ValueError, match="shape"):
             run_batch([a, b])
 
@@ -271,7 +184,7 @@ class TestBatchedStepping:
         from repro.sim.vector.batch import run_batch
 
         with pytest.raises(ValueError, match="open-loop"):
-            run_batch([_config("dxbar_dor", backend="vector", max_cycles=1000)])
+            run_batch([_config("buffered4", backend="vector", max_cycles=1000)])
 
     def test_empty_batch_rejected(self):
         from repro.sim.vector.batch import run_batch
@@ -329,26 +242,26 @@ class TestAutoBackendWorkHeuristic:
     performance choice."""
 
     def test_low_work_resolves_to_object_without_warning(self):
-        # dxbar_dor: vector_min_work=12; k=4 @ 0.3 -> work 4.8.
-        cfg = _config("dxbar_dor", backend="auto", k=4, offered_load=0.3)
+        # flit_bless: vector_min_work=10; k=4 @ 0.3 -> work 4.8.
+        cfg = _config("flit_bless", backend="auto", k=4, offered_load=0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cfg.resolved_backend() == "object"
 
     def test_high_work_resolves_to_vector(self):
-        # k=8 @ 0.3 -> work 19.2, above every dual-crossbar threshold.
-        cfg = _config("dxbar_dor", backend="auto", k=8, offered_load=0.3)
+        # k=8 @ 0.3 -> work 19.2, above flit_bless's threshold.
+        cfg = _config("flit_bless", backend="auto", k=8, offered_load=0.3)
         assert cfg.resolved_backend() == "vector"
 
     def test_threshold_is_strict(self):
         # Exactly at the threshold the vector kernel already pays off.
-        spec_min = 12.0  # dxbar_dor's registered vector_min_work
+        spec_min = 10.0  # flit_bless's registered vector_min_work
         load = spec_min / 16  # k=4 -> work == threshold
-        cfg = _config("dxbar_dor", backend="auto", k=4, offered_load=load)
+        cfg = _config("flit_bless", backend="auto", k=4, offered_load=load)
         assert cfg.resolved_backend() == "vector"
 
     def test_explicit_vector_bypasses_heuristic(self):
-        cfg = _config("dxbar_dor", backend="vector", k=4, offered_load=0.05)
+        cfg = _config("flit_bless", backend="vector", k=4, offered_load=0.05)
         assert cfg.resolved_backend() == "vector"
 
     def test_design_without_threshold_always_vectorizes(self):
@@ -356,77 +269,23 @@ class TestAutoBackendWorkHeuristic:
         cfg = _config("buffered4", backend="auto", k=4, offered_load=0.05)
         assert cfg.resolved_backend() == "vector"
 
-    def test_registry_thresholds_cover_the_dual_crossbar_family(self):
-        from repro.registry import DESIGNS
 
-        for name in ("dxbar_dor", "dxbar_wf", "unified_dor", "unified_wf",
-                     "flit_bless"):
-            assert DESIGNS.get(name).vector_min_work is not None
-        for name in ("buffered4", "buffered8", "scarab", "afc"):
-            assert DESIGNS.get(name).vector_min_work is None
+class TestDualCrossbarRunsTheObjectWalk:
+    """The dual-crossbar designs have no vector kernel: an explicit vector
+    request is a config error, and auto falls back to the object walk with
+    the one-time capability warning, exactly as any kernel-less design."""
 
+    @pytest.mark.parametrize("design", DUAL_XBAR)
+    def test_explicit_vector_raises_naming_the_design(self, design):
+        with pytest.raises(ConfigError, match=f"design '{design}'"):
+            _config(design, backend="vector")
 
-class TestFaultGatingDiagnostics:
-    """backend='auto' fallback for fault-carrying configs must say *which*
-    design fell back and at *what* fault granularity — a campaign log full
-    of fallbacks has to be attributable without re-running anything."""
-
-    def _faulty_design(self):
-        """A design double that has a vector kernel AND supports faults,
-        so the fault plan itself is the only fallback cause."""
-        from repro.core.dxbar import DXbarRouter
-        from repro.registry import register_design
-
-        register_design(
-            "test_vec_dxbar", DXbarRouter, base="dxbar",
-            supports_faults=True, supports_vector=True,
-        )
-        return "test_vec_dxbar"
-
-    @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
-    def test_fallback_warning_names_design_and_granularity(self, granularity):
-        from repro.registry import DESIGNS
-        from repro.sim.config import FaultConfig
-
-        name = self._faulty_design()
-        try:
-            _FALLBACK_WARNED.clear()
-            cfg = SimConfig(
-                design=name, backend="auto",
-                faults=FaultConfig(percent=50, granularity=granularity),
-            )
-            with pytest.warns(RuntimeWarning) as caught:
-                assert cfg.resolved_backend() == "object"
-            messages = [str(w.message) for w in caught]
-            assert any(
-                f"design '{name}'" in m
-                and f"'{granularity}' granularity" in m
-                and "no fault injection" in m
-                for m in messages
-            ), messages
-        finally:
-            DESIGNS.remove(name)
-            _FALLBACK_WARNED.clear()
-
-    def test_explicit_entries_also_gate_the_vector_backend(self):
-        from repro.registry import DESIGNS
-        from repro.sim.config import ConfigError, FaultConfig, FaultMapEntry
-
-        name = self._faulty_design()
-        try:
-            with pytest.raises(ConfigError, match="no fault injection"):
-                SimConfig(
-                    design=name, backend="vector",
-                    faults=FaultConfig(entries=(FaultMapEntry(node=0),)),
-                )
-        finally:
-            DESIGNS.remove(name)
-
-    def test_fault_free_config_still_vectorizes(self):
-        from repro.registry import DESIGNS
-
-        name = self._faulty_design()
-        try:
-            assert SimConfig(design=name, backend="auto").resolved_backend() == "vector"
-        finally:
-            DESIGNS.remove(name)
+    @pytest.mark.parametrize("design", DUAL_XBAR)
+    def test_auto_warns_once_and_resolves_to_object(self, design):
+        _FALLBACK_WARNED.clear()
+        cfg = _config(design, backend="auto", k=8, faults=FaultConfig(percent=50))
+        with pytest.warns(RuntimeWarning, match=f"design '{design}'"):
+            assert cfg.resolved_backend() == "object"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cfg.resolved_backend() == "object"
