@@ -4,7 +4,8 @@ The paper reports single runs; for a reproduction it is worth knowing how
 much of an observed gap is seed noise.  :func:`replicate` runs one config
 across several seeds and returns mean/stddev/CI summaries for the headline
 metrics, and :func:`compare` answers "does design A beat design B beyond
-noise?" with a simple Welch test (scipy).
+noise?" with a simple Welch test.  scipy is imported on the first
+:func:`compare` call, so the rest of the package runs with numpy alone.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
-
-from scipy import stats as sps
 
 from ..sim.config import SimConfig
 from ..sim.engine import run_simulation
@@ -98,6 +97,8 @@ def compare(
     metric: str = "accepted_load",
 ) -> Comparison:
     """Welch's t-test of ``metric`` between two designs on matched seeds."""
+    from scipy import stats as sps
+
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if len(seeds) < 2:

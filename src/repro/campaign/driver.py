@@ -23,8 +23,6 @@ campaigns byte-identical on disk.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -34,6 +32,7 @@ from ..analysis.reliability import (
     ReliabilityReport,
     build_report,
 )
+from ..checkpoint.format import atomic_write_text
 from ..runner import ResultCache, RunOutcome, run_specs
 from ..runner.executor import ProgressFn
 from ..sim.stats import SimResult
@@ -53,27 +52,15 @@ class CampaignError(RuntimeError):
 # ----------------------------------------------------------------------
 # manifest lifecycle
 # ----------------------------------------------------------------------
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _write_json(path: Path, payload: Dict[str, Any]) -> None:
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_manifest(root: Union[str, Path], spec: CampaignSpec) -> Path:
     """Create ``<root>/manifest.json`` (atomic; no timestamps — the file
     is part of the campaign's deterministic on-disk state)."""
     path = Path(root) / MANIFEST_NAME
-    _atomic_write_json(
+    _write_json(
         path,
         {
             "schema_version": SCHEMA_VERSION,
@@ -268,7 +255,7 @@ def run_campaign(
         if not o.ok
     ]
     payload = _report_payload(spec, campaign_jobs, report, failures)
-    _atomic_write_json(root / REPORT_NAME, payload)
+    _write_json(root / REPORT_NAME, payload)
     return CampaignResult(
         root=root,
         spec=spec,

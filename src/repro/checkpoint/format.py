@@ -18,9 +18,10 @@ to validate a resume:
 * ``state`` — the nested ``state_dict()`` tree (network, stats, workload,
   telemetry).
 
-Writes are atomic (``mkstemp`` + ``os.replace``, the same idiom as
-:class:`~repro.runner.cache.ResultCache`), so a run killed mid-write leaves
-either the previous checkpoint or a complete new one — never a torn file.
+Writes are atomic (:func:`atomic_write_text`: ``mkstemp`` + ``os.replace``,
+also used by the result cache and the campaign and saturation manifests), so
+a run killed mid-write leaves either the previous checkpoint or a complete
+new one — never a torn file.
 
 This module deliberately imports nothing from the rest of :mod:`repro`, so
 low-level simulation modules may import its exceptions without cycles.
@@ -119,6 +120,23 @@ def prune_checkpoints(root: PathLike, keep: int) -> None:
             pass  # concurrent prune or manual cleanup: not our problem
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a sibling temp file and ``os.replace``,
+    so readers see either the old file or the complete new one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_checkpoint(
     path: PathLike,
     *,
@@ -133,7 +151,6 @@ def write_checkpoint(
     anything with ``to_dict()`` and ``config_hash()``).
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.config_hash(),
@@ -142,17 +159,7 @@ def write_checkpoint(
         "cycle": cycle,
         "state": state,
     }
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, json.dumps(payload))
     return path
 
 

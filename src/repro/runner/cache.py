@@ -14,12 +14,11 @@ resume/skip-completed semantics across interrupted campaigns.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..checkpoint.format import atomic_write_text
 from .spec import RunSpec
 
 
@@ -128,19 +127,7 @@ class ResultCache:
         self._mem[job_id] = payload
         if self.root is not None:
             # Atomic write: concurrent executors may race on the same key.
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=f".{job_id}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, self._path(job_id))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self._path(job_id), json.dumps(payload))
 
     def clear(self) -> None:
         """Drop every entry (memory and disk)."""

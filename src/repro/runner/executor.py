@@ -269,13 +269,15 @@ def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
     reports BrokenProcessPool for every in-flight future and the caller
     sorts out who gets charged an attempt.  ``_processes`` is internal
     API, hence the defensive getattr — if it moves, timeouts degrade to
-    "wait for the job" rather than crashing the campaign.
+    "wait for the job" rather than crashing the campaign.  A worker that
+    is already gone (``ProcessLookupError``, or ``ValueError`` from a
+    closed ``Process``) is skipped; any other error propagates.
     """
     procs = getattr(pool, "_processes", None) or {}
     for proc in list(procs.values()):
         try:
             proc.kill()
-        except Exception:
+        except (ProcessLookupError, ValueError):
             pass
 
 

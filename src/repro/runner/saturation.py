@@ -45,12 +45,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..checkpoint.format import atomic_write_text
 from ..registry import DESIGNS, ROUTING
 from ..routing.capacity import channel_capacity
 from ..sim.config import SimConfig
@@ -202,29 +201,17 @@ class SaturationSpec:
 
 
 # ----------------------------------------------------------------------
-# manifest lifecycle (mirrors repro.campaign.driver)
+# manifest lifecycle
 # ----------------------------------------------------------------------
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _write_json(path: Path, payload: Dict[str, Any]) -> None:
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_manifest(root: Union[str, Path], spec: SaturationSpec) -> Path:
     """Create ``<root>/manifest.json`` (atomic; no timestamps — the file
     is part of the search's deterministic on-disk state)."""
     path = Path(root) / MANIFEST_NAME
-    _atomic_write_json(
+    _write_json(
         path,
         {
             "schema_version": SCHEMA_VERSION,
@@ -598,7 +585,7 @@ def run_saturation(
     base = spec.base_config()
     searches = [_Search(spec, d) for d in spec.designs]
     rounds = probes_total = probes_executed = 0
-    _atomic_write_json(root / REPORT_NAME, _report_payload(spec, searches))
+    _write_json(root / REPORT_NAME, _report_payload(spec, searches))
     while any(not s.done for s in searches):
         rounds += 1
         if rounds > _MAX_ROUNDS:
@@ -647,7 +634,7 @@ def run_saturation(
                 probes_executed += 1
         for s in searches:
             s.integrate()
-        _atomic_write_json(root / REPORT_NAME, _report_payload(spec, searches))
+        _write_json(root / REPORT_NAME, _report_payload(spec, searches))
     payload = _report_payload(spec, searches)
     return SaturationRun(
         root=root,

@@ -13,6 +13,7 @@ import pytest
 import tests.exec_plugins  # noqa: F401  (registers the misbehaving kinds)
 from repro.checkpoint import latest_checkpoint, list_checkpoints
 from repro.runner import ResultCache, RunSpec, execute_spec, run_specs
+from repro.runner.executor import _kill_pool_processes
 from repro.sim.config import SimConfig
 
 PLUGINS = ("tests.exec_plugins",)
@@ -192,6 +193,30 @@ class TestWorkerDeath:
         assert all(o.ok for o in out)
         assert out[0].attempts >= 2
         assert out[0].result.to_dict() == execute_spec(RunSpec(tiny())).to_dict()
+
+    def test_kill_skips_only_gone_workers(self):
+        """Preempting a pool skips workers that already exited and lets
+        any other kill error escape."""
+
+        class Proc:
+            def __init__(self, error=None):
+                self.error = error
+                self.killed = False
+
+            def kill(self):
+                self.killed = True
+                if self.error is not None:
+                    raise self.error
+
+        class Pool:
+            def __init__(self, *procs):
+                self._processes = dict(enumerate(procs))
+
+        gone = [Proc(ProcessLookupError()), Proc(ValueError("closed")), Proc()]
+        _kill_pool_processes(Pool(*gone))
+        assert all(p.killed for p in gone)
+        with pytest.raises(RuntimeError, match="boom"):
+            _kill_pool_processes(Pool(Proc(RuntimeError("boom"))))
 
 
 # ----------------------------------------------------------------------
