@@ -35,7 +35,7 @@ from .report import (
 )
 from .scaling import scaling_study
 from .stats import Comparison, MetricSummary, compare, replicate
-from .sweep import SweepResult, as_cache, sweep_designs, sweep_loads
+from .sweep import SweepResult, sweep_designs, sweep_loads
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -65,7 +65,6 @@ __all__ = [
     "render_sparkline",
     "render_table",
     "SweepResult",
-    "as_cache",
     "sweep_designs",
     "sweep_loads",
     "scaling_study",

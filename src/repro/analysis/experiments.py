@@ -30,12 +30,13 @@ from ..designs import DESIGN_LABELS, PAPER_DESIGNS
 from ..energy.area import design_area
 from ..energy.constants import DESIGN_ENERGY
 from ..runner import ResultCache, RunSpec, run_specs
+from ..runner.executor import results_of
 from ..sim.config import FaultConfig, SimConfig
 from ..sim.stats import SimResult
 from ..traffic.patterns import pattern_names
 from ..traffic.splash2 import splash2_app_names
 from .report import FigureResult
-from .sweep import CacheLike, as_cache
+from .sweep import CacheLike, SweepResult, sweep_designs
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,16 @@ def clear_cache() -> None:
 def _resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is not None:
         return jobs
+    raw = os.environ.get("REPRO_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
 
 
-def _resolve_cache(cache: CacheLike) -> ResultCache:
+def _resolve_cache(cache: CacheLike) -> CacheLike:
     if cache is not None:
-        return as_cache(cache)
+        return cache
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return ResultCache(env)
@@ -119,13 +121,7 @@ def _run_grid(
         cache=_resolve_cache(cache),
         progress=progress,
     )
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise RuntimeError(
-            "experiment jobs failed terminally: "
-            + "; ".join(f"{o.spec.job_id()}: {o.error}" for o in bad)
-        )
-    return [o.result for o in outcomes]
+    return results_of(outcomes, "experiment jobs")
 
 
 def _base_config(scale: ExperimentScale) -> SimConfig:
@@ -183,19 +179,16 @@ def table3() -> FigureResult:
 # ----------------------------------------------------------------------
 def _ur_sweep(
     scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
-) -> Dict[str, List[SimResult]]:
-    base = _base_config(scale)
-    specs = [
-        RunSpec(base.with_(design=design, pattern="UR", offered_load=load), tag=design)
-        for design in PAPER_DESIGNS
-        for load in scale.loads
-    ]
-    results = _run_grid(specs, jobs, cache, progress)
-    n = len(scale.loads)
-    return {
-        design: results[i * n : (i + 1) * n]
-        for i, design in enumerate(PAPER_DESIGNS)
-    }
+) -> Dict[str, SweepResult]:
+    return sweep_designs(
+        PAPER_DESIGNS,
+        scale.loads,
+        _base_config(scale),
+        jobs=_resolve_jobs(jobs),
+        cache=_resolve_cache(cache),
+        progress=progress,
+        pattern="UR",
+    )
 
 
 def fig5(
@@ -213,9 +206,7 @@ def fig5(
         title="Throughput of Uniform Random traffic pattern",
         x_label="offered_load",
         x=list(scale.loads),
-        series={
-            DESIGN_LABELS[d]: [r.accepted_load for r in runs[d]] for d in PAPER_DESIGNS
-        },
+        series={DESIGN_LABELS[d]: runs[d].accepted for d in PAPER_DESIGNS},
     )
 
 
@@ -234,10 +225,7 @@ def fig6(
         title="Power of Uniform Random traffic pattern",
         x_label="offered_load",
         x=list(scale.loads),
-        series={
-            DESIGN_LABELS[d]: [r.energy_per_packet_nj for r in runs[d]]
-            for d in PAPER_DESIGNS
-        },
+        series={DESIGN_LABELS[d]: runs[d].energy_per_packet for d in PAPER_DESIGNS},
     )
 
 

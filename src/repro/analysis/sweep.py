@@ -15,30 +15,11 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runner import ResultCache, RunSpec, run_specs
+from ..runner.executor import results_of
 from ..sim.config import SimConfig
 from ..sim.stats import SimResult
 
 CacheLike = Optional[Union[ResultCache, str, Path]]
-
-
-def as_cache(cache: CacheLike) -> Optional[ResultCache]:
-    """Coerce a cache argument: ResultCache passes through, a path becomes
-    a disk-backed cache, None stays None."""
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
-
-
-def _results(outcomes) -> List[SimResult]:
-    """Unwrap outcomes, raising when any job failed terminally — a sweep
-    with holes would silently misalign its loads/results columns."""
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise RuntimeError(
-            "sweep jobs failed terminally: "
-            + "; ".join(f"{o.spec.job_id()}: {o.error}" for o in bad)
-        )
-    return [o.result for o in outcomes]
 
 
 @dataclass
@@ -66,40 +47,11 @@ def sweep_loads(
     design: str,
     loads: Sequence[float],
     base: Optional[SimConfig] = None,
-    *,
-    jobs: int = 1,
-    cache: CacheLike = None,
-    progress=None,
-    checkpoint_every: int = 0,
-    checkpoint_root: Optional[Union[str, Path]] = None,
-    audit=False,
-    journal=None,
-    heartbeat_interval: float = 1.0,
-    **overrides,
+    **kwargs,
 ) -> SweepResult:
-    """Run ``design`` at each offered load in ``loads``.
-
-    ``journal`` (a directory path or :class:`~repro.obs.Journal`) records
-    the campaign's fleet-telemetry event stream; see
-    :func:`repro.runner.run_specs`.
-    """
-    base = base or SimConfig()
-    specs = [
-        RunSpec(base.with_(design=design, offered_load=load, **overrides))
-        for load in loads
-    ]
-    outcomes = run_specs(
-        specs,
-        jobs=jobs,
-        cache=as_cache(cache),
-        progress=progress,
-        checkpoint_every=checkpoint_every,
-        checkpoint_root=checkpoint_root,
-        audit=audit,
-        journal=journal,
-        heartbeat_interval=heartbeat_interval,
-    )
-    return SweepResult(design=design, loads=list(loads), results=_results(outcomes))
+    """Run ``design`` at each offered load in ``loads``; keyword
+    arguments are those of :func:`sweep_designs`."""
+    return sweep_designs([design], loads, base, **kwargs)[design]
 
 
 def sweep_designs(
@@ -133,7 +85,7 @@ def sweep_designs(
     outcomes = run_specs(
         specs,
         jobs=jobs,
-        cache=as_cache(cache),
+        cache=cache,
         progress=progress,
         checkpoint_every=checkpoint_every,
         checkpoint_root=checkpoint_root,
@@ -141,9 +93,10 @@ def sweep_designs(
         journal=journal,
         heartbeat_interval=heartbeat_interval,
     )
-    out: Dict[str, SweepResult] = {}
-    for i, d in enumerate(designs):
-        chunk = outcomes[i * len(loads) : (i + 1) * len(loads)]
-        out[d] = SweepResult(design=d, loads=loads, results=_results(chunk))
-    return out
+    results = results_of(outcomes, "sweep jobs")
+    n = len(loads)
+    return {
+        d: SweepResult(design=d, loads=loads, results=results[i * n : (i + 1) * n])
+        for i, d in enumerate(designs)
+    }
 

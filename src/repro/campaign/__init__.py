@@ -10,10 +10,9 @@ degrade over the *distribution* of fault maps, and which routers are
 critical.  See ``docs/reliability.md``.
 """
 
+from ..runner.rundir import MANIFEST_NAME, SCHEMA_VERSION
 from .driver import (
-    MANIFEST_NAME,
     REPORT_NAME,
-    SCHEMA_VERSION,
     CampaignError,
     CampaignResult,
     campaign_progress,

@@ -1,6 +1,7 @@
-"""Campaign driver: manifest lifecycle, execution and report emission.
+"""Campaign driver: execution and report emission.
 
-A campaign lives in one directory::
+A campaign lives in one run directory (:mod:`repro.runner.rundir` owns
+its manifest)::
 
     <root>/manifest.json     what the campaign *is* (spec + content hash)
     <root>/cache/            ResultCache, one JSON per completed job
@@ -22,7 +23,6 @@ campaigns byte-identical on disk.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -32,101 +32,24 @@ from ..analysis.reliability import (
     ReliabilityReport,
     build_report,
 )
-from ..checkpoint.format import atomic_write_text
 from ..runner import ResultCache, RunOutcome, run_specs
 from ..runner.executor import ProgressFn
+from ..runner.rundir import RunDir, write_json
 from ..sim.stats import SimResult
 from .spec import CampaignJob, CampaignSpec
 
-MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "report.json"
-
-#: Manifest/report schema version; bump on incompatible layout changes.
-SCHEMA_VERSION = 1
 
 
 class CampaignError(RuntimeError):
     """A campaign directory problem: missing/corrupt/mismatched manifest."""
 
 
-# ----------------------------------------------------------------------
-# manifest lifecycle
-# ----------------------------------------------------------------------
-def _write_json(path: Path, payload: Dict[str, Any]) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def write_manifest(root: Union[str, Path], spec: CampaignSpec) -> Path:
-    """Create ``<root>/manifest.json`` (atomic; no timestamps — the file
-    is part of the campaign's deterministic on-disk state)."""
-    path = Path(root) / MANIFEST_NAME
-    _write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "campaign_id": spec.campaign_hash(),
-            "spec": spec.to_dict(),
-        },
-    )
-    return path
-
-
-def load_manifest(root: Union[str, Path]) -> CampaignSpec:
-    """Read and verify ``<root>/manifest.json`` back into a spec."""
-    path = Path(root) / MANIFEST_NAME
-    if not path.exists():
-        raise CampaignError(f"no campaign manifest at {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CampaignError(f"corrupt campaign manifest {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "spec" not in payload:
-        raise CampaignError(f"malformed campaign manifest {path}")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise CampaignError(
-            f"campaign manifest {path} has schema_version={version!r}; "
-            f"this build reads version {SCHEMA_VERSION}"
-        )
-    spec = CampaignSpec.from_dict(payload["spec"])
-    recorded = payload.get("campaign_id")
-    if recorded != spec.campaign_hash():
-        raise CampaignError(
-            f"campaign manifest {path} is inconsistent: recorded id "
-            f"{recorded!r} != spec hash {spec.campaign_hash()!r}"
-        )
-    return spec
-
-
-def _resolve_spec(
-    root: Path, spec: Optional[CampaignSpec]
-) -> CampaignSpec:
-    """Reconcile a caller-supplied spec with the directory's manifest.
-
-    Fresh directory + spec: write the manifest.  Existing manifest + no
-    spec: resume it.  Both present: the hashes must agree — a campaign
-    directory never silently switches campaigns.
-    """
-    manifest = root / MANIFEST_NAME
-    if manifest.exists():
-        recorded = load_manifest(root)
-        if spec is None:
-            return recorded
-        if spec.campaign_hash() != recorded.campaign_hash():
-            raise CampaignError(
-                f"campaign directory {root} already holds campaign "
-                f"{recorded.campaign_hash()}; refusing to run campaign "
-                f"{spec.campaign_hash()} in it — use a fresh directory"
-            )
-        return recorded
-    if spec is None:
-        raise CampaignError(
-            f"no campaign manifest at {manifest} and no spec given; "
-            f"pass a CampaignSpec to start a campaign here"
-        )
-    write_manifest(root, spec)
-    return spec
+_RUN_DIR = RunDir(
+    CampaignSpec, "campaign_id", CampaignError, kind="campaign", run="campaign"
+)
+write_manifest = _RUN_DIR.write_manifest
+load_manifest = _RUN_DIR.load_manifest
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +111,7 @@ def _report_payload(
     pending: int = 0,
 ) -> Dict[str, Any]:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "campaign_id": spec.campaign_hash(),
-        "spec": spec.to_dict(),
+        **_RUN_DIR.identity(spec),
         "jobs_total": len(jobs),
         "jobs_completed": len(report.records),
         "jobs_failed": len(failures),
@@ -230,8 +151,7 @@ def run_campaign(
     :class:`CampaignResult`.
     """
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    spec = _resolve_spec(root, spec)
+    spec = _RUN_DIR.resolve(root, spec)
     campaign_jobs = spec.jobs()
     outcomes = run_specs(
         [j.spec for j in campaign_jobs],
@@ -255,7 +175,7 @@ def run_campaign(
         if not o.ok
     ]
     payload = _report_payload(spec, campaign_jobs, report, failures)
-    _write_json(root / REPORT_NAME, payload)
+    write_json(root / REPORT_NAME, payload)
     return CampaignResult(
         root=root,
         spec=spec,

@@ -13,15 +13,13 @@ result cache fills in whatever already completed.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.faults import fault_count
 from ..registry import DESIGNS
 from ..runner import RunSpec
-from ..sim.config import FaultConfig, SimConfig
+from ..sim.config import FaultConfig, SimConfig, check_fields, content_hash
 from .sampler import WEIGHTINGS, FaultMapSampler, resolve_weights
 
 #: When the sampled faults manifest: spread across warmup (the paper's
@@ -229,18 +227,11 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown CampaignSpec fields: {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        check_fields(cls, data)
         return cls(**data)
 
     def campaign_hash(self) -> str:
         """Stable content hash (hex, 16 chars) identifying the campaign;
         written to the manifest so a directory refuses jobs from a
         different campaign."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return content_hash(self.to_dict())

@@ -58,7 +58,7 @@ from typing import List, Optional
 
 from .analysis.experiments import ALL_EXPERIMENTS, SCALES
 from .analysis.report import render_figure, render_table
-from .analysis.sweep import as_cache, sweep_designs
+from .analysis.sweep import sweep_designs
 from .audit import AuditConfig
 from .checkpoint import CheckpointError, CheckpointPolicy
 from .designs import DESIGN_LABELS, PAPER_DESIGNS
@@ -273,7 +273,7 @@ def cmd_run(args) -> int:
         config = _config_from(args)
         outcome = run_specs(
             [RunSpec(config)],
-            cache=as_cache(args.cache_dir),
+            cache=args.cache_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_root=args.checkpoint_dir,
             audit=_audit_from(args),
@@ -322,7 +322,7 @@ def cmd_sweep(args) -> int:
         args.loads,
         base=base,
         jobs=args.jobs,
-        cache=as_cache(args.cache_dir),
+        cache=args.cache_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_root=args.checkpoint_dir,
         audit=_audit_from(args),
@@ -359,9 +359,7 @@ def cmd_figure(args) -> int:
     if args.name == "table3":
         fig = driver()
     else:
-        fig = driver(
-            SCALES[args.scale], jobs=args.jobs, cache=as_cache(args.cache_dir)
-        )
+        fig = driver(SCALES[args.scale], jobs=args.jobs, cache=args.cache_dir)
     print(render_figure(fig))
     return 0
 
@@ -535,21 +533,25 @@ def cmd_campaign_run(args) -> int:
             sim["drain_cycles"] = args.drain
         if args.sim_seed is not None:
             sim["seed"] = args.sim_seed
-        spec = CampaignSpec(
-            designs=tuple(args.designs),
-            loads=tuple(args.loads),
-            percents=tuple(args.percents),
-            samples=args.samples,
-            seed=args.seed,
-            k=args.k,
-            pattern=args.pattern,
-            granularity=args.granularity,
-            weighting=args.weighting,
-            manifest_phase=args.manifest_phase,
-            manifest_at=args.manifest_at,
-            detection_cycles=args.detection_cycles,
-            sim=sim,
-        )
+        try:
+            spec = CampaignSpec(
+                designs=tuple(args.designs),
+                loads=tuple(args.loads),
+                percents=tuple(args.percents),
+                samples=args.samples,
+                seed=args.seed,
+                k=args.k,
+                pattern=args.pattern,
+                granularity=args.granularity,
+                weighting=args.weighting,
+                manifest_phase=args.manifest_phase,
+                manifest_at=args.manifest_at,
+                detection_cycles=args.detection_cycles,
+                sim=sim,
+            )
+        except ValueError as exc:
+            print(f"repro campaign run: {exc}", file=sys.stderr)
+            return 1
 
     progress = None
     if not args.quiet:

@@ -639,6 +639,21 @@ def _run_parallel(
             pool.shutdown(wait=False, cancel_futures=True)
 
 
+def results_of(
+    outcomes: Sequence[RunOutcome], what: str, error: type = RuntimeError
+) -> List[SimResult]:
+    """Unwrap outcomes into results, raising ``error`` that names every
+    terminally-failed job — a grid with holes would silently misalign
+    its columns.  ``what`` prefixes the message (``"sweep jobs"``)."""
+    bad = [o for o in outcomes if not o.ok]
+    if bad:
+        raise error(
+            f"{what} failed terminally: "
+            + "; ".join(f"{o.spec.job_id()}: {o.error}" for o in bad)
+        )
+    return [o.result for o in outcomes]
+
+
 def run_configs(
     configs: Sequence[SimConfig],
     *,
@@ -659,7 +674,4 @@ def run_configs(
         progress=progress,
         plugins=plugins,
     )
-    errors = [f"{o.spec.job_id()}: {o.error}" for o in outcomes if not o.ok]
-    if errors:
-        raise RuntimeError("jobs failed terminally: " + "; ".join(errors))
-    return [o.result for o in outcomes]
+    return results_of(outcomes, "jobs")

@@ -9,7 +9,8 @@ seeding the bracket from the analytic channel capacity
 bound) and narrowing to a configurable tolerance in
 ``O(log(span/tolerance))`` simulations.
 
-A search lives in one directory, mirroring :mod:`repro.campaign`::
+A search lives in one run directory, like a :mod:`repro.campaign`
+(:mod:`repro.runner.rundir` owns its manifest)::
 
     <root>/manifest.json     what the search *is* (spec + content hash)
     <root>/cache/            ResultCache, one JSON per completed probe
@@ -42,29 +43,23 @@ of converging on noise.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..checkpoint.format import atomic_write_text
 from ..registry import DESIGNS, ROUTING
 from ..routing.capacity import channel_capacity
-from ..sim.config import SimConfig
+from ..sim.config import SimConfig, check_fields, content_hash
 from ..sim.stats import SimResult
 from ..sim.topology import Mesh
 from ..traffic.patterns import make_pattern
 from .cache import ResultCache
-from .executor import run_specs
+from .executor import results_of, run_specs
+from .rundir import RunDir, write_json
 from .spec import RunSpec, derived_seed
 
-MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "saturation.json"
-
-#: Manifest/report schema version; bump on incompatible layout changes.
-SCHEMA_VERSION = 1
 
 #: Stability criteria: ``accepted`` (accepted >= threshold * offered) or
 #: ``latency`` (flit latency <= latency_factor * the latency at the
@@ -183,99 +178,21 @@ class SaturationSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SaturationSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown SaturationSpec fields: {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        check_fields(cls, data)
         return cls(**data)
 
     def search_hash(self) -> str:
         """Stable content hash (hex, 16 chars) identifying the search;
         written to the manifest so a directory refuses probes from a
         different search."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return content_hash(self.to_dict())
 
 
-# ----------------------------------------------------------------------
-# manifest lifecycle
-# ----------------------------------------------------------------------
-def _write_json(path: Path, payload: Dict[str, Any]) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def write_manifest(root: Union[str, Path], spec: SaturationSpec) -> Path:
-    """Create ``<root>/manifest.json`` (atomic; no timestamps — the file
-    is part of the search's deterministic on-disk state)."""
-    path = Path(root) / MANIFEST_NAME
-    _write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "search_id": spec.search_hash(),
-            "spec": spec.to_dict(),
-        },
-    )
-    return path
-
-
-def load_manifest(root: Union[str, Path]) -> SaturationSpec:
-    """Read and verify ``<root>/manifest.json`` back into a spec."""
-    path = Path(root) / MANIFEST_NAME
-    if not path.exists():
-        raise SaturationError(f"no saturation manifest at {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SaturationError(f"corrupt saturation manifest {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "spec" not in payload:
-        raise SaturationError(f"malformed saturation manifest {path}")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SaturationError(
-            f"saturation manifest {path} has schema_version={version!r}; "
-            f"this build reads version {SCHEMA_VERSION}"
-        )
-    spec = SaturationSpec.from_dict(payload["spec"])
-    recorded = payload.get("search_id")
-    if recorded != spec.search_hash():
-        raise SaturationError(
-            f"saturation manifest {path} is inconsistent: recorded id "
-            f"{recorded!r} != spec hash {spec.search_hash()!r}"
-        )
-    return spec
-
-
-def _resolve_spec(root: Path, spec: Optional[SaturationSpec]) -> SaturationSpec:
-    """Reconcile a caller-supplied spec with the directory's manifest.
-
-    Fresh directory + spec: write the manifest.  Existing manifest + no
-    spec: resume it.  Both present: the hashes must agree — a search
-    directory never silently switches searches.
-    """
-    manifest = root / MANIFEST_NAME
-    if manifest.exists():
-        recorded = load_manifest(root)
-        if spec is None:
-            return recorded
-        if spec.search_hash() != recorded.search_hash():
-            raise SaturationError(
-                f"search directory {root} already holds search "
-                f"{recorded.search_hash()}; refusing to run search "
-                f"{spec.search_hash()} in it — use a fresh directory"
-            )
-        return recorded
-    if spec is None:
-        raise SaturationError(
-            f"no saturation manifest at {manifest} and no spec given; "
-            f"pass a SaturationSpec to start a search here"
-        )
-    write_manifest(root, spec)
-    return spec
+_RUN_DIR = RunDir(
+    SaturationSpec, "search_id", SaturationError, kind="saturation", run="search"
+)
+write_manifest = _RUN_DIR.write_manifest
+load_manifest = _RUN_DIR.load_manifest
 
 
 # ----------------------------------------------------------------------
@@ -531,9 +448,7 @@ def _report_payload(
     spec: SaturationSpec, searches: List[_Search]
 ) -> Dict[str, Any]:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "search_id": spec.search_hash(),
-        "spec": spec.to_dict(),
+        **_RUN_DIR.identity(spec),
         "total": len(searches),
         "completed": sum(1 for s in searches if s.done),
         "designs": [s.entry() for s in searches],
@@ -578,14 +493,13 @@ def run_saturation(
     noisy design cannot discard the others' results.
     """
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    spec = _resolve_spec(root, spec)
+    spec = _RUN_DIR.resolve(root, spec)
     execute = runner if runner is not None else run_specs
     cache = ResultCache(root / "cache")
     base = spec.base_config()
     searches = [_Search(spec, d) for d in spec.designs]
     rounds = probes_total = probes_executed = 0
-    _write_json(root / REPORT_NAME, _report_payload(spec, searches))
+    write_json(root / REPORT_NAME, _report_payload(spec, searches))
     while any(not s.done for s in searches):
         rounds += 1
         if rounds > _MAX_ROUNDS:
@@ -621,20 +535,15 @@ def run_saturation(
             audit=audit,
             journal=(root / "journal") if journal else None,
         )
-        bad = [o for o in outcomes if not o.ok]
-        if bad:
-            raise SaturationError(
-                "saturation probes failed terminally: "
-                + "; ".join(f"{o.spec.job_id()}: {o.error}" for o in bad)
-            )
-        for (s, load), outcome in zip(owners, outcomes):
-            s.measured[load] = outcome.result
+        results = results_of(outcomes, "saturation probes", SaturationError)
+        for (s, load), outcome, result in zip(owners, outcomes, results):
+            s.measured[load] = result
             probes_total += 1
             if not outcome.cached:
                 probes_executed += 1
         for s in searches:
             s.integrate()
-        _write_json(root / REPORT_NAME, _report_payload(spec, searches))
+        write_json(root / REPORT_NAME, _report_payload(spec, searches))
     payload = _report_payload(spec, searches)
     return SaturationRun(
         root=root,
@@ -649,17 +558,7 @@ def run_saturation(
 
 def load_report(root: Union[str, Path]) -> Dict[str, Any]:
     """Read ``<root>/saturation.json`` (partial during a run, final after)."""
-    path = Path(root) / REPORT_NAME
-    if not path.exists():
-        raise SaturationError(f"no saturation report at {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SaturationError(f"corrupt saturation report {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "designs" not in payload:
-        raise SaturationError(f"malformed saturation report {path}")
-    return payload
+    return _RUN_DIR.read_json(Path(root) / REPORT_NAME, "saturation report", "designs")
 
 
 def saturation_progress(root: Union[str, Path]) -> Dict[str, Any]:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..registry import WORKLOADS, register_workload
-from ..sim.config import SimConfig
+from ..sim.config import SimConfig, content_hash
 from ..sim.topology import Mesh
 
 
@@ -66,12 +66,7 @@ class RunSpec:
         """Content hash identifying this job in the result cache."""
         if self.workload is None:
             return self.config.config_hash()
-        payload = json.dumps(
-            {"config": self.config.to_dict(), "workload": self.workload},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return content_hash({"config": self.config.to_dict(), "workload": self.workload})
 
     def checkpoint_dir(self, root: Union[str, Path]) -> Path:
         """The per-job checkpoint directory under a campaign-wide root:

@@ -42,7 +42,20 @@ class ConfigError(ValueError):
 _FALLBACK_WARNED: set = set()
 
 
-def _check_fields(cls, data: Dict[str, Any]) -> None:
+def content_hash(payload: Any) -> str:
+    """Stable content hash (hex, 16 chars) of a JSON-able payload.
+
+    sha256 over the canonical JSON encoding (sorted keys, no whitespace),
+    so it is identical across processes and interpreter runs.  Every
+    identity in the package is one of these: config hashes, job ids and
+    campaign/search ids.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def check_fields(cls, data: Dict[str, Any]) -> None:
+    """Reject keys of ``data`` that are not fields of dataclass ``cls``."""
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -107,7 +120,7 @@ class FaultMapEntry:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultMapEntry":
-        _check_fields(cls, data)
+        check_fields(cls, data)
         return cls(**data)
 
 
@@ -201,7 +214,7 @@ class FaultConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultConfig":
-        _check_fields(cls, data)
+        check_fields(cls, data)
         return cls(**data)
 
 
@@ -250,7 +263,7 @@ class TelemetryConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TelemetryConfig":
-        _check_fields(cls, data)
+        check_fields(cls, data)
         return cls(**data)
 
 
@@ -434,7 +447,7 @@ class SimConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "SimConfig":
         """Inverse of :meth:`to_dict`; rejects unknown keys so corrupted
         cache entries fail loudly instead of silently dropping fields."""
-        _check_fields(cls, data)
+        check_fields(cls, data)
         data = dict(data)
         faults = data.get("faults")
         if isinstance(faults, dict):
@@ -451,6 +464,5 @@ class SimConfig:
         is identical across processes and interpreter runs and keys the
         runner's on-disk result cache.
         """
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return content_hash(self.to_dict())
 

@@ -307,6 +307,28 @@ class TestCampaignDriver:
         with pytest.raises(CampaignError, match="corrupt"):
             run_campaign(root, small_spec())
 
+    def test_schema_version_checked(self, tmp_path):
+        root = tmp_path / "c"
+        root.mkdir()
+        spec = small_spec()
+        (root / "manifest.json").write_text(json.dumps({
+            "schema_version": 99,
+            "campaign_id": spec.campaign_hash(),
+            "spec": spec.to_dict(),
+        }))
+        with pytest.raises(CampaignError, match="schema_version"):
+            load_manifest(root)
+
+    @pytest.mark.parametrize("bad", [{"fleet": 9}, {"samples": -1}])
+    def test_invalid_manifest_spec_is_a_campaign_error(self, tmp_path, bad):
+        root = tmp_path / "c"
+        run_campaign(root, small_spec(samples=1))
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["spec"].update(bad)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CampaignError, match="invalid spec in campaign manifest"):
+            load_manifest(root)
+
     def test_progress_counts_cache(self, tmp_path):
         root = tmp_path / "c"
         spec = small_spec(samples=1)

@@ -129,3 +129,21 @@ class TestCampaignCLI:
             build_parser().parse_args(
                 ["campaign", "run", str(tmp_path), "--granularity", "wire"]
             )
+
+    def test_invalid_spec_reported_without_traceback(self, tmp_path, capsys):
+        root = str(tmp_path / "camp")
+        rc = main(["campaign", "run", root, *self.CAMPAIGN_FLAGS, "--samples", "0"])
+        assert rc == 1
+        assert "repro campaign run: samples must be >= 1" in capsys.readouterr().err
+
+    def test_status_on_invalid_manifest_spec(self, tmp_path, capsys):
+        root = tmp_path / "camp"
+        assert main(["campaign", "run", str(root), *self.CAMPAIGN_FLAGS]) == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["spec"]["samples"] = 0
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["campaign", "status", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro campaign status: invalid spec")
+        assert "Traceback" not in err

@@ -119,6 +119,19 @@ class TestConfigHash:
         payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected
 
+    def test_golden_identities(self):
+        """Every identity on disk — cache file names, job ids, campaign and
+        search manifests, checkpoint directories — is keyed by one of
+        these hashes; a change orphans every existing directory."""
+        from repro.campaign import CampaignSpec
+        from repro.runner import RunSpec, SaturationSpec
+
+        assert SimConfig().config_hash() == "bedfdf43bfce91c8"
+        workload = {"kind": "splash2", "app": "FFT"}
+        assert RunSpec(SimConfig(), workload=workload).job_id() == "bd90b074db0cb9ca"
+        assert CampaignSpec().campaign_hash() == "b9e1c98b72061f5a"
+        assert SaturationSpec().search_hash() == "936e26606273d4d6"
+
 
 class TestFaultMapEntries:
     """Explicit fault-map entries (the campaign sampler's output) must be

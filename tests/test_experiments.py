@@ -71,6 +71,11 @@ class TestScales:
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert scale_from_env("quick") is SCALES["quick"]
 
+    def test_bad_jobs_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "four")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            fig5(TINY)
+
 
 class TestLoadSweepFigures:
     def test_fig5_structure_and_cache_sharing(self):

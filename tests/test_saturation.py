@@ -332,6 +332,19 @@ class TestResume:
         with pytest.raises(SaturationError, match="schema_version"):
             load_manifest(root)
 
+    @pytest.mark.parametrize("bad", [{"fleet": 2}, {"tolerance": -1}])
+    def test_invalid_manifest_spec_is_a_saturation_error(self, tmp_path, bad):
+        root = tmp_path / "s"
+        spec = spec_for("dxbar_dor", 8)
+        run_saturation(root, spec, runner=cliff_runner({"dxbar_dor": 0.3}))
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["spec"].update(bad)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SaturationError, match="invalid spec in saturation manifest"):
+            load_manifest(root)
+        with pytest.raises(SaturationError, match="invalid spec"):
+            run_saturation(root, runner=cliff_runner({"dxbar_dor": 0.3}))
+
 
 # ----------------------------------------------------------------------
 # non-monotone refusal
@@ -444,9 +457,9 @@ class TestProbeFailures:
         assert "RuntimeError: boom" in str(exc.value)
 
     def test_sweep_results_failure_path_lists_every_job(self):
-        """The analysis-layer twin of the probe-failure guard: _results
+        """The analysis-layer twin of the probe-failure guard: results_of
         must name every terminally-failed sweep job, not just the first."""
-        from repro.analysis.sweep import _results
+        from repro.runner.executor import results_of
         from repro.runner import RunSpec
         from repro.sim.config import SimConfig
 
@@ -461,7 +474,7 @@ class TestProbeFailures:
             RunOutcome(specs[2], None, error="ValueError: nan latency"),
         ]
         with pytest.raises(RuntimeError, match="sweep jobs failed") as exc:
-            _results(outcomes)
+            results_of(outcomes, "sweep jobs")
         msg = str(exc.value)
         assert specs[0].job_id() in msg and specs[2].job_id() in msg
         assert "TimeoutError: too slow" in msg
