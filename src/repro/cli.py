@@ -414,19 +414,17 @@ def _journal_path(path: Path) -> Path:
 
 
 def cmd_status(args) -> int:
-    from .obs import campaign_status, fleet_metrics, merge_journal, render_status
+    from .obs import campaign_status, render_status
 
     path = _journal_path(Path(args.journal))
     if not path.exists():
         print(f"repro status: no journal at {path}", file=sys.stderr)
         return 1
-    events = merge_journal(path)
-    status = campaign_status(events)
-    metrics = fleet_metrics(events)
+    status = campaign_status(path)
     if args.json:
-        print(json.dumps({"campaign": status.to_dict(), "metrics": metrics.to_dict()}))
+        print(json.dumps({"campaign": status.to_dict(), "metrics": status.metrics()}))
         return 0
-    print(render_status(status, metrics, max_rows=args.rows))
+    print(render_status(status, max_rows=args.rows))
     return 0
 
 
@@ -608,11 +606,9 @@ def cmd_campaign_status(args) -> int:
     )
     journal = Path(args.root) / "journal"
     if journal.exists():
-        from .obs import campaign_status, fleet_metrics, merge_journal, render_status
+        from .obs import campaign_status, render_status
 
-        events = merge_journal(journal)
-        print(render_status(campaign_status(events), fleet_metrics(events),
-                            max_rows=args.rows))
+        print(render_status(campaign_status(journal), max_rows=args.rows))
     return 0
 
 

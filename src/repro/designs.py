@@ -23,7 +23,7 @@ docs/architecture.md).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Type
+from typing import Iterator, Mapping
 
 from .core.dxbar import DXbarRouter
 from .core.unified import UnifiedRouter
@@ -83,57 +83,22 @@ PAPER_DESIGNS = (
 )
 
 
-class _RegistryView(Mapping):
-    """Live read-only mapping over the design registry (legacy surface)."""
+class _LabelView(Mapping):
+    """Live read-only mapping: design name -> pretty label."""
 
-    def __init__(self, value_of) -> None:
-        self._value_of = value_of
-
-    def _keys(self):
-        raise NotImplementedError
-
-    def __getitem__(self, name: str):
-        return self._value_of(design_spec(name))
+    def __getitem__(self, name: str) -> str:
+        return design_spec(name).label
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._keys())
+        return iter(DESIGNS.names())
 
     def __len__(self) -> int:
-        return len(self._keys())
-
-
-class _LabelView(_RegistryView):
-    def _keys(self):
-        return DESIGNS.names()
-
-
-class _RouterClassView(_RegistryView):
-    """Base-design -> router class (one entry per design family)."""
-
-    def _keys(self):
-        seen = []
-        for name in DESIGNS.names():
-            base = design_spec(name).base
-            if base not in seen:
-                seen.append(base)
-        return seen
-
-    def __getitem__(self, base: str):
-        for name in DESIGNS.names():
-            spec = design_spec(name)
-            if spec.base == base:
-                return spec.router_cls
-        raise KeyError(base)
+        return len(DESIGNS.names())
 
 
 #: Pretty names used by the report renderers (live view of the registry,
 #: so out-of-tree designs appear automatically).
-DESIGN_LABELS: Mapping[str, str] = _LabelView(lambda spec: spec.label)
-
-#: Router class per base design name (live view of the registry).
-ROUTER_CLASSES: Mapping[str, Type[BaseRouter]] = _RouterClassView(
-    lambda spec: spec.router_cls
-)
+DESIGN_LABELS: Mapping[str, str] = _LabelView()
 
 
 def build_routing(config: SimConfig, mesh: Mesh) -> RoutingFunction:

@@ -22,18 +22,17 @@ Above the single-run layers sits the **fleet telemetry** stack:
   append-only JSONL event stream (job lifecycle, heartbeats, retries,
   checkpoints, audit violations) written by the campaign driver and every
   pool worker, merged deterministically on read;
-* **fleet metrics** (:mod:`repro.obs.fleet`): counters/gauges/histograms
-  aggregated from the journal (jobs by state, retry/cache-hit rates,
-  cycles/sec distribution, queue depth);
-* **status views** (:mod:`repro.obs.status`): the per-job state machines
-  and text renderers behind ``repro status`` and ``repro tail``.
+* **status views** (:mod:`repro.obs.status`): the one journal reader.
+  :class:`CampaignStatus` folds the merged stream into per-job state
+  machines and the fleet metrics (per-event counters, jobs running, queue
+  depth, retry/cache-hit rates, cycles/sec distribution) in one pass; the
+  text renderers behind ``repro status`` and ``repro tail`` read it.
 
 See ``docs/observability.md`` for the event schema and column reference.
 """
 
 from .counters import COUNTER_FIELDS, RouterCounters, merge_counters
 from .facade import Telemetry
-from .fleet import Counter, Gauge, Histogram, MetricsRegistry, fleet_metrics
 from .journal import (
     EV_AUDIT_VIOLATION,
     EV_CACHE_HIT,
@@ -113,11 +112,6 @@ __all__ = [
     "EV_FAILED",
     "EV_AUDIT_VIOLATION",
     "EV_CACHE_QUARANTINE",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "fleet_metrics",
     "CampaignStatus",
     "JobStatus",
     "campaign_status",

@@ -32,10 +32,10 @@ Event vocabulary (see docs/observability.md for the field tables):
 * ``audit_violation`` — the per-cycle auditor aborted the job;
 * ``cache_quarantine`` — a corrupt result-cache entry was set aside.
 
-The consumer surfaces live next door: :mod:`repro.obs.fleet` aggregates a
-merged stream into a :class:`~repro.obs.fleet.MetricsRegistry` and
-:mod:`repro.obs.status` renders the ``repro status`` / ``repro tail``
-views.
+The one consumer lives next door: :class:`repro.obs.status.CampaignStatus`
+folds a merged stream into per-job states and fleet metrics in one pass,
+and :mod:`repro.obs.status` renders the ``repro status`` / ``repro tail``
+views from it.  A new event needs one branch in ``CampaignStatus.apply``.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ JOURNAL_EVENTS = (
     EV_AUDIT_VIOLATION,
     EV_CACHE_QUARANTINE,
 )
-
-#: Events that end a job's lifecycle.
-TERMINAL_EVENTS = (EV_COMPLETED, EV_FAILED)
 
 
 class JournalWriter:

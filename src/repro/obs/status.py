@@ -1,24 +1,26 @@
 """Campaign status reconstruction and the ``repro status`` / ``tail`` views.
 
-:class:`CampaignStatus` replays a merged journal event stream (see
-:mod:`repro.obs.journal`) into one :class:`JobStatus` state machine per
-job — ``queued -> running -> completed/failed`` with ``retrying`` and
-``cached`` branches — plus campaign-level totals.  The renderers turn
-that into the one-shot summary (``repro status``) and the compact live
-view (``repro tail``); both are plain text so they compose with watch(1)
-and CI logs.
+:class:`CampaignStatus` is the one reader of the run journal (see
+:mod:`repro.obs.journal`).  A single pass over the merged event stream
+builds one :class:`JobStatus` state machine per job — ``queued ->
+running -> completed/failed`` with ``retrying`` and ``cached`` branches —
+plus campaign-level totals, the per-event tallies and the heartbeat
+cycles/sec samples behind :meth:`CampaignStatus.metrics`.  The renderers
+turn that into the one-shot summary (``repro status``) and the compact
+live view (``repro tail``); both are plain text so they compose with
+watch(1) and CI logs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
-from .fleet import MetricsRegistry, fleet_metrics
 from .journal import (
     EV_AUDIT_VIOLATION,
     EV_CACHE_HIT,
+    EV_CACHE_QUARANTINE,
     EV_CAMPAIGN,
     EV_CHECKPOINTED,
     EV_COMPLETED,
@@ -34,6 +36,31 @@ JOB_STATES = ("running", "retrying", "queued", "completed", "cached", "failed")
 
 #: States with no further events coming.
 TERMINAL_STATES = ("completed", "cached", "failed")
+
+#: journal event -> metrics counter name (one tally per record).
+_EVENT_COUNTERS = {
+    EV_JOB_SUBMITTED: "jobs_submitted",
+    EV_JOB_STARTED: "job_attempts",
+    EV_RETRY: "retries",
+    EV_CACHE_HIT: "cache_hits",
+    EV_COMPLETED: "jobs_completed",
+    EV_FAILED: "jobs_failed",
+    EV_HEARTBEAT: "heartbeats",
+    EV_CHECKPOINTED: "checkpoints",
+    EV_AUDIT_VIOLATION: "audit_violations",
+    EV_CACHE_QUARANTINE: "cache_quarantines",
+}
+
+#: Counters present in :meth:`CampaignStatus.metrics` even at zero.
+_BASE_COUNTERS = ("job_attempts", "jobs_submitted", "retries", "cache_hits")
+
+#: Records that move a job through its lifecycle.  A job seen only in
+#: side records (``checkpointed``, ``audit_violation``) is listed but is
+#: neither running nor queued in the metrics gauges.
+_LIFECYCLE_EVENTS = frozenset(
+    (EV_JOB_SUBMITTED, EV_JOB_STARTED, EV_HEARTBEAT, EV_RETRY,
+     EV_CACHE_HIT, EV_COMPLETED, EV_FAILED)
+)
 
 
 @dataclass
@@ -93,9 +120,30 @@ class JobStatus:
         }
 
 
+def _percentile(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile, ``p`` in [0, 100], of sorted non-empty
+    ``ordered``."""
+    return ordered[round(p / 100.0 * (len(ordered) - 1))]
+
+
+def _summary(samples: Sequence[float]) -> Dict[str, float]:
+    if not samples:
+        return {"count": 0}
+    ordered = sorted(samples)
+    return {
+        "count": len(samples),
+        "mean": sum(samples) / len(samples),
+        "min": ordered[0],
+        "p50": _percentile(ordered, 50),
+        "p90": _percentile(ordered, 90),
+        "max": ordered[-1],
+    }
+
+
 @dataclass
 class CampaignStatus:
-    """Per-job state machines plus campaign rollup for one journal."""
+    """Per-job state machines, campaign rollup and fleet metrics for one
+    journal."""
 
     jobs: Dict[str, JobStatus] = field(default_factory=dict)
     total_specs: Optional[int] = None
@@ -103,6 +151,12 @@ class CampaignStatus:
     first_ts: Optional[float] = None
     last_ts: Optional[float] = None
     events_seen: int = 0
+    #: counter name -> records seen (see ``_EVENT_COUNTERS``).
+    tallies: Dict[str, int] = field(default_factory=dict)
+    #: every heartbeat's measured cycles/sec, in journal order.
+    cps_samples: List[float] = field(default_factory=list)
+    #: jobs with at least one lifecycle (non-side) record.
+    _tracked: Set[str] = field(default_factory=set, init=False, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -127,6 +181,11 @@ class CampaignStatus:
                 self.first_ts = ts
             self.last_ts = max(self.last_ts or ts, ts)
         event = record.get("event")
+        name = _EVENT_COUNTERS.get(event)
+        if name is not None:
+            self.tallies[name] = self.tallies.get(name, 0) + 1
+        if event == EV_HEARTBEAT and record.get("cps") is not None:
+            self.cps_samples.append(float(record["cps"]))
         if event == EV_CAMPAIGN:
             self.total_specs = record.get("total_specs", self.total_specs)
             self.workers = record.get("jobs", self.workers)
@@ -135,6 +194,8 @@ class CampaignStatus:
         if job_id is None:
             return
         job = self._job(job_id)
+        if event in _LIFECYCLE_EVENTS:
+            self._tracked.add(job_id)
         if ts is not None:
             if job.first_ts is None:
                 job.first_ts = ts
@@ -207,6 +268,35 @@ class CampaignStatus:
             "events_seen": self.events_seen,
         }
 
+    def metrics(self) -> Dict[str, Any]:
+        """The fleet metrics block of ``repro status --json``.
+
+        ``counters`` are the per-event tallies; ``gauges`` are
+        ``jobs_running`` (running or retrying), ``queue_depth`` (submitted,
+        not yet started or terminated), ``retry_rate`` (retries /
+        attempts) and ``cache_hit_rate`` (hits / submitted); the
+        ``cycles_per_sec`` histogram summarises every heartbeat's rate.
+        """
+        counters = dict.fromkeys(_BASE_COUNTERS, 0)
+        counters.update(self.tallies)
+        states = [self.jobs[job_id].state for job_id in self._tracked]
+        attempts = counters["job_attempts"]
+        submitted = counters["jobs_submitted"]
+        gauges = {
+            "jobs_running": sum(s in ("running", "retrying") for s in states),
+            "queue_depth": states.count("queued"),
+            "retry_rate": counters["retries"] / attempts if attempts else 0.0,
+            "cache_hit_rate": counters["cache_hits"] / submitted if submitted else 0.0,
+        }
+        histograms = (
+            {"cycles_per_sec": _summary(self.cps_samples)} if self.cps_samples else {}
+        )
+        return {
+            "counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": histograms,
+        }
+
 
 # ----------------------------------------------------------------------
 # text renderers
@@ -248,36 +338,31 @@ def _rollup_line(status: CampaignStatus) -> str:
     )
 
 
-def render_status(
-    status: CampaignStatus,
-    metrics: Optional[MetricsRegistry] = None,
-    max_rows: int = 40,
-) -> str:
+def render_status(status: CampaignStatus, max_rows: int = 40) -> str:
     """The one-shot ``repro status`` summary: rollup, fleet metrics, and a
     per-job table (truncated to ``max_rows``, running jobs first)."""
-    lines = [_rollup_line(status)]
-    if metrics is not None:
-        snap = metrics.to_dict()
-        counters = snap["counters"]
-        gauges = snap["gauges"]
+    snap = status.metrics()
+    counters = snap["counters"]
+    gauges = snap["gauges"]
+    lines = [
+        _rollup_line(status),
+        "attempts {a} | retries {r} (rate {rr:.0%}) | cache hits {c} "
+        "(rate {cr:.0%}) | checkpoints {k} | audit violations {v}".format(
+            a=counters["job_attempts"],
+            r=counters["retries"],
+            rr=gauges["retry_rate"],
+            c=counters["cache_hits"],
+            cr=gauges["cache_hit_rate"],
+            k=counters.get("checkpoints", 0),
+            v=counters.get("audit_violations", 0),
+        ),
+    ]
+    cps = snap["histograms"].get("cycles_per_sec")
+    if cps:
         lines.append(
-            "attempts {a} | retries {r} (rate {rr:.0%}) | cache hits {c} "
-            "(rate {cr:.0%}) | checkpoints {k} | audit violations {v}".format(
-                a=counters.get("job_attempts", 0),
-                r=counters.get("retries", 0),
-                rr=gauges.get("retry_rate", 0.0),
-                c=counters.get("cache_hits", 0),
-                cr=gauges.get("cache_hit_rate", 0.0),
-                k=counters.get("checkpoints", 0),
-                v=counters.get("audit_violations", 0),
-            )
+            "cycles/sec: p50 {p50:,.0f}  p90 {p90:,.0f}  mean {mean:,.0f} "
+            "({count} heartbeats)".format(**cps)
         )
-        cps = snap["histograms"].get("cycles_per_sec")
-        if cps and cps.get("count"):
-            lines.append(
-                "cycles/sec: p50 {p50:,.0f}  p90 {p90:,.0f}  mean {mean:,.0f} "
-                "({count} heartbeats)".format(**cps)
-            )
     order = {state: i for i, state in enumerate(JOB_STATES)}
     jobs = sorted(status.jobs.values(), key=lambda j: order.get(j.state, 99))
     rows = []
@@ -359,5 +444,4 @@ __all__ = [
     "campaign_status",
     "render_status",
     "render_tail",
-    "fleet_metrics",
 ]

@@ -145,7 +145,7 @@ class DesignSpec:
     """Everything needed to build one named router design.
 
     ``base`` is the design family (``dxbar_wf`` -> ``dxbar``): it keys the
-    Table III energy/area tables and the legacy ``ROUTER_CLASSES`` view.
+    Table III energy/area tables.
     ``energy`` optionally carries explicit
     :class:`~repro.energy.constants.EnergyConstants` for out-of-tree
     designs that have no Table III row.

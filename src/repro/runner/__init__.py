@@ -9,13 +9,7 @@ semantics.  See docs/architecture.md for the layer map.
 
 from .cache import ResultCache
 from .executor import RunOutcome, execute_spec, run_configs, run_specs
-from .saturation import (
-    SaturationError,
-    SaturationRun,
-    SaturationSpec,
-    run_saturation,
-    saturation_progress,
-)
+from .saturation import SaturationError, SaturationRun, SaturationSpec, run_saturation
 from .spec import RunSpec, derived_seed, materialize_workload
 
 __all__ = [
@@ -31,5 +25,4 @@ __all__ = [
     "run_configs",
     "run_saturation",
     "run_specs",
-    "saturation_progress",
 ]

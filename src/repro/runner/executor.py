@@ -310,9 +310,10 @@ def run_specs(
 
     Fault tolerance: each failing job is retried up to ``retries`` extra
     times with ``retry_backoff``-seeded exponential backoff between
-    rounds.  ``job_timeout`` (seconds, parallel mode) preempts a stuck
-    attempt by killing the worker pool; the victim is charged an attempt,
-    innocent in-flight jobs are not.  With ``checkpoint_root``, each job
+    rounds.  ``job_timeout`` (seconds) preempts a stuck attempt by
+    killing the worker pool; the victim is charged an attempt, innocent
+    in-flight jobs are not.  An in-process attempt cannot be preempted, so
+    with a timeout set every job runs in a pool, even at ``jobs`` <= 1.  With ``checkpoint_root``, each job
     checkpoints every ``checkpoint_every`` cycles under
     ``<root>/<job_id>/`` and retries resume from the last snapshot.
     Terminal failures come back as outcomes with ``error`` set; they are
@@ -436,7 +437,7 @@ def run_specs(
         if audit_config is not None:
             audit_payload = audit_config.to_dict()
 
-        if jobs <= 1 or len(pending) <= 1:
+        if job_timeout is None and (jobs <= 1 or len(pending) <= 1):
             for key, indexes in pending.items():
                 attempt = 0
                 jobj = (
@@ -470,7 +471,7 @@ def run_specs(
             _run_parallel(
                 specs,
                 pending,
-                jobs=jobs,
+                jobs=max(jobs, 1),
                 plugins=plugins,
                 check_invariants=check_invariants,
                 retries=retries,

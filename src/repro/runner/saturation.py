@@ -560,21 +560,3 @@ def load_report(root: Union[str, Path]) -> Dict[str, Any]:
     """Read ``<root>/saturation.json`` (partial during a run, final after)."""
     return _RUN_DIR.read_json(Path(root) / REPORT_NAME, "saturation report", "designs")
 
-
-def saturation_progress(root: Union[str, Path]) -> Dict[str, Any]:
-    """Cheap completion summary of the search in ``root`` from its
-    incremental report."""
-    root = Path(root)
-    spec = load_manifest(root)
-    payload = load_report(root)
-    total = payload["total"]
-    completed = payload["completed"]
-    return {
-        "search_id": spec.search_hash(),
-        "root": str(root),
-        "total": total,
-        "completed": completed,
-        "pending": total - completed,
-        "fraction": (completed / total) if total else 1.0,
-        "designs": {e["design"]: e["status"] for e in payload["designs"]},
-    }

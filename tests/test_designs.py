@@ -7,7 +7,6 @@ from repro.core.unified import UnifiedRouter
 from repro.designs import (
     DESIGN_LABELS,
     PAPER_DESIGNS,
-    ROUTER_CLASSES,
     build_router,
     build_routing,
 )
@@ -69,14 +68,3 @@ class TestRegistry:
 
     def test_unified_is_a_dxbar_variant(self):
         assert issubclass(UnifiedRouter, DXbarRouter)
-
-    def test_router_classes_cover_base_designs(self):
-        assert set(ROUTER_CLASSES) == {
-            "flit_bless",
-            "scarab",
-            "buffered4",
-            "buffered8",
-            "dxbar",
-            "unified",
-            "afc",
-        }

@@ -164,6 +164,25 @@ class TestWorkerDeath:
         assert out[0].attempts == 2  # timed out once, then completed
         assert out[0].result.to_dict() == execute_spec(RunSpec(tiny())).to_dict()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_preempts_a_lone_job(self, tmp_path, jobs):
+        """A single pending job, or ``jobs=1``, would run in-process where
+        nothing can preempt it; a timeout must still bite."""
+        import time
+
+        start = time.monotonic()
+        (out,) = run_specs(
+            [crashy("hang_once", tmp_path / "f", sleep=8.0)],
+            jobs=jobs,
+            plugins=PLUGINS,
+            retries=1,
+            retry_backoff=0,
+            job_timeout=1.0,
+        )
+        assert out.ok and out.attempts == 2
+        assert time.monotonic() - start < 6.0
+        assert out.result.to_dict() == execute_spec(RunSpec(tiny())).to_dict()
+
     def test_timeout_exhaustion_is_terminal(self, tmp_path):
         # Zero retries makes the first timeout terminal.
         specs = [

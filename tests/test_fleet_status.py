@@ -1,5 +1,5 @@
-"""Fleet telemetry consumer surfaces — MetricsRegistry/fleet_metrics,
-CampaignStatus reconstruction, the status/tail renderers and the
+"""Fleet telemetry consumer surfaces — CampaignStatus reconstruction and
+its fleet metrics, the status/tail renderers and the
 ``repro status`` / ``repro tail`` CLI — plus the observability
 satellites: the profile section of SimResult.to_dict() and the
 context-manager / idempotence guarantees of the single-run layer.
@@ -17,11 +17,10 @@ from repro.obs import (
     Telemetry,
     Tracer,
     campaign_status,
-    fleet_metrics,
     render_status,
     render_tail,
 )
-from repro.obs.fleet import Histogram, MetricsRegistry
+from repro.obs.status import _percentile, _summary
 from repro.runner import ResultCache, RunSpec, run_specs
 from repro.sim.config import SimConfig, TelemetryConfig
 from repro.sim.engine import Simulator
@@ -73,35 +72,31 @@ def synthetic_events():
 # fleet metrics
 # ----------------------------------------------------------------------
 class TestFleetMetrics:
-    def test_registry_instruments(self):
-        reg = MetricsRegistry()
-        reg.counter("x").inc()
-        reg.counter("x").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(1.0)
-        reg.histogram("h").observe(3.0)
-        snap = reg.to_dict()
-        assert snap["counters"]["x"] == 3
-        assert snap["gauges"]["g"] == 1.5
-        assert snap["histograms"]["h"]["count"] == 2
-        assert snap["histograms"]["h"]["mean"] == 2.0
-        with pytest.raises(ValueError):
-            reg.counter("x").inc(-1)
-
     def test_histogram_percentiles(self):
-        h = Histogram()
-        for v in range(1, 101):
-            h.observe(float(v))
-        assert h.percentile(0) == 1.0
-        assert h.percentile(50) == pytest.approx(50.0, abs=1)
-        assert h.percentile(100) == 100.0
-        assert Histogram().summary() == {"count": 0}
-        with pytest.raises(ValueError):
-            h.percentile(101)
+        ordered = [float(v) for v in range(1, 101)]
+        assert _percentile(ordered, 0) == 1.0
+        assert _percentile(ordered, 50) == pytest.approx(50.0, abs=1)
+        assert _percentile(ordered, 100) == 100.0
+        assert _summary([]) == {"count": 0}
+        beats = [{"event": "heartbeat", "job": "a", "cps": float(v)}
+                 for v in reversed(ordered)]
+        cps = CampaignStatus.from_events(beats).metrics()["histograms"]
+        assert cps["cycles_per_sec"] == {"count": 100, "mean": 50.5,
+                                         "min": 1.0, "p50": 51.0,
+                                         "p90": 90.0, "max": 100.0}
+
+    def test_no_events_metrics(self):
+        snap = CampaignStatus().metrics()
+        assert snap == {
+            "counters": {"cache_hits": 0, "job_attempts": 0,
+                         "jobs_submitted": 0, "retries": 0},
+            "gauges": {"cache_hit_rate": 0.0, "jobs_running": 0,
+                       "queue_depth": 0, "retry_rate": 0.0},
+            "histograms": {},
+        }
 
     def test_fleet_metrics_from_events(self):
-        reg = fleet_metrics(synthetic_events())
-        snap = reg.to_dict()
+        snap = CampaignStatus.from_events(synthetic_events()).metrics()
         c = snap["counters"]
         assert c["jobs_submitted"] == 4
         assert c["job_attempts"] == 4  # a:1, b:2, d:1
@@ -161,7 +156,7 @@ class TestCampaignStatus:
     def test_renderers(self):
         events = synthetic_events()
         st = CampaignStatus.from_events(events)
-        text = render_status(st, fleet_metrics(events))
+        text = render_status(st)
         assert "4 jobs" in text
         assert "1 running, 1 completed, 1 cached, 1 failed" in text
         assert "retries 1" in text and "cache hits 1" in text
@@ -179,6 +174,136 @@ class TestCampaignStatus:
         shard.parent.mkdir()
         shard.write_text("".join(json.dumps(e) + "\n" for e in events))
         assert campaign_status(tmp_path / "j").events_seen == len(events)
+
+
+# ----------------------------------------------------------------------
+# golden status surface: the exact ``repro status`` / ``tail`` output
+# ----------------------------------------------------------------------
+GOLDEN_JOB = {"job": "", "design": "", "pattern": "", "load": None, "tag": "",
+              "state": "", "attempts": 0, "retries": 0, "heartbeats": 0,
+              "checkpoints": 0, "cycle": 0, "horizon": 0, "phase": "",
+              "cps": None, "eta_s": None, "error": None}
+
+GOLDEN_STATUS = {
+    "campaign": {
+        "total_specs": 4,
+        "workers": 2,
+        "jobs": [
+            {**GOLDEN_JOB, "job": "a", "design": "dxbar_dor", "pattern": "UR",
+             "load": 0.2, "tag": "a", "state": "completed", "attempts": 1,
+             "heartbeats": 1, "cycle": 120, "horizon": 100,
+             "phase": "measure", "cps": 1000.0, "eta_s": 0.05},
+            {**GOLDEN_JOB, "job": "b", "design": "buffered4", "pattern": "TR",
+             "load": 0.4, "tag": "b", "state": "running", "attempts": 2,
+             "retries": 1, "heartbeats": 1, "checkpoints": 1, "horizon": 100,
+             "phase": "warmup", "cps": 500.0, "error": "RuntimeError: boom"},
+            {**GOLDEN_JOB, "job": "c", "state": "cached"},
+            {**GOLDEN_JOB, "job": "d", "state": "failed", "attempts": 3,
+             "error": "ValueError: nope"},
+        ],
+        "counts": {"running": 1, "retrying": 0, "queued": 0, "completed": 1,
+                   "cached": 1, "failed": 1},
+        "finished": False,
+        "elapsed_s": 15.0,
+        "events_seen": 16,
+    },
+    "metrics": {
+        "counters": {"cache_hits": 1, "checkpoints": 1, "heartbeats": 2,
+                     "job_attempts": 4, "jobs_completed": 1, "jobs_failed": 1,
+                     "jobs_submitted": 4, "retries": 1},
+        "gauges": {"cache_hit_rate": 0.25, "jobs_running": 1,
+                   "queue_depth": 0, "retry_rate": 0.25},
+        "histograms": {"cycles_per_sec": {"count": 2, "mean": 750.0,
+                                          "min": 500.0, "p50": 500.0,
+                                          "p90": 1000.0, "max": 1000.0}},
+    },
+}
+
+GOLDEN_TEXT = """\
+4 jobs: 1 running, 1 completed, 1 cached, 1 failed | elapsed 15.0s
+attempts 4 | retries 1 (rate 25%) | cache hits 1 (rate 25%) | checkpoints 1 | audit violations 0
+cycles/sec: p50 500  p90 1,000  mean 750 (2 heartbeats)
+
+job  label  state      att  progress    c/s    eta  detail            
+---  -----  ---------  ---  ----------  -----  ---  ------------------
+b    b      running    2    0/100 (0%)  500    -    RuntimeError: boom
+a    a      completed  1    120 cyc     1,000  -    measure           
+c    -      cached     0    cache       -      -                      
+d    -      failed     3    100%        -      -    ValueError: nope  
+"""
+
+GOLDEN_TAIL = """\
+4 jobs: 1 running, 1 completed, 1 cached, 1 failed | elapsed 15.0s
+  b  b                running  0/100 (0%) @ 500 c/s (8s ago)
+recent events:
+  cache_hit       c
+  job_submitted   d
+  job_started     a
+  job_started     b
+  retry           b            RuntimeError: boom
+  job_started     b
+  checkpointed    b
+  completed       a
+  job_started     d
+  failed          d            ValueError: nope"""
+
+
+def write_journal(root, events):
+    root.mkdir()
+    (root / "t.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
+    return root
+
+
+class TestStatusGolden:
+    """``repro status`` (text and ``--json``) and ``render_tail`` for
+    :func:`synthetic_events`, pinned byte for byte."""
+
+    def test_status_json(self, tmp_path, capsys):
+        journal = write_journal(tmp_path / "j", synthetic_events())
+        assert main(["status", str(journal), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(GOLDEN_STATUS) + "\n"
+
+    def test_status_text(self, tmp_path, capsys):
+        journal = write_journal(tmp_path / "j", synthetic_events())
+        assert main(["status", str(journal)]) == 0
+        assert capsys.readouterr().out == GOLDEN_TEXT
+
+    def test_tail_text(self):
+        events = synthetic_events()
+        st = CampaignStatus.from_events(events)
+        assert render_tail(st, events, now=20.0) == GOLDEN_TAIL
+
+    def test_side_records_do_not_enter_the_gauges(self, tmp_path, capsys):
+        """A job seen only in ``checkpointed``/``audit_violation`` records
+        is listed, but is neither running nor queued; campaign-level
+        records and job-less heartbeats still count."""
+        mk = lambda i, event, **f: {"v": 1, "ts": 100.0 + i, "src": "t",
+                                    "seq": 100 + i, "event": event, **f}
+        events = synthetic_events() + [
+            mk(0, "checkpointed", job="e", cycle=10, path="y"),
+            mk(1, "audit_violation", job="f", check="credit", message="lost"),
+            mk(2, "cache_quarantine", file="x.json", quarantined="x.corrupt"),
+            mk(3, "heartbeat", cps=250.0),
+            mk(4, "job_submitted", job="g"),
+        ]
+        journal = write_journal(tmp_path / "j", events)
+        assert main(["status", str(journal), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        states = {j["job"]: j["state"] for j in payload["campaign"]["jobs"]}
+        assert states["e"] == states["f"] == states["g"] == "queued"
+        assert payload["campaign"]["counts"]["queued"] == 3
+        metrics = payload["metrics"]
+        assert metrics["gauges"] == {"cache_hit_rate": 0.2, "jobs_running": 1,
+                                     "queue_depth": 1, "retry_rate": 0.25}
+        assert metrics["counters"] == {
+            "audit_violations": 1, "cache_hits": 1, "cache_quarantines": 1,
+            "checkpoints": 2, "heartbeats": 3, "job_attempts": 4,
+            "jobs_completed": 1, "jobs_failed": 1, "jobs_submitted": 5,
+            "retries": 1,
+        }
+        assert metrics["histograms"]["cycles_per_sec"] == {
+            "count": 3, "mean": 1750.0 / 3, "min": 250.0, "p50": 500.0,
+            "p90": 1000.0, "max": 1000.0}
 
 
 # ----------------------------------------------------------------------

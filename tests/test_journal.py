@@ -2,7 +2,7 @@
 tolerance, the lifecycle events emitted through run_specs (serial and
 process-parallel), and the journal's pure-observer guarantee.
 
-The consumer surfaces (CampaignStatus / fleet_metrics / repro status)
+The consumer surfaces (CampaignStatus and its metrics / repro status)
 are covered in test_fleet_status.py.
 """
 

@@ -8,12 +8,7 @@ import pytest
 from repro.analysis.saturation import render_saturation, saturation_summary
 from repro.registry import DESIGNS, ROUTING
 from repro.routing.capacity import channel_capacity
-from repro.runner import (
-    SaturationError,
-    SaturationSpec,
-    run_saturation,
-    saturation_progress,
-)
+from repro.runner import SaturationError, SaturationSpec, run_saturation
 from repro.runner.executor import RunOutcome
 from repro.runner.saturation import _Search, load_manifest, load_report
 from repro.sim.stats import SimResult
@@ -483,7 +478,7 @@ class TestProbeFailures:
 
 
 # ----------------------------------------------------------------------
-# report, progress, analytics
+# report, analytics
 # ----------------------------------------------------------------------
 class TestReporting:
     def finished_root(self, tmp_path):
@@ -491,14 +486,6 @@ class TestReporting:
         cliffs = {"dxbar_dor": 0.7 * analytic_capacity("dxbar_dor", 8)}
         run_saturation(root, spec_for("dxbar_dor", 8), runner=cliff_runner(cliffs))
         return root
-
-    def test_progress_summary(self, tmp_path):
-        root = self.finished_root(tmp_path)
-        prog = saturation_progress(root)
-        assert prog["total"] == 1
-        assert prog["completed"] == 1
-        assert prog["pending"] == 0
-        assert prog["designs"] == {"dxbar_dor": "converged"}
 
     def test_report_payload_deterministic_fields_only(self, tmp_path):
         root = self.finished_root(tmp_path)
