@@ -133,10 +133,6 @@ def _base_config(scale: ExperimentScale) -> SimConfig:
     )
 
 
-def _labels(designs=PAPER_DESIGNS) -> List[str]:
-    return [DESIGN_LABELS[d] for d in designs]
-
-
 # ----------------------------------------------------------------------
 # Table III — area and energy
 # ----------------------------------------------------------------------

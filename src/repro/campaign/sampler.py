@@ -3,8 +3,12 @@
 The paper evaluates hand-picked static fault plans ("the same random seed
 with varying percentages"); asking its real question at scale — *what is
 the distribution of degradation over random fault maps, and which routers
-matter most?* — needs many independent maps per fault level.  The sampler
-produces them with three properties the rest of the stack depends on:
+matter most?* — needs many independent maps per fault level.  Sample
+``i`` of a campaign seeded ``seed`` is
+:func:`~repro.core.faults.draw_fault_map` under the key ``(seed, i)``,
+the same draw a percent-driven :class:`~repro.core.faults.FaultPlan` makes
+under ``(seed,)``.  That gives the properties the rest of the stack
+depends on:
 
 * **Determinism** — a map is a pure function of ``(seed, sample_index)``;
   per-node fault attributes are keyed by ``(seed, sample_index, node)``.
@@ -19,11 +23,8 @@ produces them with three properties the rest of the stack depends on:
   data: they ride inside ``SimConfig`` through ``config_hash`` caching,
   checkpoint identity and process boundaries unchanged.
 
-Weighted sampling uses the Gumbel-key trick: per-node keys
-``log(w) + Gumbel`` sorted descending yield a weighted random permutation
-(equivalent to successive draws without replacement), which keeps the
-prefix-nestedness property that plain ``rng.choice`` without replacement
-would lose across fault levels.
+This module adds the argument checks and the named weighting profiles;
+weighted orderings use Gumbel keys (see ``draw_fault_map``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.faults import PRIMARY, SECONDARY, fault_count
+from ..core.faults import draw_fault_map
 from ..sim.config import FaultMapEntry
 
 #: Built-in weighting profiles (resolved against a k x k mesh).
@@ -110,52 +111,21 @@ class FaultMapSampler:
         self.weights = weights
 
     # ------------------------------------------------------------------
+    def _draw(self, sample_index: int, count: int) -> Tuple[FaultMapEntry, ...]:
+        return draw_fault_map(
+            (self.seed, int(sample_index)),
+            count,
+            self.num_routers,
+            self.granularity,
+            self.manifest_lo,
+            self.manifest_hi,
+            self.weights,
+        )
+
     def order(self, sample_index: int) -> Tuple[int, ...]:
         """The router failure ordering of one sample: element 0 fails
         first; a fault level of ``n`` routers takes the first ``n``."""
-        rng = np.random.default_rng((self.seed, int(sample_index)))
-        if self.weights is None:
-            perm = rng.permutation(self.num_routers)
-        else:
-            # Gumbel keys: argsort(log w + G) descending == weighted
-            # sampling without replacement, and prefixes stay nested.
-            with np.errstate(divide="ignore"):
-                keys = np.log(self.weights) + rng.gumbel(size=self.num_routers)
-            perm = np.argsort(-keys, kind="stable")
-            # Zero-weight routers all carry a log(0) = -inf key, and the
-            # stable argsort leaves that tied tail in ascending node
-            # order — so when ``count`` exceeded the positive-weight
-            # router population, every sample filled the excess with the
-            # same deterministic low-node-first sequence.  Re-permute the
-            # tied tail with a per-sample draw (taken *after* the Gumbel
-            # keys, so positive-weight orderings are unchanged).  The
-            # tail permutation is fixed per sample, so prefixes of the
-            # full ordering remain nested across fault levels.
-            tied = np.isneginf(keys[perm])
-            if int(tied.sum()) > 1:
-                tail = perm[tied]
-                perm[tied] = tail[rng.permutation(len(tail))]
-        return tuple(int(n) for n in perm)
-
-    def entry_for(self, sample_index: int, node: int) -> FaultMapEntry:
-        """The fault this router develops in this sample (stable across
-        fault levels, mirroring :class:`~repro.core.faults.FaultPlan`'s
-        per-router streams)."""
-        r = np.random.default_rng((self.seed, int(sample_index), int(node)))
-        crossbar = PRIMARY if r.random() < 0.5 else SECONDARY
-        manifest = int(r.integers(self.manifest_lo, self.manifest_hi + 1))
-        in_port = out_port = None
-        if self.granularity == "crosspoint":
-            n_inputs = 4 if crossbar == PRIMARY else 5
-            in_port = int(r.integers(n_inputs))
-            out_port = int(r.integers(5))
-        return FaultMapEntry(
-            node=int(node),
-            crossbar=crossbar,
-            manifest_cycle=manifest,
-            input_port=in_port,
-            output_port=out_port,
-        )
+        return tuple(e.node for e in self._draw(sample_index, self.num_routers))
 
     def sample(self, sample_index: int, count: int) -> Tuple[FaultMapEntry, ...]:
         """One fault map: ``count`` faulty routers drawn for
@@ -165,12 +135,4 @@ class FaultMapSampler:
             raise ValueError(
                 f"count must be in [0, {self.num_routers}], got {count}"
             )
-        nodes = sorted(self.order(sample_index)[:count])
-        return tuple(self.entry_for(sample_index, n) for n in nodes)
-
-    def sample_percent(
-        self, sample_index: int, percent: float
-    ) -> Tuple[FaultMapEntry, ...]:
-        """Like :meth:`sample` with the paper's percent axis (half-up
-        rounding shared with the percent-driven ``FaultPlan``)."""
-        return self.sample(sample_index, fault_count(percent, self.num_routers))
+        return tuple(sorted(self._draw(sample_index, count), key=lambda e: e.node))

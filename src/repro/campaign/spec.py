@@ -120,16 +120,16 @@ class CampaignSpec:
                     f"sim override {key!r} is owned by the campaign grid; "
                     f"set it through the CampaignSpec field instead"
                 )
-        if any(p > 0 for p in self.percents):
-            for d in self.designs:
-                if d not in DESIGNS:
-                    raise ValueError(f"unknown design {d!r}")
-                if not DESIGNS.get(d).supports_faults:
-                    raise ValueError(
-                        f"design {d!r} does not support crossbar faults; "
-                        f"campaigns with nonzero percents need dual-crossbar "
-                        f"designs (dxbar_*/unified_*)"
-                    )
+        faulty = any(p > 0 for p in self.percents)
+        for d in self.designs:
+            if d not in DESIGNS:
+                raise ValueError(f"unknown design {d!r}")
+            if faulty and not DESIGNS.get(d).supports_faults:
+                raise ValueError(
+                    f"design {d!r} does not support crossbar faults; "
+                    f"campaigns with nonzero percents need dual-crossbar "
+                    f"designs (dxbar_*/unified_*)"
+                )
         # Validate the base config eagerly (bad sim overrides, unknown
         # pattern, ...): a campaign should fail before its first job does.
         self.base_config()

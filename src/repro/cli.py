@@ -68,6 +68,7 @@ from .sim.config import KNOWN_BACKENDS, FaultConfig, SimConfig, TelemetryConfig
 from .sim.engine import Simulator
 from .sim.topology import Mesh
 from .traffic.splash2 import generate_app_trace, splash2_app_names
+from .traffic.trace import TraceWorkload
 
 
 def load_plugins(spec: Optional[str] = None) -> None:
@@ -379,9 +380,6 @@ def cmd_splash(args) -> int:
             seed=args.seed,
             max_cycles=1_000_000,
         )
-        from .sim.engine import Simulator
-        from .traffic.trace import TraceWorkload
-
         sim = Simulator(cfg, workload=TraceWorkload(list(trace)))
         r = sim.run()
         if base_time is None:

@@ -1,16 +1,16 @@
 """The paper's contribution: DXbar dual-crossbar and unified dual-input
 single-crossbar routers, with their allocators, fairness and fault logic."""
 
-from .allocator import Grant, Request, SeparableDualAllocator
-from .arbiters import MatrixArbiter, RoundRobinArbiter, oldest_first
-from .buffers import FlitFIFO
-from .crossbar import (
+from .allocator import (
     BUFFERED,
     BUFFERLESS,
-    MatrixCrossbar,
-    SegmentedCrossbar,
+    Grant,
+    Request,
+    SeparableDualAllocator,
     requires_swap,
 )
+from .arbiters import MatrixArbiter, RoundRobinArbiter, oldest_first
+from .buffers import FlitFIFO
 from .dxbar import DXbarRouter
 from .fairness import FairnessCounter
 from .faults import PRIMARY, SECONDARY, FaultPlan, RouterFault
@@ -26,8 +26,6 @@ __all__ = [
     "FlitFIFO",
     "BUFFERED",
     "BUFFERLESS",
-    "MatrixCrossbar",
-    "SegmentedCrossbar",
     "requires_swap",
     "DXbarRouter",
     "FairnessCounter",

@@ -27,7 +27,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..sim.flit import Flit
 from ..sim.ports import Port
 from .arbiters import RoundRobinArbiter
-from .crossbar import BUFFERED, BUFFERLESS, requires_swap
+
+#: Lanes of the dual-input rows.
+BUFFERLESS = "bufferless"
+BUFFERED = "buffered"
+
+
+def requires_swap(out_bufferless: int, out_buffered: int) -> bool:
+    """Fig 4(c) conflict rule.
+
+    The bufferless source drives the row from the low-index end and the
+    buffered source from the high-index end; the single off transmission
+    gate between their outputs separates the segments only when
+    ``out_bufferless < out_buffered``.  Otherwise the detection logic fires
+    and the switch logic exchanges which physical lane each flit uses.
+    """
+    return out_bufferless > out_buffered
 
 
 @dataclass(slots=True)

@@ -47,9 +47,6 @@ class RoundRobinArbiter:
                 return idx
         return None  # pragma: no cover - unreachable with valid indices
 
-    def peek_pointer(self) -> int:
-        return self._ptr
-
     def state_dict(self) -> dict:
         return {"ptr": self._ptr}
 

@@ -7,6 +7,11 @@ different crossbars with the same random seed but varying percentages" — we
 realise that by drawing a fixed random router ordering from the seed and
 taking its prefix, so the faulty sets are *nested* as the percentage grows.
 
+:func:`draw_fault_map` is the only code that draws a fault map.  A
+percent-driven :class:`FaultPlan` draws under the key ``(seed,)``; the
+Monte-Carlo campaign sampler (:mod:`repro.campaign.sampler`) draws sample
+``i`` under ``(seed, i)``.  :class:`FaultPlan` itself only installs maps.
+
 Two granularities are supported:
 
 * ``crossbar`` (the paper's evaluation): the whole crossbar dies; after
@@ -28,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..sim.config import FaultConfig
+from ..sim.config import FaultConfig, FaultMapEntry
 from ..sim.ports import Port
 
 #: Which crossbar died.
@@ -50,9 +55,71 @@ def fault_count(percent: float, num_routers: int) -> int:
     3x3 mesh gave 4 faults while 50% of 3 routers gave 2 — the faulty-set
     size jumped inconsistently with the percentage and broke nestedness
     expectations.  Shared by :class:`FaultPlan` and the Monte-Carlo
-    fault-map sampler (:mod:`repro.campaign`), so a sampled campaign's
-    count axis lines up exactly with the percent-driven plans."""
+    campaign grid (:mod:`repro.campaign`), so a sampled campaign's count
+    axis lines up exactly with the percent-driven plans."""
     return int(math.floor(percent / 100.0 * num_routers + 0.5))
+
+
+def _crossbar_inputs(crossbar: str) -> int:
+    """Input rows of one crossbar: the primary has the four direction
+    inputs, the secondary adds the injection lane."""
+    return 4 if crossbar == PRIMARY else 5
+
+
+def draw_fault_map(
+    key: Tuple[int, ...],
+    count: int,
+    num_routers: int,
+    granularity: str,
+    manifest_lo: int,
+    manifest_hi: int,
+    weights: Optional[np.ndarray] = None,
+) -> Tuple[FaultMapEntry, ...]:
+    """Draw the faults of the first ``count`` routers to fail under
+    ``key``, in failure order.
+
+    The stream keyed ``key`` orders the routers: a uniform permutation,
+    or, with ``weights``, a weighted one.  A map of ``count`` faults is
+    the ordering's prefix, so maps drawn under one key nest as ``count``
+    grows.  Each failing router's fault (crossbar coin, manifest cycle in
+    ``[manifest_lo, manifest_hi]``, crosspoint ports) comes from its own
+    stream keyed ``key + (node,)``, so it does not depend on ``count``.
+    """
+    rng = np.random.default_rng(key)
+    if weights is None:
+        perm = rng.permutation(num_routers)
+    else:
+        # Gumbel keys: argsort(log w + G) descending == weighted sampling
+        # without replacement (successive draws), and prefixes stay
+        # nested across fault levels, which plain ``rng.choice`` without
+        # replacement would not give.
+        with np.errstate(divide="ignore"):
+            keys = np.log(weights) + rng.gumbel(size=num_routers)
+        perm = np.argsort(-keys, kind="stable")
+        # Zero-weight routers all carry a log(0) = -inf key, and the
+        # stable argsort would leave that tied tail in ascending node
+        # order, so every key would fill counts beyond the positive-weight
+        # population with the same low-node-first sequence.  Re-permute
+        # the tied tail with a draw taken *after* the Gumbel keys, so
+        # positive-weight orderings are unchanged and prefixes still nest.
+        tied = np.isneginf(keys[perm])
+        if int(tied.sum()) > 1:
+            tail = perm[tied]
+            perm[tied] = tail[rng.permutation(len(tail))]
+    entries = []
+    for node in perm[:count]:
+        node = int(node)
+        r = np.random.default_rng(key + (node,))
+        crossbar = PRIMARY if r.random() < 0.5 else SECONDARY
+        manifest = int(r.integers(manifest_lo, manifest_hi + 1))
+        in_port = out_port = None
+        if granularity == CROSSPOINT:
+            # The broken crosspoint connects one input row to one output
+            # column of the failed crossbar.
+            in_port = int(r.integers(_crossbar_inputs(crossbar)))
+            out_port = int(r.integers(5))
+        entries.append(FaultMapEntry(node, crossbar, manifest, in_port, out_port))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -122,57 +189,30 @@ class RouterFault:
 
 
 class FaultPlan:
-    """Deterministic assignment of faults to routers.
+    """The faults installed on one mesh.
 
     ``plan.fault_for(node)`` returns the :class:`RouterFault` for ``node``
-    or None.  Two plans with the same seed and different percentages select
-    nested router subsets, matching the paper's methodology.
+    or None.  A percent-driven config is first expanded by
+    :func:`draw_fault_map` under the key ``(seed,)``; explicit
+    :attr:`FaultConfig.entries` are installed as given.
     """
 
     def __init__(self, config: FaultConfig, num_routers: int) -> None:
-        self.config = config
-        self.num_routers = num_routers
-        self._faults: Dict[int, RouterFault] = {}
-        if config.entries is not None:
-            self._build_explicit(config, num_routers)
-            return
-        count = fault_count(config.percent, num_routers)
-        if count == 0:
-            return
-        rng = np.random.default_rng(config.seed)
-        order = rng.permutation(num_routers)
-        for node in order[:count]:
-            # Per-router streams keyed by (seed, node) keep each router's
-            # fault identical across different percentages.
-            r = np.random.default_rng((config.seed, int(node)))
-            crossbar = PRIMARY if r.random() < 0.5 else SECONDARY
-            manifest = int(r.integers(1, config.manifest_window + 1))
-            in_port: Optional[Port] = None
-            out_port: Optional[Port] = None
-            if config.granularity == CROSSPOINT:
-                # The primary crossbar has the four direction inputs; the
-                # secondary adds the injection lane — either way the broken
-                # crosspoint connects one input row to one output column.
-                n_inputs = 4 if crossbar == PRIMARY else 5
-                in_port = Port(int(r.integers(n_inputs)))
-                out_port = Port(int(r.integers(5)))
-            self._faults[int(node)] = RouterFault(
-                crossbar=crossbar,
-                manifest_cycle=manifest,
-                detected_cycle=manifest + config.detection_cycles,
-                input_port=in_port,
-                output_port=out_port,
+        entries = config.entries
+        if entries is None:
+            entries = draw_fault_map(
+                (config.seed,),
+                fault_count(config.percent, num_routers),
+                num_routers,
+                config.granularity,
+                1,
+                config.manifest_window,
             )
-
-    def _build_explicit(self, config: FaultConfig, num_routers: int) -> None:
-        """Install an explicit fault map (:attr:`FaultConfig.entries`).
-
-        Entry-level validation (port pairing, duplicate nodes, granularity
-        coherence) already happened in ``FaultConfig``; what remains is
-        what only the instantiated mesh knows: node range and the
-        per-crossbar input arity (the primary crossbar has the four
-        direction inputs, the secondary adds the injection lane)."""
-        for e in config.entries:
+        # What remains to check is what only the instantiated mesh knows
+        # (entry-level validation already happened in ``FaultConfig``):
+        # node range and the per-crossbar input arity.
+        self._faults: Dict[int, RouterFault] = {}
+        for e in entries:
             if e.node >= num_routers:
                 raise ValueError(
                     f"fault entry node {e.node} out of range for "
@@ -181,7 +221,7 @@ class FaultPlan:
             in_port: Optional[Port] = None
             out_port: Optional[Port] = None
             if e.is_crosspoint:
-                n_inputs = 4 if e.crossbar == PRIMARY else 5
+                n_inputs = _crossbar_inputs(e.crossbar)
                 if e.input_port >= n_inputs:
                     raise ValueError(
                         f"fault entry node {e.node}: input_port "
@@ -214,33 +254,3 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self._faults)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, dict]:
-        """Lossless JSON-able form: the generating config, the mesh size
-        and the realised signature.  The round-trip property (``from_dict``
-        rebuilds an identical plan) is what makes sampled plans cache-key
-        stable — the plan is a pure function of data that already lives in
-        :meth:`SimConfig.to_dict`."""
-        return {
-            "config": self.config.to_dict(),
-            "num_routers": self.num_routers,
-            "signature": self.signature(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, dict]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`.  The rebuilt plan is verified
-        against the stored signature, so a drifted deterministic rebuild
-        (e.g. a numpy generator behaviour change) raises instead of
-        silently diverging — the same contract checkpoint resume uses."""
-        plan = cls(FaultConfig.from_dict(data["config"]), data["num_routers"])
-        want = data.get("signature")
-        if want is not None and plan.signature() != want:
-            raise ValueError(
-                "fault plan signature drift: the deterministic rebuild does "
-                "not reproduce the serialized plan"
-            )
-        return plan

@@ -35,8 +35,7 @@ from ..obs.trace import (
 )
 from ..sim.flit import Flit
 from ..sim.ports import Port
-from .allocator import Request, SeparableDualAllocator
-from .crossbar import BUFFERED, BUFFERLESS
+from .allocator import BUFFERED, BUFFERLESS, Request, SeparableDualAllocator
 from .dxbar import DXbarRouter
 
 

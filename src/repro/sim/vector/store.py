@@ -129,9 +129,6 @@ class FlitStore:
             tags[s] = None
         self._free.extend(lst)
 
-    def live_count(self) -> int:
-        return self._top - len(self._free)
-
     # ------------------------------------------------------------------
     # object-model bridging
     # ------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.allocator import Request, SeparableDualAllocator
-from repro.core.crossbar import BUFFERED, BUFFERLESS
+from repro.core.allocator import (
+    BUFFERED,
+    BUFFERLESS,
+    Request,
+    SeparableDualAllocator,
+    requires_swap,
+)
 from repro.sim.flit import Flit
 from repro.sim.ports import Port
 
@@ -14,6 +19,20 @@ def _flit(fid):
 
 def _req(inp, lane, fid, wants):
     return Request(inp, lane, _flit(fid), tuple(Port(w) for w in wants))
+
+
+class TestRequiresSwap:
+    def test_fig4c_example(self):
+        """I0 -> O4 with I0' -> O2 is the paper's conflict example."""
+        assert requires_swap(4, 2)
+
+    def test_ordered_pair_needs_no_swap(self):
+        assert not requires_swap(2, 3)
+
+    @given(st.integers(0, 4), st.integers(0, 4))
+    def test_antisymmetric(self, a, b):
+        if a != b:
+            assert requires_swap(a, b) != requires_swap(b, a)
 
 
 class TestAllocatorBasics:

@@ -19,8 +19,7 @@ import pytest
 
 from repro.audit import AuditConfig, Auditor, AuditViolation, _as_audit_config
 from repro.checkpoint import CheckpointPolicy, list_checkpoints
-from repro.core.allocator import Grant, Request
-from repro.core.crossbar import BUFFERED, BUFFERLESS
+from repro.core.allocator import BUFFERED, BUFFERLESS, Grant, Request
 from repro.core.dxbar import DXbarRouter
 from repro.registry import DESIGNS, register_design
 from repro.routers.scarab import ScarabRouter

@@ -14,7 +14,7 @@ from repro.campaign import (
     resolve_weights,
     run_campaign,
 )
-from repro.core.faults import PRIMARY, SECONDARY, fault_count
+from repro.core.faults import PRIMARY, SECONDARY
 from repro.runner import ResultCache
 
 #: Short cycle counts so a whole campaign runs in well under a second/job.
@@ -97,10 +97,6 @@ class TestFaultMapSampler:
             n_inputs = 4 if e.crossbar == PRIMARY else 5
             assert 0 <= e.input_port < n_inputs
             assert 0 <= e.output_port < 5
-
-    def test_sample_percent_matches_fault_count(self):
-        s = FaultMapSampler(9, seed=1)
-        assert len(s.sample_percent(0, 50.0)) == fault_count(50.0, 9)  # half-up: 5
 
     def test_weighted_sampling_still_nested(self):
         w = resolve_weights("center", 4)
@@ -219,6 +215,18 @@ class TestCampaignSpec:
     def test_unsupported_design_allowed_at_zero_percent(self):
         spec = small_spec(designs=("flit_bless",), percents=(0.0,))
         assert len(spec.jobs()) == 1
+
+    def test_unknown_design_rejected_at_zero_percent(self, tmp_path):
+        """Design names are checked even when no job injects faults: an
+        unknown name used to pass the spec, get ``manifest.json`` written
+        and only then crash ``jobs()``, leaving a directory that neither
+        ``campaign status`` nor ``--resume`` could read."""
+        root = tmp_path / "c"
+        with pytest.raises(ValueError, match="unknown design 'bogus'"):
+            run_campaign(
+                root, small_spec(designs=("dxbar_dor", "bogus"), percents=(0.0,))
+            )
+        assert not (root / "manifest.json").exists()
 
     def test_manifest_phase_measure_lands_in_window(self):
         spec = small_spec(manifest_phase="measure")
