@@ -161,3 +161,136 @@ class TestAllocatorInvariants:
         if len(reqs) == 1:
             grants, _ = SeparableDualAllocator().allocate(reqs)
             assert len(grants) == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the original dict/set formulation of the allocator,
+# kept verbatim so any rewrite of the production allocator is pinned to it
+# grant for grant, swap for swap and pointer for pointer.
+# ---------------------------------------------------------------------------
+
+
+class _OracleRoundRobinArbiter:
+    """Iterable-request round-robin arbiter (the original formulation)."""
+
+    def __init__(self, size):
+        self.size = size
+        self._ptr = 0
+
+    def grant(self, requests):
+        req = set(requests)
+        if not req:
+            return None
+        for off in range(self.size):
+            idx = (self._ptr + off) % self.size
+            if idx in req:
+                self._ptr = (idx + 1) % self.size
+                return idx
+        return None
+
+    def state_dict(self):
+        return {"ptr": self._ptr}
+
+
+class _OracleAllocator:
+    """The original dict/set separable dual allocator."""
+
+    def __init__(self, num_ports=5):
+        self.num_ports = num_ports
+        self._output_arbs = [_OracleRoundRobinArbiter(num_ports) for _ in range(num_ports)]
+        self.swaps_total = 0
+
+    def allocate(self, requests, waiters_first=False):
+        # ---- stage 1: per-output P:1 arbitration over OR-ed requests ----
+        by_input = {}
+        for req in requests:
+            by_input.setdefault(req.input_index, []).append(req)
+
+        output_requests = {o: set() for o in range(self.num_ports)}
+        for req in requests:
+            for port in req.wants:
+                output_requests[int(port)].add(req.input_index)
+
+        granted_outputs = {i: [] for i in by_input}
+        for o in range(self.num_ports):
+            winner = self._output_arbs[o].grant(output_requests[o])
+            if winner is not None:
+                granted_outputs[winner].append(o)
+
+        # ---- stage 2: two serial V:1 arbiters per input ----
+        grants = []
+        swaps = 0
+        first_lane = BUFFERED if waiters_first else BUFFERLESS
+        for i, outs in granted_outputs.items():
+            if not outs:
+                continue
+            lanes = {r.lane: r for r in by_input[i]}
+            ordered = [lane for lane in (first_lane, self._other(first_lane)) if lane in lanes]
+            available = set(outs)
+            chosen = {}
+            for lane in ordered:
+                req = lanes[lane]
+                pick = self._first_match(req.wants, available)
+                if pick is not None:
+                    available.discard(int(pick))
+                    chosen[lane] = pick
+                    grants.append((req, pick))
+            if BUFFERLESS in chosen and BUFFERED in chosen:
+                if requires_swap(int(chosen[BUFFERLESS]), int(chosen[BUFFERED])):
+                    swaps += 1
+        self.swaps_total += swaps
+        return grants, swaps
+
+    def state_dict(self):
+        return {
+            "output_arbs": [a.state_dict() for a in self._output_arbs],
+            "swaps_total": self.swaps_total,
+        }
+
+    @staticmethod
+    def _other(lane):
+        return BUFFERED if lane == BUFFERLESS else BUFFERLESS
+
+    @staticmethod
+    def _first_match(wants, available):
+        for port in wants:
+            if int(port) in available:
+                return port
+        return None
+
+
+# One allocation round: 1-2 lanes on each of a random subset of inputs,
+# preference-ordered wants, requests presented in a random order.
+@st.composite
+def allocation_rounds(draw):
+    reqs = []
+    fid = 0
+    inputs = draw(st.lists(st.integers(0, 4), max_size=5, unique=True))
+    for inp in inputs:
+        lanes = draw(
+            st.sampled_from([(BUFFERLESS,), (BUFFERED,), (BUFFERLESS, BUFFERED)])
+        )
+        for lane in lanes:
+            wants = draw(st.permutations(range(5)))
+            size = draw(st.integers(1, 5))
+            fid += 1
+            reqs.append(_req(inp, lane, fid, wants[:size]))
+    order = draw(st.permutations(reqs))
+    return list(order), draw(st.booleans())
+
+
+class TestAllocatorMatchesOracle:
+    @given(st.lists(allocation_rounds(), min_size=1, max_size=30))
+    def test_grants_swaps_and_pointers_identical(self, rounds):
+        alloc = SeparableDualAllocator()
+        oracle = _OracleAllocator()
+        for reqs, flip in rounds:
+            grants, swaps = alloc.allocate(reqs, waiters_first=flip)
+            want_grants, want_swaps = oracle.allocate(reqs, waiters_first=flip)
+            assert [(g.request, g.output) for g in grants] == want_grants
+            assert all(
+                g.request is req for g, (req, _) in zip(grants, want_grants)
+            )
+            assert all(isinstance(g.output, Port) for g in grants)
+            assert swaps == want_swaps
+            assert alloc.state_dict() == oracle.state_dict()

@@ -103,3 +103,33 @@ class TestEnergyDifference:
         assert results["unified_dor"] == pytest.approx(
             results["dxbar_dor"] * 15.0 / 13.0
         )
+
+
+class TestGoldenRun:
+    def test_report_digest_pinned(self):
+        """A loaded k=8 uniform-random run whose full report is pinned by
+        digest: any change to allocation order, fairness or buffering in
+        the unified router shows up here."""
+        import hashlib
+        import json
+
+        from repro.sim.config import SimConfig
+        from repro.sim.engine import Simulator
+
+        cfg = SimConfig(
+            design="unified_dor",
+            k=8,
+            pattern="UR",
+            offered_load=0.5,
+            seed=7,
+            warmup_cycles=50,
+            measure_cycles=150,
+            drain_cycles=100,
+        )
+        report = Simulator(cfg).run().to_dict()
+        assert report["final_cycle"] == 300
+        assert report["allocator_swaps"] > 0 and report["fairness_flips"] > 0
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "78fc1fb94199288abe80058fad552381da2dbc6e22ac2ebe6ce737d61c4f02bc"
+        )
