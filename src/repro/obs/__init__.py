@@ -39,6 +39,7 @@ from .journal import (
     EV_CACHE_QUARANTINE,
     EV_CAMPAIGN,
     EV_CHECKPOINTED,
+    EV_CHECKPOINT_SKIPPED,
     EV_COMPLETED,
     EV_FAILED,
     EV_HEARTBEAT,
@@ -106,6 +107,7 @@ __all__ = [
     "EV_JOB_STARTED",
     "EV_HEARTBEAT",
     "EV_CHECKPOINTED",
+    "EV_CHECKPOINT_SKIPPED",
     "EV_RETRY",
     "EV_CACHE_HIT",
     "EV_COMPLETED",

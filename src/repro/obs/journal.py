@@ -53,6 +53,7 @@ EV_JOB_SUBMITTED = "job_submitted"
 EV_JOB_STARTED = "job_started"
 EV_HEARTBEAT = "heartbeat"
 EV_CHECKPOINTED = "checkpointed"
+EV_CHECKPOINT_SKIPPED = "checkpoint_skipped"
 EV_RETRY = "retry"
 EV_CACHE_HIT = "cache_hit"
 EV_COMPLETED = "completed"
@@ -66,6 +67,7 @@ JOURNAL_EVENTS = (
     EV_JOB_STARTED,
     EV_HEARTBEAT,
     EV_CHECKPOINTED,
+    EV_CHECKPOINT_SKIPPED,
     EV_RETRY,
     EV_CACHE_HIT,
     EV_COMPLETED,

@@ -23,6 +23,7 @@ from .journal import (
     EV_CACHE_QUARANTINE,
     EV_CAMPAIGN,
     EV_CHECKPOINTED,
+    EV_CHECKPOINT_SKIPPED,
     EV_COMPLETED,
     EV_FAILED,
     EV_HEARTBEAT,
@@ -47,6 +48,7 @@ _EVENT_COUNTERS = {
     EV_FAILED: "jobs_failed",
     EV_HEARTBEAT: "heartbeats",
     EV_CHECKPOINTED: "checkpoints",
+    EV_CHECKPOINT_SKIPPED: "checkpoints_skipped",
     EV_AUDIT_VIOLATION: "audit_violations",
     EV_CACHE_QUARANTINE: "cache_quarantines",
 }
@@ -55,8 +57,9 @@ _EVENT_COUNTERS = {
 _BASE_COUNTERS = ("job_attempts", "jobs_submitted", "retries", "cache_hits")
 
 #: Records that move a job through its lifecycle.  A job seen only in
-#: side records (``checkpointed``, ``audit_violation``) is listed but is
-#: neither running nor queued in the metrics gauges.
+#: side records (``checkpointed``, ``checkpoint_skipped``,
+#: ``audit_violation``) is listed but is neither running nor queued in the
+#: metrics gauges.
 _LIFECYCLE_EVENTS = frozenset(
     (EV_JOB_SUBMITTED, EV_JOB_STARTED, EV_HEARTBEAT, EV_RETRY,
      EV_CACHE_HIT, EV_COMPLETED, EV_FAILED)

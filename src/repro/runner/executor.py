@@ -24,12 +24,12 @@ per-figure experiment drivers and the CLI.  Guarantees:
 * **Telemetry** — with a ``journal`` (a directory path or
   :class:`~repro.obs.journal.Journal`), the driver and every worker
   append structured lifecycle events (``job_submitted`` / ``job_started``
-  / ``heartbeat`` / ``checkpointed`` / ``retry`` / ``cache_hit`` /
-  ``completed`` / ``failed`` / ``audit_violation``) to their own JSONL
-  shard, so a campaign is observable while running (``repro tail``) and
-  explainable after a crash (``repro status``).  The journal is a pure
-  observer: journal-enabled runs are bit-exact with journal-disabled
-  ones.
+  / ``heartbeat`` / ``checkpointed`` / ``checkpoint_skipped`` / ``retry``
+  / ``cache_hit`` / ``completed`` / ``failed`` / ``audit_violation``) to
+  their own JSONL shard, so a campaign is observable while running
+  (``repro tail``) and explainable after a crash (``repro status``).  The
+  journal is a pure observer: journal-enabled runs are bit-exact with
+  journal-disabled ones.
 
 Workers receive jobs as plain dicts (``RunSpec.describe()`` wrapped with
 the execution options), which keeps the process boundary free of pickling
@@ -61,6 +61,7 @@ from ..obs.journal import (
     EV_AUDIT_VIOLATION,
     EV_CACHE_HIT,
     EV_CAMPAIGN,
+    EV_CHECKPOINT_SKIPPED,
     EV_COMPLETED,
     EV_FAILED,
     EV_JOB_STARTED,
@@ -135,9 +136,10 @@ def execute_spec(
     ``journal`` (a :class:`~repro.obs.journal.JobJournal`) records the
     attempt's lifecycle: a ``job_started`` event here (carrying
     ``attempt``, the executing pid and the start cycle — nonzero when the
-    attempt resumed from a checkpoint), heartbeats and ``checkpointed``
-    events from inside the run, and an ``audit_violation`` event when the
-    auditor aborts the job.
+    attempt resumed from a checkpoint), a ``checkpoint_skipped`` event for
+    every unreadable snapshot the resume passed over, heartbeats and
+    ``checkpointed`` events from inside the run, and an ``audit_violation``
+    event when the auditor aborts the job.
     """
     workload = materialize_workload(spec.workload, spec.config)
     policy = None
@@ -154,8 +156,14 @@ def execute_spec(
                     audit=audit,
                     journal=journal,
                 )
-            except CheckpointError:
-                continue  # torn/foreign snapshot: try the next-oldest
+            except CheckpointError as exc:
+                # Torn/foreign snapshot: journal it, so a resume that falls
+                # back to cycle 0 is visible, and try the next-oldest.
+                if journal is not None:
+                    journal.event(
+                        EV_CHECKPOINT_SKIPPED, path=str(path), error=str(exc)
+                    )
+                continue
             break
     if sim is None:
         sim = Simulator(

@@ -143,6 +143,38 @@ class TestCheckpointedRetries:
         assert result.injected_flits == clean["injected_flits"] + 7
 
 
+    def test_skipped_torn_checkpoint_is_journaled(self, tmp_path, capsys):
+        """A resume that passes over an unreadable snapshot says so: the
+        journal carries a ``checkpoint_skipped`` event and ``repro status``
+        tallies it, so the restart from cycle 0 cannot pass for a resume."""
+        from repro.checkpoint import checkpoint_path
+        from repro.cli import main
+        from repro.obs.journal import JobJournal, Journal
+
+        ckpt_dir = tmp_path / "ckpts"
+        ckpt_dir.mkdir()
+        torn = checkpoint_path(ckpt_dir, 100)
+        torn.write_text("{torn")
+        journal = Journal(tmp_path / "j")
+        writer = journal.writer("solo")
+        result = execute_spec(
+            RunSpec(tiny()),
+            checkpoint_dir=ckpt_dir,
+            journal=JobJournal(writer, "job-a"),
+        )
+        writer.close()
+        assert result.to_dict() == execute_spec(RunSpec(tiny())).to_dict()
+        events = journal.events()
+        skipped = [e for e in events if e["event"] == "checkpoint_skipped"]
+        assert len(skipped) == 1
+        assert skipped[0]["path"] == str(torn) and skipped[0]["error"]
+        (started,) = [e for e in events if e["event"] == "job_started"]
+        assert started["cycle"] == 0
+        assert main(["status", str(journal.root), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["metrics"]["counters"]["checkpoints_skipped"] == 1
+
+
 # ----------------------------------------------------------------------
 # timeouts and dead workers (parallel mode)
 # ----------------------------------------------------------------------
