@@ -75,12 +75,20 @@ FULL_MATRIX = [
     ("buffered4", "UR", 16, 0.1, 2),
     ("unified_dor", "UR", 8, 0.1, 2),
     ("unified_dor", "UR", 16, 0.1, 2),
+    # The paper's Fig 7/8/11/12 load: the dual-crossbar designs against
+    # the baselines near saturation, where the active walk has the least
+    # idle work to skip.
+    ("dxbar_dor", "UR", 8, 0.5, 2),
+    ("unified_dor", "UR", 8, 0.5, 2),
+    ("buffered4", "UR", 8, 0.5, 2),
+    ("flit_bless", "UR", 8, 0.5, 2),
 ]
 
 QUICK_MATRIX = [
     ("dxbar_dor", "NB", 16, 0.1, 4),
     ("dxbar_dor", "UR", 8, 0.1, 2),
     ("flit_bless", "UR", 8, 0.1, 2),
+    ("unified_dor", "UR", 8, 0.1, 2),
 ]
 
 

@@ -9,7 +9,7 @@ from .allocator import (
     SeparableDualAllocator,
     requires_swap,
 )
-from .arbiters import MatrixArbiter, RoundRobinArbiter, oldest_first
+from .arbiters import RoundRobinArbiter, oldest_first
 from .buffers import FlitFIFO
 from .dxbar import DXbarRouter
 from .fairness import FairnessCounter
@@ -20,7 +20,6 @@ __all__ = [
     "Grant",
     "Request",
     "SeparableDualAllocator",
-    "MatrixArbiter",
     "RoundRobinArbiter",
     "oldest_first",
     "FlitFIFO",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.flit import Flit
-from ..sim.ports import Port
+from ..sim.ports import NUM_PORTS, Port
 from .arbiters import RoundRobinArbiter
 
 #: Lanes of the dual-input rows.
@@ -68,11 +68,16 @@ class Grant:
 
 
 class SeparableDualAllocator:
-    """Output-first separable allocator with dual serial V:1 input stage."""
+    """Output-first separable allocator with dual serial V:1 input stage.
 
-    def __init__(self, num_ports: int = 5) -> None:
-        self.num_ports = num_ports
-        self._output_arbs = [RoundRobinArbiter(num_ports) for _ in range(num_ports)]
+    Requests and grants are 5-bit port masks throughout: one request mask
+    per output (bit ``i`` = input ``i`` wants it, OR-ed over both lanes)
+    feeds that output's round-robin arbiter, and one granted-output mask
+    per input feeds the two serial V:1 stages.
+    """
+
+    def __init__(self) -> None:
+        self._output_arbs = [RoundRobinArbiter(NUM_PORTS) for _ in range(NUM_PORTS)]
         self.swaps_total = 0
 
     def allocate(
@@ -83,45 +88,56 @@ class SeparableDualAllocator:
         ``waiters_first`` implements the fairness flip: the buffered lane is
         served by the first V:1 arbiter instead of the bufferless lane.
 
-        Returns the grant list and the number of conflict-free swaps.
+        Returns the grant list (inputs in first-request order, then lanes in
+        V:1 order) and the number of conflict-free swaps.
         """
         # ---- stage 1: per-output P:1 arbitration over OR-ed requests ----
-        by_input: Dict[int, List[Request]] = {}
+        # lanes[i] = [bufferless request, buffered request] of input i.
+        lanes: Dict[int, List[Optional[Request]]] = {}
+        out_masks = [0] * NUM_PORTS
         for req in requests:
-            by_input.setdefault(req.input_index, []).append(req)
-
-        output_requests: Dict[int, set] = {o: set() for o in range(self.num_ports)}
-        for req in requests:
+            i = req.input_index
+            pair = lanes.get(i)
+            if pair is None:
+                pair = lanes[i] = [None, None]
+            pair[0 if req.lane == BUFFERLESS else 1] = req
+            bit = 1 << i
             for port in req.wants:
-                output_requests[int(port)].add(req.input_index)
+                out_masks[port] |= bit
 
-        granted_outputs: Dict[int, List[int]] = {i: [] for i in by_input}
-        for o in range(self.num_ports):
-            winner = self._output_arbs[o].grant(output_requests[o])
-            if winner is not None:
-                granted_outputs[winner].append(o)
+        granted = [0] * NUM_PORTS  # per input: mask of outputs it won
+        for o, arb in enumerate(self._output_arbs):
+            mask = out_masks[o]
+            if mask:
+                granted[arb.grant(mask)] |= 1 << o
 
         # ---- stage 2: two serial V:1 arbiters per input ----
         grants: List[Grant] = []
         swaps = 0
-        first_lane = BUFFERED if waiters_first else BUFFERLESS
-        for i, outs in granted_outputs.items():
-            if not outs:
+        order = (1, 0) if waiters_first else (0, 1)
+        for i, pair in lanes.items():
+            available = granted[i]
+            if not available:
                 continue
-            lanes = {r.lane: r for r in by_input[i]}
-            ordered = [lane for lane in (first_lane, self._other(first_lane)) if lane in lanes]
-            available = set(outs)
-            chosen: Dict[str, Port] = {}
-            for lane in ordered:
-                req = lanes[lane]
-                pick = self._first_match(req.wants, available)
-                if pick is not None:
-                    available.discard(int(pick))
-                    chosen[lane] = pick
-                    grants.append(Grant(req, pick))
-            if BUFFERLESS in chosen and BUFFERED in chosen:
-                if requires_swap(int(chosen[BUFFERLESS]), int(chosen[BUFFERED])):
-                    swaps += 1
+            chosen: List[Optional[Port]] = [None, None]
+            for lane in order:
+                req = pair[lane]
+                if req is None:
+                    continue
+                for port in req.wants:
+                    bit = 1 << port
+                    if available & bit:
+                        available ^= bit
+                        chosen[lane] = port
+                        grants.append(Grant(req, port))
+                        break
+            bufferless, buffered = chosen
+            if (
+                bufferless is not None
+                and buffered is not None
+                and requires_swap(bufferless, buffered)
+            ):
+                swaps += 1
         self.swaps_total += swaps
         return grants, swaps
 
@@ -140,14 +156,3 @@ class SeparableDualAllocator:
         for arb, s in zip(self._output_arbs, state["output_arbs"]):
             arb.load_state_dict(s)
         self.swaps_total = state["swaps_total"]
-
-    @staticmethod
-    def _other(lane: str) -> str:
-        return BUFFERED if lane == BUFFERLESS else BUFFERLESS
-
-    @staticmethod
-    def _first_match(wants: Tuple[Port, ...], available: set) -> Optional[Port]:
-        for port in wants:
-            if int(port) in available:
-                return port
-        return None

@@ -1,21 +1,43 @@
 """Hardware-style arbiters.
 
-Three flavours are provided:
+Two flavours are provided:
 
 * :class:`RoundRobinArbiter` — the rotating-priority P:1 arbiter used per
-  output port in the unified design's separable output-first allocator;
-* :class:`MatrixArbiter` — least-recently-served arbiter, provided for the
-  allocator ablation (it is the classic alternative in Becker & Dally's
-  allocator study that the paper cites);
+  output port in the unified design's separable output-first allocator and
+  per port in the buffered baselines' allocator.  Requests are a P-bit
+  mask and the grant is one lookup in :func:`round_robin_table`, the single
+  ``(pointer, request mask) -> winner`` table every round-robin arbiter in
+  the repository shares (the vectorized buffered kernel indexes the same
+  table as a numpy array);
 * :func:`oldest_first` — the age-based priority rule used throughout DXbar
   and the bufferless baselines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim.flit import Flit
+
+
+@lru_cache(maxsize=None)
+def round_robin_table(size: int) -> Tuple[Tuple[int, ...], ...]:
+    """``table[ptr][mask]``: the first requesting index at or after
+    ``ptr`` (wrapping) among the set bits of ``mask``; ``-1`` for the
+    empty mask.  Built once per arbiter size (``size`` x ``2**size``
+    entries — meant for router port counts)."""
+    table = []
+    for ptr in range(size):
+        row = [-1]
+        for mask in range(1, 1 << size):
+            for off in range(size):
+                idx = (ptr + off) % size
+                if (mask >> idx) & 1:
+                    row.append(idx)
+                    break
+        table.append(tuple(row))
+    return tuple(table)
 
 
 class RoundRobinArbiter:
@@ -26,72 +48,29 @@ class RoundRobinArbiter:
     within P cycles of continuous requesting (strong fairness).
     """
 
-    __slots__ = ("size", "_ptr")
+    __slots__ = ("size", "_ptr", "_table")
 
     def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("arbiter size must be >= 1")
         self.size = size
         self._ptr = 0
+        self._table = round_robin_table(size)
 
-    def grant(self, requests: Iterable[int]) -> Optional[int]:
-        """Grant one of ``requests`` (indices in ``[0, size)``); None when
-        no requests."""
-        req = set(requests)
-        if not req:
+    def grant(self, mask: int) -> Optional[int]:
+        """Grant one of the requesters set in ``mask`` (bit ``i`` requests
+        index ``i``, ``i < size``); None when no bit is set."""
+        if not mask:
             return None
-        for off in range(self.size):
-            idx = (self._ptr + off) % self.size
-            if idx in req:
-                self._ptr = (idx + 1) % self.size
-                return idx
-        return None  # pragma: no cover - unreachable with valid indices
+        winner = self._table[self._ptr][mask]
+        self._ptr = (winner + 1) % self.size
+        return winner
 
     def state_dict(self) -> dict:
         return {"ptr": self._ptr}
 
     def load_state_dict(self, state: dict) -> None:
         self._ptr = state["ptr"]
-
-
-class MatrixArbiter:
-    """Least-recently-served arbiter.
-
-    Keeps a priority matrix ``w[i][j] == True`` meaning ``i`` beats ``j``;
-    the winner's row is cleared and column set, demoting it below everyone.
-    """
-
-    __slots__ = ("size", "_w")
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("arbiter size must be >= 1")
-        self.size = size
-        # Upper-triangular start: lower index initially beats higher.
-        self._w: List[List[bool]] = [
-            [i < j for j in range(size)] for i in range(size)
-        ]
-
-    def grant(self, requests: Iterable[int]) -> Optional[int]:
-        req = sorted(set(requests))
-        if not req:
-            return None
-        for i in req:
-            if all(self._w[i][j] for j in req if j != i):
-                # Demote the winner.
-                for j in range(self.size):
-                    if j != i:
-                        self._w[i][j] = False
-                        self._w[j][i] = True
-                return i
-        # A well-formed matrix always has a unique maximum.
-        raise AssertionError("matrix arbiter found no winner")  # pragma: no cover
-
-    def state_dict(self) -> dict:
-        return {"w": [list(row) for row in self._w]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._w = [list(row) for row in state["w"]]
 
 
 def oldest_first(flits: Sequence[Flit]) -> List[Flit]:

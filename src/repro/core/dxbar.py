@@ -69,6 +69,7 @@ class DXbarRouter(BaseRouter):
         self.fifos = {port: FlitFIFO(depth) for port in mesh.ports_of(node)}
         self._fifo_list = list(self.fifos.values())
         self.fairness = FairnessCounter(config.fairness_threshold)
+        self._routes = routing.row(node)  # candidates per destination
         # Fault state, assigned by the network from the FaultPlan.
         self.fault: Optional[RouterFault] = None
         self.reconfigured = False
@@ -93,13 +94,15 @@ class DXbarRouter(BaseRouter):
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
         self._current_cycle = cycle
+        if self.reconfigured:
+            self._step_degraded(cycle)
+            return
         fault = self.fault
-        if (
-            fault is not None
-            and not fault.is_crosspoint  # crosspoints are masked, not degraded
-            and not self.reconfigured
-            and fault.detected(cycle)
-        ):
+        if fault is None:
+            self._step_normal(cycle, True, True)
+            return
+        # Crosspoint faults are masked, not degraded.
+        if not fault.is_crosspoint and fault.detected(cycle):
             self.reconfigured = True
             self.counters.fault_reconfigs += 1
             self.stats.fault_reconfigurations += 1
@@ -107,12 +110,9 @@ class DXbarRouter(BaseRouter):
                 self.trace.emit(
                     cycle, EV_FAULT_RECONFIG, self.node, **fault.as_event()
                 )
-        if self.reconfigured:
             self._step_degraded(cycle)
             return
-        primary_ok = fault.primary_ok(cycle) if fault else True
-        secondary_ok = fault.secondary_ok(cycle) if fault else True
-        self._step_normal(cycle, primary_ok, secondary_ok)
+        self._step_normal(cycle, fault.primary_ok(cycle), fault.secondary_ok(cycle))
 
     # ------------------------------------------------------------------
     # building blocks
@@ -152,7 +152,7 @@ class DXbarRouter(BaseRouter):
         crosspoint fault has repeatedly deflected."""
         if self._escalate_on_deflections and flit.deflections >= 4:
             return self.network.adaptive_routing.candidates(self.node, flit.dst)
-        return self.routing.candidates(self.node, flit.dst)
+        return self._routes[flit.dst]
 
     def _deflect(
         self, flit: Flit, outputs_used: set, cycle: int, in_port: Optional[Port] = None
@@ -214,9 +214,9 @@ class DXbarRouter(BaseRouter):
         absent — they become eligible next cycle."""
         waiters: List[Tuple[str, Port, Flit]] = []
         for port, fifo in self.fifos.items():
-            head = fifo.head()
-            if head is not None:
-                waiters.append(("fifo", port, head))
+            q = fifo._q
+            if q:
+                waiters.append(("fifo", port, q[0]))
         if self.inj_queue:
             waiters.append(("inj", Port.LOCAL, self.inj_queue[0]))
         if len(waiters) > 1:

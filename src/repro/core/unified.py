@@ -38,13 +38,15 @@ from ..sim.ports import Port
 from .allocator import BUFFERED, BUFFERLESS, Request, SeparableDualAllocator
 from .dxbar import DXbarRouter
 
+_PORTS = tuple(Port)  # request input index -> Port
+
 
 class UnifiedRouter(DXbarRouter):
     """Dual-input single crossbar with conflict-free separable allocation."""
 
     def __init__(self, node, mesh, routing, energy, config) -> None:
         super().__init__(node, mesh, routing, energy, config)
-        self.allocator = SeparableDualAllocator(num_ports=5)
+        self.allocator = SeparableDualAllocator()
 
     # Activity scheduling: ``is_idle`` is inherited from DXbarRouter.  The
     # only extra state here — the separable allocator's round-robin
@@ -73,7 +75,9 @@ class UnifiedRouter(DXbarRouter):
                     )
             return
 
-        if not self.incoming and not self.inj_queue and not self._any_buffered:
+        inj = self.inj_queue
+        buffered = self._any_buffered
+        if not self.incoming and not inj and not buffered:
             self.fairness.count = 0  # no waiters: the counter rests
             return
 
@@ -82,31 +86,49 @@ class UnifiedRouter(DXbarRouter):
 
         # Must-place pre-pass: a full-FIFO input cannot absorb a loser, so
         # its flit is switched (or deflected) before the allocator can hand
-        # every output to somebody else.
-        must, rest = self._split_must_place(incoming)
-        incoming_won = self._serve_incoming(must, outputs_used, cycle, True)
-
-        waiters = self._collect_waiters()
+        # every output to somebody else.  No FIFO is full when nothing is
+        # buffered, and then no waiter exists either unless one is queued.
+        if buffered:
+            must, rest = self._split_must_place(incoming)
+            incoming_won = self._serve_incoming(must, outputs_used, cycle, True)
+        else:
+            rest, incoming_won = incoming, False
+        waiters = self._collect_waiters() if inj or buffered else []
         flip = bool(waiters) and self.fairness.should_flip()
 
+        # With no crosspoint fault to mask, every output still free and no
+        # escalation to adaptive candidates, a flit's wants are its routing
+        # table row.
+        fault = self.fault
+        direct = (
+            (fault is None or not fault.is_crosspoint)
+            and not outputs_used
+            and not self._escalate_on_deflections
+        )
+        routes = self._routes
         requests: List[Request] = []
         for in_port, flit in rest:
-            wants = self._wants(flit, outputs_used, in_port)
+            wants = (
+                routes[flit.dst] if direct else self._wants(flit, outputs_used, in_port)
+            )
             if wants:
                 requests.append(Request(int(in_port), BUFFERLESS, flit, wants))
-        waiter_src = {}
-        for kind, in_port, flit in waiters:
-            wants = self._wants(flit, outputs_used, in_port)
-            if not wants and self._crosspoint_blocked_all(flit, in_port):
-                # The single crossbar cannot connect this input to any
-                # productive output (dead crosspoint + deterministic
-                # routing): request a misroute through any live direction
-                # port — the flit re-routes from the next router.
-                wants = self._misroute_wants(outputs_used, in_port)
+        # A waiter's request index is its input port: FIFOs sit on the
+        # direction inputs and the injection queue on LOCAL.
+        for _kind, in_port, flit in waiters:
+            if direct:
+                wants = routes[flit.dst]
+            else:
+                wants = self._wants(flit, outputs_used, in_port)
+                if not wants and self._crosspoint_blocked_all(flit, in_port):
+                    # The single crossbar cannot connect this input to any
+                    # productive output (dead crosspoint + deterministic
+                    # routing): request a misroute through any live
+                    # direction port — the flit re-routes from the next
+                    # router.
+                    wants = self._misroute_wants(outputs_used, in_port)
             if wants:
-                idx = int(in_port) if kind == "fifo" else int(Port.LOCAL)
-                requests.append(Request(idx, BUFFERED, flit, wants))
-                waiter_src[id(flit)] = (kind, in_port)
+                requests.append(Request(int(in_port), BUFFERED, flit, wants))
 
         grants, swaps = self.allocator.allocate(requests, waiters_first=flip)
         if self.audit is not None:
@@ -117,41 +139,42 @@ class UnifiedRouter(DXbarRouter):
             self.counters.fairness_flips += 1
             self.stats.fairness_flips += 1
 
-        granted_ids = set()
+        won_inputs = 0  # mask of inputs whose incoming flit was granted
         waiter_won = False
         trace = self.trace
         for grant in grants:
             req, out = grant.request, grant.output
             flit = req.flit
-            granted_ids.add(id(flit))
-            if out not in self.routing.candidates(self.node, flit.dst):
+            if not direct and out not in routes[flit.dst]:
                 flit.deflections += 1  # crosspoint-forced misroute
                 self.counters.deflections += 1
                 if trace is not None:
                     trace.emit(cycle, EV_DEFLECT, self.node, flit, out_port=out.name)
             if req.lane == BUFFERLESS:
-                incoming_won = True
+                won_inputs |= 1 << req.input_index
                 self.counters.primary_traversals += 1
                 if trace is not None:
                     trace.emit(
-                        cycle, EV_ARB_WIN, self.node, flit, in_port=Port(req.input_index).name
+                        cycle, EV_ARB_WIN, self.node, flit, in_port=_PORTS[req.input_index].name
                     )
                     trace.emit(
                         cycle,
                         EV_TRAVERSE_PRIMARY,
                         self.node,
                         flit,
-                        in_port=Port(req.input_index).name,
+                        in_port=_PORTS[req.input_index].name,
                         out_port=out.name,
                     )
             else:
-                kind, in_port = waiter_src[id(flit)]
-                if kind == "fifo":
+                in_port = _PORTS[req.input_index]
+                if in_port is Port.LOCAL:
+                    kind = "inj"
+                    inj.popleft()
+                    self.mark_network_entry(flit, cycle)
+                else:
+                    kind = "fifo"
                     popped = self.fifos[in_port].pop()
                     assert popped is flit, "waiter snapshot desynchronised"
-                else:
-                    self.inj_queue.popleft()
-                    self.mark_network_entry(flit, cycle)
                 waiter_won = True
                 self.counters.secondary_traversals += 1
                 if trace is not None:
@@ -164,14 +187,13 @@ class UnifiedRouter(DXbarRouter):
                         out_port=out.name,
                         kind=kind,
                     )
-            outputs_used.add(out)
             self.energy.charge_xbar(flit)
             self.send(flit, out, cycle)
 
         # Incoming losers are demuxed into their FIFO, exactly as in DXbar
         # (their FIFO has space — full inputs went through the pre-pass).
         for in_port, flit in rest:
-            if id(flit) not in granted_ids:
+            if not (won_inputs >> in_port) & 1:
                 flit.buffered_events += 1
                 self.counters.buffered_events += 1
                 self.energy.charge_buffer(flit)
@@ -192,7 +214,7 @@ class UnifiedRouter(DXbarRouter):
         self.fairness.update(
             waiters_present=bool(waiters),
             waiter_won=waiter_won,
-            incoming_won=incoming_won,
+            incoming_won=incoming_won or bool(won_inputs),
         )
 
     def _wants(

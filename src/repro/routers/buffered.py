@@ -116,7 +116,8 @@ class BufferedRouter(BaseRouter):
         # different outputs (HoL relief), but never the same output twice
         # per input (the older head wins the nomination).
         request: Dict[Tuple[Port, Port], Tuple[Flit, Optional[FlitFIFO]]] = {}
-        per_output: Dict[Port, set] = {}
+        out_masks = [0] * NUM_PORTS  # per output: mask of requesting inputs
+        out_order: List[Port] = []  # outputs in first-request order
         reqs.sort(key=lambda r: (r[0].injected_cycle, r[0].packet_id, r[0].flit_index))
         for flit, in_port, bank in reqs:
             out = self.routing.first(self.node, flit.dst)
@@ -126,20 +127,21 @@ class BufferedRouter(BaseRouter):
             if key in request:
                 continue  # the other bank already requests this output
             request[key] = (flit, bank)
-            per_output.setdefault(out, set()).add(in_port)
+            if not out_masks[out]:
+                out_order.append(out)
+            out_masks[out] |= 1 << in_port
 
-        granted: Dict[Port, List[Port]] = {}
-        for out, inputs in per_output.items():
-            winner = self._output_arbs[out].grant(int(p) for p in inputs)
-            if winner is not None:
-                granted.setdefault(Port(winner), []).append(out)
+        in_masks = [0] * NUM_PORTS  # per input: mask of outputs it won
+        in_order: List[Port] = []  # inputs in first-grant order
+        for out in out_order:
+            winner = self._output_arbs[out].grant(out_masks[out])
+            if not in_masks[winner]:
+                in_order.append(Port(winner))
+            in_masks[winner] |= 1 << out
 
         # --- stage 2: per-input V:1 round-robin selection ----------------
-        for in_port, outs in granted.items():
-            pick = self._input_arbs[in_port].grant(int(o) for o in outs)
-            if pick is None:
-                continue
-            out = Port(pick)
+        for in_port in in_order:
+            out = Port(self._input_arbs[in_port].grant(in_masks[in_port]))
             flit, bank = request[(in_port, out)]
             if bank is not None:
                 popped = bank.pop()

@@ -55,6 +55,12 @@ class RoutingFunction(ABC):
         ``dst``.  ``(Port.LOCAL,)`` when already at the destination."""
         return self._table[cur * self.mesh.num_nodes + dst]
 
+    def row(self, cur: int) -> Tuple[Tuple[Port, ...], ...]:
+        """``candidates(cur, dst)`` for every ``dst``, indexed by ``dst`` —
+        a router's private slice of the table."""
+        n = self.mesh.num_nodes
+        return tuple(self._table[cur * n : (cur + 1) * n])
+
     def first(self, cur: int, dst: int) -> Port:
         """The most-preferred port (what a deterministic router would use)."""
         return self._table[cur * self.mesh.num_nodes + dst][0]

@@ -36,11 +36,11 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ...obs.counters import COUNTER_FIELDS
+from ...core.arbiters import round_robin_table
 from ..flit import Flit
 from ..ports import NUM_PORTS, Port
 from ...routers.buffered import BASELINE_RC_DELAY
-from .base import CI, CI_PRIMARY, VectorNetwork
+from .base import CI_PRIMARY, VectorNetwork
 
 _LOCAL = int(Port.LOCAL)
 
@@ -66,16 +66,9 @@ class VectorBufferedNetwork(VectorNetwork):
         # Separable allocator state, flattened as node * NUM_PORTS + port.
         self.out_ptr = np.zeros(n_nodes * NUM_PORTS, dtype=np.int64)
         self.in_ptr = np.zeros(n_nodes * NUM_PORTS, dtype=np.int64)
-        # Round-robin LUT: winner index for (pointer, 5-bit request mask).
-        lut = np.full((NUM_PORTS, 1 << NUM_PORTS), -1, dtype=np.int64)
-        for ptr in range(NUM_PORTS):
-            for m in range(1, 1 << NUM_PORTS):
-                for off in range(NUM_PORTS):
-                    idx = (ptr + off) % NUM_PORTS
-                    if (m >> idx) & 1:
-                        lut[ptr, m] = idx
-                        break
-        self._rr_lut = lut
+        # Round-robin LUT: winner index for (pointer, 5-bit request mask),
+        # the object arbiters' shared table.
+        self._rr_lut = np.array(round_robin_table(NUM_PORTS), dtype=np.int64)
         # DOR output port per (cur, dst); cur == dst routes LOCAL.
         dor = np.empty(n_nodes * n_nodes, dtype=np.int64)
         for cur in range(n_nodes):

@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.arbiters import MatrixArbiter, RoundRobinArbiter, oldest_first
+from repro.core.arbiters import RoundRobinArbiter, oldest_first, round_robin_table
 from repro.sim.flit import Flit
+
+
+def _mask(indices):
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 class TestRoundRobin:
@@ -13,14 +20,14 @@ class TestRoundRobin:
             RoundRobinArbiter(0)
 
     def test_no_requests_no_grant(self):
-        assert RoundRobinArbiter(4).grant([]) is None
+        assert RoundRobinArbiter(4).grant(0) is None
 
     def test_single_request_wins(self):
-        assert RoundRobinArbiter(4).grant([2]) == 2
+        assert RoundRobinArbiter(4).grant(_mask([2])) == 2
 
     def test_rotates_after_grant(self):
         arb = RoundRobinArbiter(3)
-        grants = [arb.grant([0, 1, 2]) for _ in range(6)]
+        grants = [arb.grant(_mask([0, 1, 2])) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_strong_fairness(self):
@@ -28,7 +35,7 @@ class TestRoundRobin:
         arb = RoundRobinArbiter(5)
         waits = 0
         for _ in range(20):
-            if arb.grant([1, 3]) == 3:
+            if arb.grant(_mask([1, 3])) == 3:
                 break
             waits += 1
         assert waits < 5
@@ -41,45 +48,17 @@ class TestRoundRobin:
     def test_grant_always_among_requests(self, rounds):
         arb = RoundRobinArbiter(5)
         for req in rounds:
-            got = arb.grant(req)
+            got = arb.grant(_mask(req))
             assert got in req
 
-
-class TestMatrixArbiter:
-    def test_no_requests(self):
-        assert MatrixArbiter(4).grant([]) is None
-
-    def test_least_recently_served_wins(self):
-        arb = MatrixArbiter(3)
-        assert arb.grant([0, 1]) == 0
-        assert arb.grant([0, 1]) == 1
-        # 0 was served longest ago among {0, 2}? 2 never served: initial
-        # priority had 0 > 2, but 0 was just demoted below everyone.
-        assert arb.grant([0, 2]) == 2
-
-    def test_unique_winner_every_round(self):
-        arb = MatrixArbiter(4)
-        for _ in range(50):
-            got = arb.grant([0, 1, 2, 3])
-            assert got in (0, 1, 2, 3)
-
-    @given(
-        st.lists(
-            st.sets(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=40
-        )
-    )
-    def test_starvation_freedom(self, rounds):
-        """No index requesting in every round goes unserved for > size
-        consecutive grants."""
-        arb = MatrixArbiter(4)
-        last_served = {i: 0 for i in range(4)}
-        always = set.intersection(*rounds) if rounds else set()
-        for t, req in enumerate(rounds):
-            got = arb.grant(req)
-            last_served[got] = t
-        for idx in always:
-            # Served at least once in any window of 4 requests.
-            assert last_served[idx] >= len(rounds) - 5
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    def test_table_is_first_request_at_or_after_pointer(self, size):
+        table = round_robin_table(size)
+        for ptr in range(size):
+            assert table[ptr][0] == -1
+            for mask in range(1, 1 << size):
+                scan = [(ptr + off) % size for off in range(size)]
+                assert table[ptr][mask] == next(i for i in scan if (mask >> i) & 1)
 
 
 class TestOldestFirst:
