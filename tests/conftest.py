@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.sim.config import SimConfig
@@ -89,6 +92,16 @@ def make_bench(design: str, k: int = 4, **overrides) -> Bench:
     )
     defaults.update(overrides)
     return Bench(SimConfig(**defaults))
+
+
+def run_digest(config: SimConfig):
+    """Run ``config`` to completion; return its report dict and the sha256
+    of the report's sorted JSON (the golden-run pin)."""
+    from repro.sim.engine import Simulator
+
+    report = Simulator(config).run().to_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return report, digest
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ unobstructed flit travels one hop every 2 cycles and ejects at
 ``2 * hops`` when injected at cycle 0.
 """
 
-from tests.conftest import make_bench
+from tests.conftest import make_bench, run_digest
 
 from repro.core.faults import PRIMARY, SECONDARY, RouterFault
 
@@ -220,3 +220,60 @@ class TestDXbarFaults:
         b.inject(4, 7)
         b.run_until_quiescent(max_cycles=1000)
         assert b.stats.fault_reconfigurations == 1
+
+
+def _golden_config(design, load, faults=None):
+    from repro.sim.config import FaultConfig, SimConfig
+
+    return SimConfig(
+        design=design,
+        k=8,
+        pattern="UR",
+        offered_load=load,
+        seed=7,
+        warmup_cycles=50,
+        measure_cycles=150,
+        drain_cycles=100,
+        faults=faults if faults is not None else FaultConfig(),
+    )
+
+
+class TestGoldenRun:
+    """Loaded k=8 uniform-random runs whose full reports are pinned by
+    digest: any change to arbitration order, buffering, deflection or the
+    fault paths of the DXbar router shows up here."""
+
+    def test_fault_free_digest_pinned(self):
+        report, digest = run_digest(_golden_config("dxbar_dor", 0.5))
+        assert report["final_cycle"] == 300
+        assert report["fairness_flips"] > 0
+        assert digest == (
+            "47912197601d03c77d93c0de7ae3df5f5cb765baeccc1f6648795744d083eda1"
+        )
+
+    def test_degraded_digest_pinned(self):
+        """Every router takes a whole-crossbar fault early, so most of the
+        run is the degraded buffered step (must-place sends, must-place
+        deflections, waiters and buffering all occur)."""
+        from repro.sim.config import FaultConfig
+
+        faults = FaultConfig(percent=100, granularity="crossbar", manifest_window=50)
+        report, digest = run_digest(_golden_config("dxbar_dor", 0.3, faults))
+        assert report["fault_reconfigurations"] == 64
+        assert digest == (
+            "93fab21d13957d29197f470092b95f32b79ae115ba72df1f3f6412e906fedd67"
+        )
+
+    def test_crosspoint_digest_pinned(self):
+        """Crosspoint faults on half the routers under west-first routing:
+        covers the masked/blocked crosspoint picks, the secondary-to-primary
+        steering fallback and the escalation to adaptive candidates."""
+        from repro.sim.config import FaultConfig
+
+        faults = FaultConfig(percent=50, granularity="crosspoint", manifest_window=50)
+        report, digest = run_digest(_golden_config("dxbar_wf", 0.5, faults))
+        assert report["fault_reconfigurations"] == 0
+        assert report["final_cycle"] == 300
+        assert digest == (
+            "d6ec62e8fa12765130ba3351dc54ecae0d1e9108918d2e34130d6b8d06c2d99c"
+        )

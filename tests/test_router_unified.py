@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import make_bench
+from tests.conftest import make_bench, run_digest
 
 
 class TestEquivalenceWithDXbar:
@@ -132,4 +132,26 @@ class TestGoldenRun:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == (
             "78fc1fb94199288abe80058fad552381da2dbc6e22ac2ebe6ce737d61c4f02bc"
+        )
+
+    def test_degraded_digest_pinned(self):
+        """Every router takes a whole-crossbar fault early and collapses to
+        the degraded buffered step shared with DXbar."""
+        from repro.sim.config import FaultConfig, SimConfig
+
+        cfg = SimConfig(
+            design="unified_dor",
+            k=8,
+            pattern="UR",
+            offered_load=0.3,
+            seed=7,
+            warmup_cycles=50,
+            measure_cycles=150,
+            drain_cycles=100,
+            faults=FaultConfig(percent=100, granularity="crossbar", manifest_window=50),
+        )
+        report, digest = run_digest(cfg)
+        assert report["fault_reconfigurations"] == 64
+        assert digest == (
+            "28fc179066299ae3efa617901a18302cf2c753254890f8a98e83596a0e5d5416"
         )
