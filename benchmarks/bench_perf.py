@@ -24,6 +24,10 @@ Each cell reports the median of ``--repeats`` interleaved runs; both
 walks share every run's Python process, so the comparison cancels
 machine-level drift.
 
+Rows may carry a sixth column, the percentage of routers given a
+whole-crossbar fault (default 0); the 100% row times the degraded
+buffered step of the dual-crossbar designs.
+
 ``--compare BASELINE`` additionally regression-gates against a previous
 run's JSON (typically the committed ``BENCH_sim_perf.json``): every
 matched row's active-walk — and, where the baseline has one, vector —
@@ -47,11 +51,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.registry import design_spec  # noqa: E402
-from repro.sim.config import SimConfig  # noqa: E402
+from repro.sim.config import FaultConfig, SimConfig  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
-#: (design, pattern, k, offered load, packet size) rows of the full
-#: matrix.  The NB (nearest-neighbour) rows characterise sparse-activity
+#: (design, pattern, k, offered load, packet size[, fault percent]) rows
+#: of the full matrix; the fault percent defaults to 0.  The NB (nearest-neighbour) rows characterise sparse-activity
 #: workloads: short paths and multi-flit packets concentrate traffic on
 #: few routers at a time, leaving most of the mesh idle — where activity
 #: scheduling pays (the larger the mesh, the larger the idle fraction:
@@ -82,6 +86,9 @@ FULL_MATRIX = [
     ("unified_dor", "UR", 8, 0.5, 2),
     ("buffered4", "UR", 8, 0.5, 2),
     ("flit_bless", "UR", 8, 0.5, 2),
+    # Every router faulty (the right end of Figs 11-12): after detection
+    # the whole mesh runs the degraded buffered step.
+    ("dxbar_dor", "UR", 8, 0.3, 2, 100),
 ]
 
 QUICK_MATRIX = [
@@ -89,12 +96,26 @@ QUICK_MATRIX = [
     ("dxbar_dor", "UR", 8, 0.1, 2),
     ("flit_bless", "UR", 8, 0.1, 2),
     ("unified_dor", "UR", 8, 0.1, 2),
+    ("dxbar_dor", "UR", 8, 0.3, 2, 100),
 ]
+
+
+def cell(entry: tuple) -> tuple:
+    """A matrix entry as (design, pattern, k, load, packet size, fault
+    percent), the fault percent defaulting to 0."""
+    return tuple(entry) + (0,) * (6 - len(entry))
+
+
+def row_key(row: dict) -> tuple:
+    """The identity of a result row; rows written before the fault column
+    existed read as fault-free."""
+    return (row["design"], row["pattern"], row["k"], row["offered_load"],
+            row["packet_size"], row.get("faults", 0))
 
 
 def run_once(design: str, pattern: str, k: int, load: float, ps: int,
              cycles: int, dense: bool, seed: int,
-             backend: str = "object") -> tuple:
+             backend: str = "object", faults: float = 0) -> tuple:
     """One timed run; returns (cycles/sec, final_cycle)."""
     cfg = SimConfig(
         design=design,
@@ -107,6 +128,7 @@ def run_once(design: str, pattern: str, k: int, load: float, ps: int,
         packet_size=ps,
         seed=seed,
         backend=backend,
+        faults=FaultConfig(percent=faults),
     )
     sim = Simulator(cfg)
     # Meaningful for the object walk only; the vector network carries an
@@ -119,20 +141,22 @@ def run_once(design: str, pattern: str, k: int, load: float, ps: int,
 
 
 def bench_row(design: str, pattern: str, k: int, load: float, ps: int,
-              cycles: int, repeats: int, seed: int) -> dict:
+              cycles: int, repeats: int, seed: int, faults: float = 0) -> dict:
     """Median cycles/sec for each implementation, runs interleaved
     (a,d[,v],a,d[,v],...) so machine-level drift cancels."""
     has_vector = design_spec(design).supports_vector
     active, dense, vector = [], [], []
     final_cycle = 0
     for _ in range(repeats):
-        cps, final_cycle = run_once(design, pattern, k, load, ps, cycles, False, seed)
+        cps, final_cycle = run_once(design, pattern, k, load, ps, cycles, False, seed,
+                                    faults=faults)
         active.append(cps)
-        cps, _ = run_once(design, pattern, k, load, ps, cycles, True, seed)
+        cps, _ = run_once(design, pattern, k, load, ps, cycles, True, seed,
+                          faults=faults)
         dense.append(cps)
         if has_vector:
             cps, _ = run_once(design, pattern, k, load, ps, cycles, False, seed,
-                              backend="vector")
+                              backend="vector", faults=faults)
             vector.append(cps)
     active_cps = statistics.median(active)
     dense_cps = statistics.median(dense)
@@ -144,7 +168,7 @@ def bench_row(design: str, pattern: str, k: int, load: float, ps: int,
         warnings.simplefilter("ignore", RuntimeWarning)
         auto_backend = SimConfig(
             design=design, k=k, pattern=pattern, offered_load=load,
-            packet_size=ps, backend="auto",
+            packet_size=ps, backend="auto", faults=FaultConfig(percent=faults),
         ).resolved_backend()
     return {
         "design": design,
@@ -152,6 +176,7 @@ def bench_row(design: str, pattern: str, k: int, load: float, ps: int,
         "k": k,
         "offered_load": load,
         "packet_size": ps,
+        "faults": faults,
         "simulated_cycles": final_cycle,
         "repeats": repeats,
         "active_cycles_per_sec": round(active_cps, 1),
@@ -201,15 +226,13 @@ def main(argv=None) -> int:
     baseline_rows = {}
     if args.compare:
         baseline = json.loads(Path(args.compare).read_text())
-        baseline_rows = {
-            (r["design"], r["pattern"], r["k"], r["offered_load"],
-             r["packet_size"]): r
-            for r in baseline["results"]
-        }
+        baseline_rows = {row_key(r): r for r in baseline["results"]}
 
     rows = []
-    for design, pattern, k, load, ps in matrix:
-        row = bench_row(design, pattern, k, load, ps, cycles, args.repeats, seed=7)
+    for entry in matrix:
+        design, pattern, k, load, ps, faults = cell(entry)
+        row = bench_row(design, pattern, k, load, ps, cycles, args.repeats, seed=7,
+                        faults=faults)
         rows.append(row)
         vec = (
             f" vector={row['vector_cycles_per_sec']:>10,.0f} c/s "
@@ -219,7 +242,8 @@ def main(argv=None) -> int:
         )
         print(
             f"{design:>11} {pattern:>3} k={k} load={load:<5} ps={ps} "
-            f"active={row['active_cycles_per_sec']:>10,.0f} c/s "
+            + (f"faults={faults}% " if faults else "")
+            + f"active={row['active_cycles_per_sec']:>10,.0f} c/s "
             f"dense={row['dense_cycles_per_sec']:>10,.0f} c/s "
             f"speedup={row['speedup']:.2f}x{vec}"
         )
@@ -287,8 +311,7 @@ def main(argv=None) -> int:
         regressions = []
         matched = 0
         for row in rows:
-            key = (row["design"], row["pattern"], row["k"],
-                   row["offered_load"], row["packet_size"])
+            key = row_key(row)
             base = baseline_rows.get(key)
             if base is None:
                 continue
@@ -307,11 +330,11 @@ def main(argv=None) -> int:
                 if vec is None or vec < args.tolerance * base_vec:
                     regressions.append((key, "vector", row, base))
         for key, kind, row, base in regressions:
-            design, pattern, k, load, ps = key
+            design, pattern, k, load, ps, faults = key
             have = row[f"{kind}_cycles_per_sec"]
             print(
-                f"FAIL: {design}/{pattern} k={k} load={load} ps={ps}: "
-                f"{kind} "
+                f"FAIL: {design}/{pattern} k={k} load={load} ps={ps} "
+                f"faults={faults}%: {kind} "
                 + (f"{have:,.0f} c/s" if have is not None else "backend lost (null)")
                 + f" < {args.tolerance:.0%} of baseline "
                 f"{base[f'{kind}_cycles_per_sec']:,.0f} c/s",

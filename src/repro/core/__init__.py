@@ -9,7 +9,7 @@ from .allocator import (
     SeparableDualAllocator,
     requires_swap,
 )
-from .arbiters import RoundRobinArbiter, oldest_first
+from .arbiters import RoundRobinArbiter, age_key, oldest_first
 from .buffers import FlitFIFO
 from .dxbar import DXbarRouter
 from .fairness import FairnessCounter
@@ -21,6 +21,7 @@ __all__ = [
     "Request",
     "SeparableDualAllocator",
     "RoundRobinArbiter",
+    "age_key",
     "oldest_first",
     "FlitFIFO",
     "BUFFERED",

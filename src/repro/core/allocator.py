@@ -26,7 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.flit import Flit
 from ..sim.ports import NUM_PORTS, Port
-from .arbiters import RoundRobinArbiter
+from .arbiters import RoundRobinArbiter, round_robin_table
+
+#: ``_NEXT_PTR[winner]``: a round-robin pointer one past ``winner``.
+_NEXT_PTR = tuple((i + 1) % NUM_PORTS for i in range(NUM_PORTS))
 
 #: Lanes of the dual-input rows.
 BUFFERLESS = "bufferless"
@@ -71,13 +74,16 @@ class SeparableDualAllocator:
     """Output-first separable allocator with dual serial V:1 input stage.
 
     Requests and grants are 5-bit port masks throughout: one request mask
-    per output (bit ``i`` = input ``i`` wants it, OR-ed over both lanes)
-    feeds that output's round-robin arbiter, and one granted-output mask
-    per input feeds the two serial V:1 stages.
+    per requested output (bit ``i`` = input ``i`` wants it, OR-ed over both
+    lanes) feeds that output's round-robin arbiter, and one granted-output
+    mask per input feeds the two serial V:1 stages.  The arbiters keep
+    their :class:`RoundRobinArbiter` objects (and ``state_dict``); the
+    grant itself is the shared table lookup, inlined.
     """
 
     def __init__(self) -> None:
         self._output_arbs = [RoundRobinArbiter(NUM_PORTS) for _ in range(NUM_PORTS)]
+        self._table = round_robin_table(NUM_PORTS)
         self.swaps_total = 0
 
     def allocate(
@@ -91,53 +97,73 @@ class SeparableDualAllocator:
         Returns the grant list (inputs in first-request order, then lanes in
         V:1 order) and the number of conflict-free swaps.
         """
+        arbs = self._output_arbs
+        if len(requests) == 1:
+            # A lone request wins every output it wants (each of those
+            # arbiters sees one requester) and its lane takes the first.
+            req = requests[0]
+            wants = req.wants
+            nxt = _NEXT_PTR[req.input_index]
+            for port in wants:
+                arbs[port]._ptr = nxt
+            return ([Grant(req, wants[0])] if wants else []), 0
+
         # ---- stage 1: per-output P:1 arbitration over OR-ed requests ----
-        # lanes[i] = [bufferless request, buffered request] of input i.
+        # lanes[i] = [bufferless request, buffered request] of input i;
+        # out_masks[o] = mask of the inputs requesting output o, holding
+        # only the outputs somebody wants.
         lanes: Dict[int, List[Optional[Request]]] = {}
-        out_masks = [0] * NUM_PORTS
+        out_masks: Dict[Port, int] = {}
         for req in requests:
             i = req.input_index
             pair = lanes.get(i)
             if pair is None:
                 pair = lanes[i] = [None, None]
-            pair[0 if req.lane == BUFFERLESS else 1] = req
+            pair[req.lane != BUFFERLESS] = req
             bit = 1 << i
             for port in req.wants:
-                out_masks[port] |= bit
+                out_masks[port] = out_masks.get(port, 0) | bit
 
+        # Each requested output's arbiter grants through the shared table
+        # (RoundRobinArbiter.grant inlined: one lookup, pointer one past
+        # the winner).
         granted = [0] * NUM_PORTS  # per input: mask of outputs it won
-        for o, arb in enumerate(self._output_arbs):
-            mask = out_masks[o]
-            if mask:
-                granted[arb.grant(mask)] |= 1 << o
+        table = self._table
+        for o, mask in out_masks.items():
+            arb = arbs[o]
+            winner = table[arb._ptr][mask]
+            arb._ptr = _NEXT_PTR[winner]
+            granted[winner] |= 1 << o
 
         # ---- stage 2: two serial V:1 arbiters per input ----
         grants: List[Grant] = []
         swaps = 0
-        order = (1, 0) if waiters_first else (0, 1)
+        first, second = (1, 0) if waiters_first else (0, 1)
         for i, pair in lanes.items():
             available = granted[i]
             if not available:
                 continue
-            chosen: List[Optional[Port]] = [None, None]
-            for lane in order:
-                req = pair[lane]
-                if req is None:
-                    continue
+            chosen = None  # the first V:1 arbiter's output
+            req = pair[first]
+            if req is not None:
                 for port in req.wants:
-                    bit = 1 << port
-                    if available & bit:
-                        available ^= bit
-                        chosen[lane] = port
+                    if (available >> port) & 1:
+                        available ^= 1 << port
+                        chosen = port
                         grants.append(Grant(req, port))
                         break
-            bufferless, buffered = chosen
-            if (
-                bufferless is not None
-                and buffered is not None
-                and requires_swap(bufferless, buffered)
-            ):
-                swaps += 1
+            req = pair[second]
+            if req is not None and available:
+                for port in req.wants:
+                    if (available >> port) & 1:
+                        grants.append(Grant(req, port))
+                        if chosen is not None and (
+                            requires_swap(port, chosen)
+                            if waiters_first
+                            else requires_swap(chosen, port)
+                        ):
+                            swaps += 1
+                        break
         self.swaps_total += swaps
         return grants, swaps
 

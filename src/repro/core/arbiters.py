@@ -9,8 +9,8 @@ Two flavours are provided:
   ``(pointer, request mask) -> winner`` table every round-robin arbiter in
   the repository shares (the vectorized buffered kernel indexes the same
   table as a numpy array);
-* :func:`oldest_first` — the age-based priority rule used throughout DXbar
-  and the bufferless baselines.
+* :func:`age_key` / :func:`oldest_first` — the age-based priority rule
+  used throughout DXbar and the bufferless baselines.
 """
 
 from __future__ import annotations
@@ -73,10 +73,14 @@ class RoundRobinArbiter:
         self._ptr = state["ptr"]
 
 
+def age_key(flit: Flit) -> Tuple[int, int, int, int]:
+    """Arbitration key: lexicographically smaller wins — oldest packet
+    first, then lower packet id, then lower flit index.  In a simulation
+    ``(packet_id, flit_index)`` names one flit, so the trailing flit id
+    never decides; it keeps the order total for hand-built flits too."""
+    return (flit.injected_cycle, flit.packet_id, flit.flit_index, flit.fid)
+
+
 def oldest_first(flits: Sequence[Flit]) -> List[Flit]:
-    """Sort flits by age priority: oldest packet first, then packet id,
-    then flit index, with the globally unique flit id as a final tiebreak —
-    a total, deterministic order."""
-    return sorted(
-        flits, key=lambda f: (f.injected_cycle, f.packet_id, f.flit_index, f.fid)
-    )
+    """Sort flits by age priority (:func:`age_key`)."""
+    return sorted(flits, key=age_key)

@@ -53,9 +53,24 @@ from ..obs.trace import (
 from ..routers.base import BaseRouter
 from ..sim.flit import Flit
 from ..sim.ports import Port
+from .arbiters import age_key
 from .buffers import FlitFIFO
 from .fairness import FairnessCounter
 from .faults import RouterFault
+
+# Module constant: an IntEnum class-attribute lookup costs several times a
+# global read, and the injection port is tested once per served waiter.
+_LOCAL = Port.LOCAL
+
+
+def _incoming_age(pair: Tuple[Port, Flit]) -> Tuple[int, int, int, int]:
+    """Age key of an ``(in_port, flit)`` arrival."""
+    return age_key(pair[1])
+
+
+def _waiter_age(waiter: Tuple[str, Port, Flit]) -> Tuple[int, int, int, int]:
+    """Age key of a ``(kind, in_port, flit)`` waiter."""
+    return age_key(waiter[2])
 
 
 class DXbarRouter(BaseRouter):
@@ -67,7 +82,9 @@ class DXbarRouter(BaseRouter):
         super().__init__(node, mesh, routing, energy, config)
         depth = config.buffer_depth
         self.fifos = {port: FlitFIFO(depth) for port in mesh.ports_of(node)}
-        self._fifo_list = list(self.fifos.values())
+        # (port, queue) per FIFO for the hot scans; FlitFIFO keeps its deque
+        # for life (a checkpoint load refills it in place).
+        self._fifo_queues = tuple((port, fifo._q) for port, fifo in self.fifos.items())
         self.fairness = FairnessCounter(config.fairness_threshold)
         self._routes = routing.row(node)  # candidates per destination
         # Fault state, assigned by the network from the FaultPlan.
@@ -117,16 +134,30 @@ class DXbarRouter(BaseRouter):
     # ------------------------------------------------------------------
     # building blocks
     # ------------------------------------------------------------------
+    def _plain_picks(self) -> bool:
+        """True when every output pick is simply the first free entry of the
+        routing row ``self._routes[flit.dst]``: no crosspoint fault to mask
+        or attempt, and no escalation to adaptive candidates.  The serve
+        loops then pick inline; :meth:`_pick_output` is the crosspoint
+        path.  A reconfigured router always qualifies: it holds a
+        whole-crossbar fault, and escalation exists only under crosspoint
+        granularity, where no fault is whole-crossbar."""
+        fault = self.fault
+        return not self._escalate_on_deflections and (
+            fault is None or not fault.is_crosspoint
+        )
+
     def _pick_output(
         self,
         flit: Flit,
         outputs_used: set,
-        in_port: Port = Port.LOCAL,
+        in_port: Port = _LOCAL,
         crossbar: str = "primary",
     ) -> Optional[Port]:
-        """First free candidate port for ``flit`` (adaptive routing
-        functions expose several candidates, which is how a buffered flit
-        "re-directs to another progressive direction").
+        """First free candidate port for ``flit`` under crosspoint faults or
+        escalation (adaptive routing functions expose several candidates,
+        which is how a buffered flit "re-directs to another progressive
+        direction").
 
         Detected crosspoint faults are masked by the switch allocator
         (skipped); an *undetected* broken crosspoint is attempted blindly
@@ -201,28 +232,31 @@ class DXbarRouter(BaseRouter):
         )
 
     def _ordered_incoming(self) -> List[Tuple[Port, Flit]]:
-        if len(self.incoming) <= 1:
-            return self.incoming
-        return sorted(
-            self.incoming,
-            key=lambda pf: (pf[1].injected_cycle, pf[1].packet_id, pf[1].flit_index),
-        )
+        incoming = self.incoming
+        n = len(incoming)
+        if n <= 1:
+            return incoming
+        if n == 2:  # the common pair: one comparison, no sort machinery
+            a, b = incoming
+            return [b, a] if age_key(b[1]) < age_key(a[1]) else incoming
+        return sorted(incoming, key=_incoming_age)
 
     def _collect_waiters(self) -> List[Tuple[str, Port, Flit]]:
         """Snapshot the secondary-crossbar requesters: FIFO heads and the
         injection-port flit.  Flits buffered *this* cycle are deliberately
         absent — they become eligible next cycle."""
         waiters: List[Tuple[str, Port, Flit]] = []
-        for port, fifo in self.fifos.items():
-            q = fifo._q
+        for port, q in self._fifo_queues:
             if q:
                 waiters.append(("fifo", port, q[0]))
         if self.inj_queue:
-            waiters.append(("inj", Port.LOCAL, self.inj_queue[0]))
-        if len(waiters) > 1:
-            waiters.sort(
-                key=lambda w: (w[2].injected_cycle, w[2].packet_id, w[2].flit_index)
-            )
+            waiters.append(("inj", _LOCAL, self.inj_queue[0]))
+        n = len(waiters)
+        if n == 2:  # the common pair: one comparison, no sort machinery
+            if age_key(waiters[1][2]) < age_key(waiters[0][2]):
+                waiters.reverse()
+        elif n > 2:
+            waiters.sort(key=_waiter_age)
         return waiters
 
     def _serve_waiters(
@@ -230,29 +264,40 @@ class DXbarRouter(BaseRouter):
         waiters: List[Tuple[str, Port, Flit]],
         outputs_used: set,
         cycle: int,
-        xbar_charge: bool = True,
     ) -> bool:
         """Secondary-crossbar phase: move eligible buffered/injection flits."""
         won = False
         fault = self.fault
+        plain = self._plain_picks()
+        routes = self._routes
+        counters = self.counters
+        trace = self.trace
         for kind, in_port, flit in waiters:
-            out = self._pick_output(flit, outputs_used, in_port, "secondary")
-            if (
-                out is None
-                and fault is not None
-                and fault.is_crosspoint
-                and fault.crossbar == "secondary"
-                and fault.input_port == in_port
-                and fault.detected(cycle)
-            ):
-                # The 2x2 steering switches between the buffers and the
-                # crossbars (Section II.C) let a buffered flit reach the
-                # *primary* crossbar when its secondary crosspoint is known
-                # dead — without this, a DOR flit whose only productive
-                # output sits behind the broken crosspoint would starve.
-                out = self._pick_output(flit, outputs_used, in_port, "primary")
-            if out is None:
-                continue
+            if plain:
+                for out in routes[flit.dst]:
+                    if out not in outputs_used:
+                        break
+                else:
+                    continue
+            else:
+                out = self._pick_output(flit, outputs_used, in_port, "secondary")
+                if (
+                    out is None
+                    and fault is not None
+                    and fault.is_crosspoint
+                    and fault.crossbar == "secondary"
+                    and fault.input_port == in_port
+                    and fault.detected(cycle)
+                ):
+                    # The 2x2 steering switches between the buffers and the
+                    # crossbars (Section II.C) let a buffered flit reach the
+                    # *primary* crossbar when its secondary crosspoint is
+                    # known dead — without this, a DOR flit whose only
+                    # productive output sits behind the broken crosspoint
+                    # would starve.
+                    out = self._pick_output(flit, outputs_used, in_port, "primary")
+                if out is None:
+                    continue
             outputs_used.add(out)
             if kind == "fifo":
                 popped = self.fifos[in_port].pop()
@@ -260,11 +305,10 @@ class DXbarRouter(BaseRouter):
             else:
                 self.inj_queue.popleft()
                 self.mark_network_entry(flit, cycle)
-            if xbar_charge:
-                self.energy.charge_xbar(flit)
-            self.counters.secondary_traversals += 1
-            if self.trace is not None:
-                self.trace.emit(
+            self.energy.charge_xbar(flit)
+            counters.secondary_traversals += 1
+            if trace is not None:
+                trace.emit(
                     cycle,
                     EV_TRAVERSE_SECONDARY,
                     self.node,
@@ -287,21 +331,32 @@ class DXbarRouter(BaseRouter):
         """Primary-crossbar phase: switch incoming flits; losers are demuxed
         into their input FIFO (or deflected if the FIFO is full)."""
         won = False
+        plain = primary_ok and self._plain_picks()
+        routes = self._routes
+        fifos = self.fifos
+        energy = self.energy
+        counters = self.counters
+        trace = self.trace
         for in_port, flit in incoming:
-            out = (
-                self._pick_output(flit, outputs_used, in_port, "primary")
-                if primary_ok
-                else None
-            )
+            if plain:
+                for out in routes[flit.dst]:
+                    if out not in outputs_used:
+                        break
+                else:
+                    out = None
+            elif primary_ok:
+                out = self._pick_output(flit, outputs_used, in_port, "primary")
+            else:
+                out = None
             if out is not None:
                 outputs_used.add(out)
-                self.energy.charge_xbar(flit)
-                self.counters.primary_traversals += 1
-                if self.trace is not None:
-                    self.trace.emit(
+                energy.charge_xbar(flit)
+                counters.primary_traversals += 1
+                if trace is not None:
+                    trace.emit(
                         cycle, EV_ARB_WIN, self.node, flit, in_port=in_port.name
                     )
-                    self.trace.emit(
+                    trace.emit(
                         cycle,
                         EV_TRAVERSE_PRIMARY,
                         self.node,
@@ -311,26 +366,28 @@ class DXbarRouter(BaseRouter):
                     )
                 self.send(flit, out, cycle)
                 won = True
-            elif not self.fifos[in_port].full:
+                continue
+            fifo = fifos[in_port]
+            if len(fifo._q) < fifo.depth:  # not full
                 flit.buffered_events += 1
-                self.counters.buffered_events += 1
-                self.energy.charge_buffer(flit)
-                self.fifos[in_port].push(flit)
-                if self.trace is not None:
-                    self.trace.emit(
+                counters.buffered_events += 1
+                energy.charge_buffer(flit)
+                fifo.push(flit)
+                if trace is not None:
+                    trace.emit(
                         cycle, EV_ARB_LOSE, self.node, flit, in_port=in_port.name
                     )
-                    self.trace.emit(
+                    trace.emit(
                         cycle,
                         EV_BUFFER,
                         self.node,
                         flit,
                         in_port=in_port.name,
-                        occupancy=len(self.fifos[in_port]),
+                        occupancy=len(fifo),
                     )
             elif primary_ok:
-                if self.trace is not None:
-                    self.trace.emit(
+                if trace is not None:
+                    trace.emit(
                         cycle,
                         EV_ARB_LOSE,
                         self.node,
@@ -346,17 +403,17 @@ class DXbarRouter(BaseRouter):
                 # input latch holding; modelled as a one-slot overfill that
                 # the degraded mode drains after detection.
                 flit.buffered_events += 1
-                self.counters.buffered_events += 1
-                self.energy.charge_buffer(flit)
-                self.fifos[in_port].force_push(flit)
-                if self.trace is not None:
-                    self.trace.emit(
+                counters.buffered_events += 1
+                energy.charge_buffer(flit)
+                fifo.force_push(flit)
+                if trace is not None:
+                    trace.emit(
                         cycle,
                         EV_BUFFER,
                         self.node,
                         flit,
                         in_port=in_port.name,
-                        occupancy=len(self.fifos[in_port]),
+                        occupancy=len(fifo),
                         overfill=True,
                     )
         return won
@@ -366,8 +423,10 @@ class DXbarRouter(BaseRouter):
     ) -> Tuple[List[Tuple[Port, Flit]], List[Tuple[Port, Flit]]]:
         """Partition incoming flits into (full-FIFO inputs, bufferable)."""
         must, rest = [], []
-        for in_port, flit in incoming:
-            (must if self.fifos[in_port].full else rest).append((in_port, flit))
+        fifos = self.fifos
+        for pair in incoming:
+            fifo = fifos[pair[0]]
+            (must if len(fifo._q) >= fifo.depth else rest).append(pair)
         return must, rest
 
     # ------------------------------------------------------------------
@@ -417,50 +476,76 @@ class DXbarRouter(BaseRouter):
     # ------------------------------------------------------------------
     def _step_degraded(self, cycle: int) -> None:
         """Single surviving crossbar: behave as a buffered router (with the
-        2-stage look-ahead pipeline DXbar retains).  Incoming flits whose
-        FIFO is full deflect through the surviving crossbar."""
+        2-stage look-ahead pipeline DXbar retains).  One cycle, in order:
+
+        1. must-place — an incoming flit whose FIFO is full cannot be
+           buffered, so it crosses the surviving crossbar now, oldest
+           first, or deflects when all its productive outputs are taken;
+        2. waiters — the FIFO heads and injection flit snapshotted at the
+           start of the cycle take the outputs still free;
+        3. every other incoming flit is buffered in its input FIFO.
+
+        Picks are inline first-free entries of the routing row (see
+        :meth:`_plain_picks`).
+        """
         waiters = self._collect_waiters()
+        incoming = self._ordered_incoming()
         outputs_used: set = set()
-        must, rest = self._split_must_place(self._ordered_incoming())
-        for in_port, flit in must:
-            out = self._pick_output(flit, outputs_used, in_port, "secondary")
-            if out is None:
-                self._deflect(flit, outputs_used, cycle, in_port)
+        routes = self._routes
+        fifos = self.fifos
+        energy = self.energy
+        counters = self.counters
+        trace = self.trace
+        placed = 0  # mask of the must-place inputs
+        for in_port, flit in incoming:
+            fifo = fifos[in_port]
+            if len(fifo._q) < fifo.depth:
+                continue  # room to buffer: step 3
+            placed |= 1 << in_port
+            for out in routes[flit.dst]:
+                if out not in outputs_used:
+                    break
             else:
-                outputs_used.add(out)
-                self.energy.charge_xbar(flit)
-                self.counters.secondary_traversals += 1
-                if self.trace is not None:
-                    self.trace.emit(
-                        cycle,
-                        EV_TRAVERSE_SECONDARY,
-                        self.node,
-                        flit,
-                        in_port=in_port.name,
-                        out_port=out.name,
-                        kind="degraded",
-                    )
-                self.send(flit, out, cycle)
-        self._serve_waiters(waiters, outputs_used, cycle)
-        for in_port, flit in rest:
+                self._deflect(flit, outputs_used, cycle, in_port)
+                continue
+            outputs_used.add(out)
+            energy.charge_xbar(flit)
+            counters.secondary_traversals += 1
+            if trace is not None:
+                trace.emit(
+                    cycle,
+                    EV_TRAVERSE_SECONDARY,
+                    self.node,
+                    flit,
+                    in_port=in_port.name,
+                    out_port=out.name,
+                    kind="degraded",
+                )
+            self.send(flit, out, cycle)
+        if waiters:
+            self._serve_waiters(waiters, outputs_used, cycle)
+        for in_port, flit in incoming:
+            if (placed >> in_port) & 1:
+                continue
+            fifo = fifos[in_port]
             flit.buffered_events += 1
-            self.counters.buffered_events += 1
-            self.energy.charge_buffer(flit)
-            self.fifos[in_port].push(flit)
-            if self.trace is not None:
-                self.trace.emit(
+            counters.buffered_events += 1
+            energy.charge_buffer(flit)
+            fifo.push(flit)
+            if trace is not None:
+                trace.emit(
                     cycle,
                     EV_BUFFER,
                     self.node,
                     flit,
                     in_port=in_port.name,
-                    occupancy=len(self.fifos[in_port]),
+                    occupancy=len(fifo),
                 )
 
     @property
     def _any_buffered(self) -> bool:
-        for fifo in self._fifo_list:
-            if fifo._q:
+        for _port, q in self._fifo_queues:
+            if q:
                 return True
         return False
 
@@ -532,7 +617,7 @@ class DXbarRouter(BaseRouter):
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        # FIFOs are loaded in place: _fifo_list aliases fifos.values().
+        # FIFOs are loaded in place: _fifo_queues aliases their deques.
         for name, s in state["fifos"].items():
             self.fifos[Port[name]].load_state_dict(s)
         self.fairness.load_state_dict(state["fairness"])

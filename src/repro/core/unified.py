@@ -39,6 +39,10 @@ from .allocator import BUFFERED, BUFFERLESS, Request, SeparableDualAllocator
 from .dxbar import DXbarRouter
 
 _PORTS = tuple(Port)  # request input index -> Port
+# Module constants, cheaper than IntEnum attribute lookups and int() calls
+# in the per-request loops: the injection port, and Port -> plain int index.
+_LOCAL = Port.LOCAL
+_INDEX = tuple(range(len(_PORTS)))
 
 
 class UnifiedRouter(DXbarRouter):
@@ -90,7 +94,9 @@ class UnifiedRouter(DXbarRouter):
         # buffered, and then no waiter exists either unless one is queued.
         if buffered:
             must, rest = self._split_must_place(incoming)
-            incoming_won = self._serve_incoming(must, outputs_used, cycle, True)
+            incoming_won = bool(must) and self._serve_incoming(
+                must, outputs_used, cycle, True
+            )
         else:
             rest, incoming_won = incoming, False
         waiters = self._collect_waiters() if inj or buffered else []
@@ -112,7 +118,7 @@ class UnifiedRouter(DXbarRouter):
                 routes[flit.dst] if direct else self._wants(flit, outputs_used, in_port)
             )
             if wants:
-                requests.append(Request(int(in_port), BUFFERLESS, flit, wants))
+                requests.append(Request(_INDEX[in_port], BUFFERLESS, flit, wants))
         # A waiter's request index is its input port: FIFOs sit on the
         # direction inputs and the injection queue on LOCAL.
         for _kind, in_port, flit in waiters:
@@ -128,7 +134,7 @@ class UnifiedRouter(DXbarRouter):
                     # router.
                     wants = self._misroute_wants(outputs_used, in_port)
             if wants:
-                requests.append(Request(int(in_port), BUFFERED, flit, wants))
+                requests.append(Request(_INDEX[in_port], BUFFERED, flit, wants))
 
         grants, swaps = self.allocator.allocate(requests, waiters_first=flip)
         if self.audit is not None:
@@ -142,17 +148,20 @@ class UnifiedRouter(DXbarRouter):
         won_inputs = 0  # mask of inputs whose incoming flit was granted
         waiter_won = False
         trace = self.trace
+        counters = self.counters
+        charge_xbar = self.energy.charge_xbar
+        send = self.send
         for grant in grants:
             req, out = grant.request, grant.output
             flit = req.flit
             if not direct and out not in routes[flit.dst]:
                 flit.deflections += 1  # crosspoint-forced misroute
-                self.counters.deflections += 1
+                counters.deflections += 1
                 if trace is not None:
                     trace.emit(cycle, EV_DEFLECT, self.node, flit, out_port=out.name)
             if req.lane == BUFFERLESS:
                 won_inputs |= 1 << req.input_index
-                self.counters.primary_traversals += 1
+                counters.primary_traversals += 1
                 if trace is not None:
                     trace.emit(
                         cycle, EV_ARB_WIN, self.node, flit, in_port=_PORTS[req.input_index].name
@@ -167,7 +176,7 @@ class UnifiedRouter(DXbarRouter):
                     )
             else:
                 in_port = _PORTS[req.input_index]
-                if in_port is Port.LOCAL:
+                if in_port is _LOCAL:
                     kind = "inj"
                     inj.popleft()
                     self.mark_network_entry(flit, cycle)
@@ -176,7 +185,7 @@ class UnifiedRouter(DXbarRouter):
                     popped = self.fifos[in_port].pop()
                     assert popped is flit, "waiter snapshot desynchronised"
                 waiter_won = True
-                self.counters.secondary_traversals += 1
+                counters.secondary_traversals += 1
                 if trace is not None:
                     trace.emit(
                         cycle,
@@ -187,15 +196,15 @@ class UnifiedRouter(DXbarRouter):
                         out_port=out.name,
                         kind=kind,
                     )
-            self.energy.charge_xbar(flit)
-            self.send(flit, out, cycle)
+            charge_xbar(flit)
+            send(flit, out, cycle)
 
         # Incoming losers are demuxed into their FIFO, exactly as in DXbar
         # (their FIFO has space — full inputs went through the pre-pass).
         for in_port, flit in rest:
             if not (won_inputs >> in_port) & 1:
                 flit.buffered_events += 1
-                self.counters.buffered_events += 1
+                counters.buffered_events += 1
                 self.energy.charge_buffer(flit)
                 self.fifos[in_port].push(flit)
                 if trace is not None:
@@ -218,7 +227,7 @@ class UnifiedRouter(DXbarRouter):
         )
 
     def _wants(
-        self, flit: Flit, outputs_used: set, in_port: Port = Port.LOCAL
+        self, flit: Flit, outputs_used: set, in_port: Port = _LOCAL
     ) -> Tuple[Port, ...]:
         """Preference-ordered candidate outputs still free this cycle.
 

@@ -37,6 +37,7 @@ from .journal import (
     EV_AUDIT_VIOLATION,
     EV_CACHE_HIT,
     EV_CACHE_QUARANTINE,
+    EV_CACHE_REJECTED,
     EV_CAMPAIGN,
     EV_CHECKPOINTED,
     EV_CHECKPOINT_SKIPPED,
@@ -114,6 +115,7 @@ __all__ = [
     "EV_FAILED",
     "EV_AUDIT_VIOLATION",
     "EV_CACHE_QUARANTINE",
+    "EV_CACHE_REJECTED",
     "CampaignStatus",
     "JobStatus",
     "campaign_status",

@@ -60,6 +60,7 @@ EV_COMPLETED = "completed"
 EV_FAILED = "failed"
 EV_AUDIT_VIOLATION = "audit_violation"
 EV_CACHE_QUARANTINE = "cache_quarantine"
+EV_CACHE_REJECTED = "cache_rejected"
 
 JOURNAL_EVENTS = (
     EV_CAMPAIGN,
@@ -74,6 +75,7 @@ JOURNAL_EVENTS = (
     EV_FAILED,
     EV_AUDIT_VIOLATION,
     EV_CACHE_QUARANTINE,
+    EV_CACHE_REJECTED,
 )
 
 

@@ -21,6 +21,7 @@ from .journal import (
     EV_AUDIT_VIOLATION,
     EV_CACHE_HIT,
     EV_CACHE_QUARANTINE,
+    EV_CACHE_REJECTED,
     EV_CAMPAIGN,
     EV_CHECKPOINTED,
     EV_CHECKPOINT_SKIPPED,
@@ -51,6 +52,7 @@ _EVENT_COUNTERS = {
     EV_CHECKPOINT_SKIPPED: "checkpoints_skipped",
     EV_AUDIT_VIOLATION: "audit_violations",
     EV_CACHE_QUARANTINE: "cache_quarantines",
+    EV_CACHE_REJECTED: "cache_rejects",
 }
 
 #: Counters present in :meth:`CampaignStatus.metrics` even at zero.

@@ -32,6 +32,10 @@ from ..sim.topology import Mesh
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.network import Network
 
+# Module constant: an IntEnum class-attribute lookup costs several times a
+# global read, and ``send`` runs once per flit hop.
+_LOCAL = Port.LOCAL
+
 
 class BaseRouter(ABC):
     """Common state and plumbing for all router designs."""
@@ -147,7 +151,7 @@ class BaseRouter(ABC):
         """Drive ``flit`` through output ``port``: ejection for LOCAL, link
         traversal otherwise.  Crossbar energy is charged by the caller
         (designs differ in which crossbar the flit crossed)."""
-        if port == Port.LOCAL:
+        if port == _LOCAL:
             assert flit.dst == self.node, "ejecting a flit at a foreign node"
             self.counters.ejected += 1
             if self.trace is not None:
@@ -161,12 +165,12 @@ class BaseRouter(ABC):
     def has_credit(self, port: Port) -> bool:
         """True when a flit may be sent toward ``port`` (LOCAL always may;
         bufferless downstream designs never block)."""
-        if port == Port.LOCAL or not self.uses_credits:
+        if port == _LOCAL or not self.uses_credits:
             return True
         return self.credits[port] > 0
 
     def consume_credit(self, port: Port) -> None:
-        if port != Port.LOCAL and self.uses_credits:
+        if port != _LOCAL and self.uses_credits:
             if self.credits[port] <= 0:
                 raise RuntimeError(
                     f"router {self.node} sent to {port.name} without credit"
@@ -175,7 +179,7 @@ class BaseRouter(ABC):
 
     def return_credit(self, in_port: Port) -> None:
         """Give one buffer slot back to the upstream router on ``in_port``."""
-        if in_port != Port.LOCAL and self.uses_credits:
+        if in_port != _LOCAL and self.uses_credits:
             self.credit_out[in_port].send(1)
 
     def mark_network_entry(self, flit: Flit, cycle: int) -> None:

@@ -9,6 +9,12 @@ collision or a stale schema reads as a miss, never as a wrong result.
 (the experiment drivers use it as their default shared-run cache);
 ``ResultCache(path)`` persists to disk, which is what gives sweeps
 resume/skip-completed semantics across interrupted campaigns.
+
+An existing entry that still reads as a miss is never silent while a
+journal is attached: a corrupt one is quarantined (``cache_quarantine``),
+and an unreadable one or one whose stored identity does not match is
+reported as ``cache_rejected``.  An entry that is simply absent is an
+ordinary miss and leaves no record.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ class ResultCache:
         self._warned_corrupt = False
         # Optional JournalWriter: when a campaign driver attaches one,
         # quarantines become ``cache_quarantine`` journal events instead
-        # of (or in addition to) the one-shot RuntimeWarning.
+        # of (or in addition to) the one-shot RuntimeWarning, and rejected
+        # entries ``cache_rejected`` events.
         self.journal = None
+        self._rejected: set = set()  # job ids already journaled as rejected
 
     # ------------------------------------------------------------------
     def _path(self, job_id: str) -> Path:
@@ -66,7 +74,8 @@ class ResultCache:
                 # fresh process; quarantine it instead.
                 self._quarantine(path)
                 return None
-            except OSError:
+            except OSError as exc:
+                self._reject(job_id, "unreadable", error=f"{type(exc).__name__}: {exc}")
                 return None
             if not isinstance(payload, dict):
                 self._quarantine(path)
@@ -75,8 +84,22 @@ class ResultCache:
         if payload is None:
             return None
         if payload.get("identity") != self._identity(spec):
-            return None  # hash collision or stale schema: treat as a miss
+            # Hash collision or stale schema: treat as a miss.
+            self._reject(job_id, "identity_mismatch")
+            return None
         return payload
+
+    def _reject(self, job_id: str, reason: str, **fields: Any) -> None:
+        """Journal why an existing entry reads as a miss, once per key per
+        cache instance (a campaign probes each key several times)."""
+        if self.journal is None or job_id in self._rejected:
+            return
+        from ..obs.journal import EV_CACHE_REJECTED
+
+        self._rejected.add(job_id)
+        self.journal.write(
+            EV_CACHE_REJECTED, file=f"{job_id}.json", reason=reason, **fields
+        )
 
     def _quarantine(self, path: Path) -> None:
         """Rename a corrupt entry to ``<job_id>.json.corrupt`` so it stops
@@ -135,11 +158,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         if self.root is not None:
+            # An entry a concurrent process already removed is gone as
+            # asked; any other failure to delete propagates.
             for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                path.unlink(missing_ok=True)
 
     def __len__(self) -> int:
         if self.root is not None:

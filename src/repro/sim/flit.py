@@ -14,7 +14,7 @@ allocation-light and attribute access cheap).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class Flit:
@@ -30,8 +30,9 @@ class Flit:
     src, dst:
         Source and destination node ids.
     injected_cycle:
-        Cycle at which the *packet* entered the source queue.  This doubles
-        as the age-priority key: older (smaller) wins arbitration.
+        Cycle at which the *packet* entered the source queue.  This leads
+        the age-priority key (:func:`repro.core.arbiters.age_key`): older
+        (smaller) wins arbitration.
     flit_index, num_flits:
         Position within the packet and total packet length, used by the
         destination-side reassembly bookkeeping.
@@ -98,12 +99,6 @@ class Flit:
         # energies at delivery so the "average energy per packet" metric is
         # exact even when other packets are still in flight.
         self.energy_pj = 0.0
-
-    @property
-    def age_key(self) -> Tuple[int, int]:
-        """Arbitration key: lexicographically smaller wins (older packet
-        first, then lower packet id, then lower flit index for stability)."""
-        return (self.injected_cycle, self.packet_id)
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -42,7 +42,7 @@ class Link:
         self._count = 0
         # Activity scheduling: the owning Network assigns a stable index and
         # a zero-arg callback that (re)registers this link in the active set
-        # the first time a flit enters an otherwise-empty pipeline.  Both
+        # when a flit enters an otherwise-empty pipeline.  Both
         # stay None for standalone links (unit tests).
         self.index: int = -1
         self.on_activate = None
@@ -55,7 +55,9 @@ class Link:
             )
         self._next = flit
         self._count += 1
-        if self.on_activate is not None:
+        # Only the empty -> busy transition registers: a busy link is
+        # already in the active set (it leaves only once drained).
+        if self._count == 1 and self.on_activate is not None:
             self.on_activate()
 
     def take(self) -> Optional[Flit]:
@@ -81,16 +83,19 @@ class Link:
 
     def step(self) -> None:
         """Shift the pipeline by one cycle."""
-        if self._regs[-1] is not None:
+        regs = self._regs
+        if regs[-1] is not None:
             # Consumers must drain their inputs every cycle; both the
             # bufferless contract and the credit protocol guarantee it.
             raise RuntimeError(
                 f"flit stranded on link {self.src}->{self.dst}: "
                 "downstream failed to latch its input"
             )
-        for i in range(self.latency - 1, 0, -1):
-            self._regs[i] = self._regs[i - 1]
-        self._regs[0] = self._next
+        # Drop the drained downstream register and shift the staged flit in
+        # at the upstream end (two list operations instead of a Python
+        # loop over the registers).
+        regs.pop()
+        regs.insert(0, self._next)
         self._next = None
 
     # ------------------------------------------------------------------
@@ -148,9 +153,11 @@ class CreditChannel:
         """Return ``count`` credits upstream (visible next cycle)."""
         if count < 0:
             raise ValueError("credit count must be non-negative")
-        self._next += count
-        if self.on_activate is not None:
+        # Only the idle -> busy transition registers: a channel holding
+        # credits is already in the active set (it leaves only once empty).
+        if not (self._now or self._next) and self.on_activate is not None:
             self.on_activate()
+        self._next += count
 
     def collect(self) -> int:
         """Upstream side: take all credits that arrived this cycle."""

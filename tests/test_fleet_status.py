@@ -467,3 +467,70 @@ class TestCacheQuarantineEvent:
         assert len(quarantines) == 1
         assert quarantines[0]["file"] == entry.name
         assert entry.with_name(entry.name + ".corrupt").exists()
+
+
+class TestCacheRejectedEvent:
+    """An existing cache entry that reads as a miss is journaled with its
+    reason, once per key, and tallied in ``repro status --json``."""
+
+    def _journaled_rerun(self, tmp_path, spoil):
+        from repro.obs.journal import EV_CACHE_REJECTED, merge_journal
+
+        spec = RunSpec(tiny())
+        run_specs([spec], cache=ResultCache(tmp_path / "cache"))
+        entry = tmp_path / "cache" / f"{spec.job_id()}.json"
+        spoil(entry)
+        fresh = ResultCache(tmp_path / "cache")
+        out = run_specs([spec], cache=fresh, journal=tmp_path / "j")[0]
+        assert out.ok and not out.cached
+        events = merge_journal(tmp_path / "j")
+        rejects = [e for e in events if e["event"] == EV_CACHE_REJECTED]
+        return entry, events, rejects
+
+    def test_unreadable_entry(self, tmp_path, monkeypatch):
+        import builtins
+
+        import repro.runner.cache as cache_mod
+
+        def spoil(entry):
+            # The entry exists but every read of it fails with an OSError
+            # (the cache's writes go through atomic_write_text, untouched).
+            def guarded_open(path, *args, **kwargs):
+                if str(path) == str(entry):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return builtins.open(path, *args, **kwargs)
+
+            monkeypatch.setattr(cache_mod, "open", guarded_open, raising=False)
+
+        entry, events, rejects = self._journaled_rerun(tmp_path, spoil)
+        assert len(rejects) == 1
+        assert rejects[0]["file"] == entry.name
+        assert rejects[0]["reason"] == "unreadable"
+        assert rejects[0]["error"].startswith("PermissionError")
+        assert CampaignStatus.from_events(events).metrics()["counters"]["cache_rejects"] == 1
+
+    def test_identity_mismatch(self, tmp_path):
+        def spoil(entry):
+            payload = json.loads(entry.read_text())
+            payload["identity"]["config"]["seed"] = 999
+            entry.write_text(json.dumps(payload))
+
+        entry, events, rejects = self._journaled_rerun(tmp_path, spoil)
+        assert len(rejects) == 1  # probed more than once, journaled once
+        assert rejects[0]["file"] == entry.name
+        assert rejects[0]["reason"] == "identity_mismatch"
+        assert CampaignStatus.from_events(events).metrics()["counters"]["cache_rejects"] == 1
+
+    def test_absent_entry_leaves_no_record(self, tmp_path):
+        from repro.obs.journal import EV_CACHE_REJECTED, merge_journal
+
+        run_specs([RunSpec(tiny())], cache=ResultCache(tmp_path / "cache"),
+                  journal=tmp_path / "j")
+        assert not [e for e in merge_journal(tmp_path / "j")
+                    if e["event"] == EV_CACHE_REJECTED]
+
+    def test_clear_propagates_unlink_failure(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        (tmp_path / "cache" / "stuck.json").mkdir()  # unlink() cannot remove it
+        with pytest.raises(OSError):
+            cache.clear()

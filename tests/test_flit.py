@@ -1,5 +1,6 @@
 """Unit tests for the flit/packet model."""
 
+from repro.core.arbiters import age_key
 from repro.sim.flit import Flit, make_packet
 
 
@@ -7,12 +8,16 @@ class TestFlit:
     def test_age_key_orders_older_first(self):
         old = Flit(0, 0, src=0, dst=1, injected_cycle=5)
         young = Flit(1, 1, src=0, dst=1, injected_cycle=9)
-        assert old.age_key < young.age_key
+        assert age_key(old) < age_key(young)
 
     def test_age_tiebreak_by_packet_id(self):
         a = Flit(0, 3, src=0, dst=1, injected_cycle=5)
         b = Flit(1, 7, src=0, dst=1, injected_cycle=5)
-        assert a.age_key < b.age_key
+        assert age_key(a) < age_key(b)
+
+    def test_age_tiebreak_by_flit_index(self):
+        a, b = make_packet(0, 3, src=0, dst=1, cycle=5, num_flits=2, measured=True)
+        assert age_key(a) < age_key(b)
 
     def test_counters_start_zero(self):
         f = Flit(0, 0, src=0, dst=1, injected_cycle=0)
