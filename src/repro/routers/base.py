@@ -117,11 +117,17 @@ class BaseRouter(ABC):
                 if got:
                     self.credits[port] += got
 
-        self.incoming.clear()
+        incoming = self.incoming
+        incoming.clear()
         for port, link in self.in_links.items():
-            flit = link.take()
+            # Link.take inlined (this runs per input link per active
+            # router-cycle): consume the downstream-visible register.
+            regs = link._regs
+            flit = regs[-1]
             if flit is not None:
-                self.incoming.append((port, flit))
+                regs[-1] = None
+                link._count -= 1
+                incoming.append((port, flit))
 
     @abstractmethod
     def step(self, cycle: int) -> None:
