@@ -55,8 +55,9 @@ from repro.sim.config import FaultConfig, SimConfig  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
 #: (design, pattern, k, offered load, packet size[, fault percent]) rows
-#: of the full matrix; the fault percent defaults to 0.  The NB (nearest-neighbour) rows characterise sparse-activity
-#: workloads: short paths and multi-flit packets concentrate traffic on
+#: of the full matrix; the fault percent defaults to 0.  The NB
+#: (nearest-neighbour) rows characterise sparse-activity workloads: short
+#: paths and multi-flit packets concentrate traffic on
 #: few routers at a time, leaving most of the mesh idle — where activity
 #: scheduling pays (the larger the mesh, the larger the idle fraction:
 #: the k=16 NB row is the headline >2x case).  The UR rows with 2-flit

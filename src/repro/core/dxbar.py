@@ -59,7 +59,7 @@ from .fairness import FairnessCounter
 from .faults import RouterFault
 
 # Module constant: an IntEnum class-attribute lookup costs several times a
-# global read, and the injection port is tested once per served waiter.
+# global read on the per-cycle path.
 _LOCAL = Port.LOCAL
 
 

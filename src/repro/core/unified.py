@@ -102,15 +102,10 @@ class UnifiedRouter(DXbarRouter):
         waiters = self._collect_waiters() if inj or buffered else []
         flip = bool(waiters) and self.fairness.should_flip()
 
-        # With no crosspoint fault to mask, every output still free and no
-        # escalation to adaptive candidates, a flit's wants are its routing
-        # table row.
-        fault = self.fault
-        direct = (
-            (fault is None or not fault.is_crosspoint)
-            and not outputs_used
-            and not self._escalate_on_deflections
-        )
+        # With every output still free and plain picks (no crosspoint fault
+        # to mask, no escalation to adaptive candidates), a flit's wants are
+        # its routing table row.
+        direct = not outputs_used and self._plain_picks()
         routes = self._routes
         requests: List[Request] = []
         for in_port, flit in rest:
