@@ -23,7 +23,7 @@ default worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..designs import DESIGN_LABELS, PAPER_DESIGNS
@@ -36,7 +36,7 @@ from ..sim.stats import SimResult
 from ..traffic.patterns import pattern_names
 from ..traffic.splash2 import splash2_app_names
 from .report import FigureResult
-from .sweep import CacheLike, SweepResult, sweep_designs
+from .sweep import CacheLike, SweepResult
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,12 @@ def _run_grid(
     cache: CacheLike,
     progress=None,
 ) -> List[SimResult]:
+    """Run figure cells, each on its fastest bit-exact backend (the
+    figure drivers own their configs and never pick a backend)."""
+    specs = [
+        replace(s, config=s.config.with_(backend=s.config.fastest_backend()))
+        for s in specs
+    ]
     outcomes = run_specs(
         specs,
         jobs=_resolve_jobs(jobs),
@@ -176,15 +182,19 @@ def table3() -> FigureResult:
 def _ur_sweep(
     scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
 ) -> Dict[str, SweepResult]:
-    return sweep_designs(
-        PAPER_DESIGNS,
-        scale.loads,
-        _base_config(scale),
-        jobs=_resolve_jobs(jobs),
-        cache=_resolve_cache(cache),
-        progress=progress,
-        pattern="UR",
-    )
+    base = _base_config(scale)
+    loads = list(scale.loads)
+    specs = [
+        RunSpec(base.with_(design=d, pattern="UR", offered_load=load), tag=d)
+        for d in PAPER_DESIGNS
+        for load in loads
+    ]
+    results = _run_grid(specs, jobs, cache, progress)
+    n = len(loads)
+    return {
+        d: SweepResult(design=d, loads=loads, results=results[i * n : (i + 1) * n])
+        for i, d in enumerate(PAPER_DESIGNS)
+    }
 
 
 def fig5(

@@ -24,6 +24,7 @@ Event vocabulary (see docs/observability.md for the field tables):
 * ``campaign`` — one per :func:`repro.runner.run_specs` call (totals);
 * ``job_submitted`` — a unique job entered the work queue;
 * ``job_started`` — an attempt began executing (per retry attempt);
+* ``backend_resolved`` — the backend that attempt runs on, and why;
 * ``heartbeat`` — periodic in-run progress (cycle, cycles/sec, ETA);
 * ``checkpointed`` — a mid-run snapshot was written;
 * ``retry`` — an attempt failed and the job will be retried;
@@ -51,6 +52,7 @@ JOURNAL_SCHEMA_VERSION = 1
 EV_CAMPAIGN = "campaign"
 EV_JOB_SUBMITTED = "job_submitted"
 EV_JOB_STARTED = "job_started"
+EV_BACKEND_RESOLVED = "backend_resolved"
 EV_HEARTBEAT = "heartbeat"
 EV_CHECKPOINTED = "checkpointed"
 EV_CHECKPOINT_SKIPPED = "checkpoint_skipped"
@@ -66,6 +68,7 @@ JOURNAL_EVENTS = (
     EV_CAMPAIGN,
     EV_JOB_SUBMITTED,
     EV_JOB_STARTED,
+    EV_BACKEND_RESOLVED,
     EV_HEARTBEAT,
     EV_CHECKPOINTED,
     EV_CHECKPOINT_SKIPPED,

@@ -19,6 +19,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from .journal import (
     EV_AUDIT_VIOLATION,
+    EV_BACKEND_RESOLVED,
     EV_CACHE_HIT,
     EV_CACHE_QUARANTINE,
     EV_CACHE_REJECTED,
@@ -88,6 +89,8 @@ class JobStatus:
     cps: Optional[float] = None
     eta_s: Optional[float] = None
     error: Optional[str] = None
+    #: backend the latest attempt resolved to (``backend_resolved``).
+    backend: Optional[str] = None
     first_ts: Optional[float] = None
     last_ts: Optional[float] = None
 
@@ -122,6 +125,7 @@ class JobStatus:
             "cps": self.cps,
             "eta_s": self.eta_s,
             "error": self.error,
+            "backend": self.backend,
         }
 
 
@@ -214,6 +218,8 @@ class CampaignStatus:
             job.attempts = max(job.attempts, record.get("attempt", job.attempts + 1))
             job.state = "running"
             job.cycle = record.get("cycle", job.cycle)
+        elif event == EV_BACKEND_RESOLVED:
+            job.backend = record.get("resolved", job.backend)
         elif event == EV_HEARTBEAT:
             job.heartbeats += 1
             job.state = "running"
@@ -250,6 +256,15 @@ class CampaignStatus:
             out[job.state] = out.get(job.state, 0) + 1
         return out
 
+    def backend_counts(self) -> Dict[str, int]:
+        """Job counts per resolved backend (jobs that never started, such
+        as cache hits, ran on none and are not counted)."""
+        out: Dict[str, int] = {}
+        for job in self.jobs.values():
+            if job.backend is not None:
+                out[job.backend] = out.get(job.backend, 0) + 1
+        return dict(sorted(out.items()))
+
     @property
     def finished(self) -> bool:
         """True when at least one job was seen and all are terminal."""
@@ -268,6 +283,7 @@ class CampaignStatus:
             "workers": self.workers,
             "jobs": [j.to_dict() for j in self.jobs.values()],
             "counts": counts,
+            "backends": self.backend_counts(),
             "finished": self.finished,
             "elapsed_s": self.elapsed_s,
             "events_seen": self.events_seen,

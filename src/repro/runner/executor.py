@@ -24,12 +24,12 @@ per-figure experiment drivers and the CLI.  Guarantees:
 * **Telemetry** — with a ``journal`` (a directory path or
   :class:`~repro.obs.journal.Journal`), the driver and every worker
   append structured lifecycle events (``job_submitted`` / ``job_started``
-  / ``heartbeat`` / ``checkpointed`` / ``checkpoint_skipped`` / ``retry``
-  / ``cache_hit`` / ``completed`` / ``failed`` / ``audit_violation``) to
-  their own JSONL shard, so a campaign is observable while running
-  (``repro tail``) and explainable after a crash (``repro status``).  The
-  journal is a pure observer: journal-enabled runs are bit-exact with
-  journal-disabled ones.
+  / ``backend_resolved`` / ``heartbeat`` / ``checkpointed`` /
+  ``checkpoint_skipped`` / ``retry`` / ``cache_hit`` / ``completed`` /
+  ``failed`` / ``audit_violation``) to their own JSONL shard, so a
+  campaign is observable while running (``repro tail``) and explainable
+  after a crash (``repro status``).  The journal is a pure observer:
+  journal-enabled runs are bit-exact with journal-disabled ones.
 
 Workers receive jobs as plain dicts (``RunSpec.describe()`` wrapped with
 the execution options), which keeps the process boundary free of pickling
@@ -59,6 +59,7 @@ from ..checkpoint.format import CheckpointError, list_checkpoints
 from ..checkpoint.policy import CheckpointPolicy
 from ..obs.journal import (
     EV_AUDIT_VIOLATION,
+    EV_BACKEND_RESOLVED,
     EV_CACHE_HIT,
     EV_CAMPAIGN,
     EV_CHECKPOINT_SKIPPED,
@@ -136,10 +137,11 @@ def execute_spec(
     ``journal`` (a :class:`~repro.obs.journal.JobJournal`) records the
     attempt's lifecycle: a ``job_started`` event here (carrying
     ``attempt``, the executing pid and the start cycle — nonzero when the
-    attempt resumed from a checkpoint), a ``checkpoint_skipped`` event for
-    every unreadable snapshot the resume passed over, heartbeats and
-    ``checkpointed`` events from inside the run, and an ``audit_violation``
-    event when the auditor aborts the job.
+    attempt resumed from a checkpoint) and a ``backend_resolved`` event
+    (requested and resolved backend, and why), a ``checkpoint_skipped``
+    event for every unreadable snapshot the resume passed over, heartbeats
+    and ``checkpointed`` events from inside the run, and an
+    ``audit_violation`` event when the auditor aborts the job.
     """
     workload = materialize_workload(spec.workload, spec.config)
     policy = None
@@ -174,6 +176,13 @@ def execute_spec(
     if journal is not None:
         journal.event(
             EV_JOB_STARTED, attempt=attempt, pid=os.getpid(), cycle=sim.network.cycle
+        )
+        resolved, reason = spec.config.backend_choice()
+        journal.event(
+            EV_BACKEND_RESOLVED,
+            requested=spec.config.backend,
+            resolved=resolved,
+            reason=reason,
         )
     try:
         return sim.run(check_invariants=check_invariants)

@@ -102,7 +102,10 @@ class SaturationSpec:
     latency at the bracket's low edge.  ``tolerance`` is the absolute
     width (flits/node/cycle) the bracket is narrowed to.  ``sim`` carries
     further :class:`~repro.sim.config.SimConfig` overrides (cycle counts,
-    packet size, ...) applied verbatim to every probe.
+    packet size, ...) applied verbatim to every probe.  Without a
+    ``backend`` override each probe runs on
+    :meth:`~repro.sim.config.SimConfig.fastest_backend`; the backends are
+    bit-exact, so only the probe cache keys depend on it.
 
     Execution knobs (``jobs``, ``speculation``) deliberately live on
     :func:`run_saturation`, not here: they affect how the search runs,
@@ -497,6 +500,9 @@ def run_saturation(
     execute = runner if runner is not None else run_specs
     cache = ResultCache(root / "cache")
     base = spec.base_config()
+    # Probes run on the fastest bit-exact backend unless ``spec.sim``
+    # names one (``sim={"backend": "object"}`` forces the reference walk).
+    stamp = "backend" not in spec.sim
     searches = [_Search(spec, d) for d in spec.designs]
     rounds = probes_total = probes_executed = 0
     write_json(root / REPORT_NAME, _report_payload(spec, searches))
@@ -514,6 +520,8 @@ def run_saturation(
                 cfg = base.with_(
                     design=s.design, offered_load=load, seed=s.seed()
                 )
+                if stamp:
+                    cfg = cfg.with_(backend=cfg.fastest_backend())
                 batch.append(
                     RunSpec(cfg, tag=f"{s.design}@{load:g}#g{s.generation}")
                 )

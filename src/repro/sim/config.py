@@ -37,6 +37,10 @@ class ConfigError(ValueError):
     """
 
 
+#: Why ``auto`` picked ``object`` when that is a performance choice, not
+#: a capability gap (so no warning).
+_BELOW_MIN_WORK = "below vector_min_work"
+
 #: (design, reason) pairs already warned about under ``backend="auto"``
 #: fallback, so a sweep over hundreds of configs warns once per cause.
 _FALLBACK_WARNED: set = set()
@@ -162,6 +166,9 @@ class FaultConfig:
             raise ValueError(
                 f"granularity must be 'crossbar' or 'crosspoint', got {self.granularity!r}"
             )
+        # One representation per value: percent=100 and percent=100.0 are
+        # equal, so they must hash (and report) alike.
+        object.__setattr__(self, "percent", float(self.percent))
         if self.entries is not None:
             if len(self.entries) == 0:
                 raise ValueError(
@@ -297,8 +304,8 @@ class SimConfig:
     # Simulation backend: the per-flit "object" walk (reference), the
     # struct-of-arrays "vector" kernels (piloted designs only), or "auto"
     # (vector where supported, object otherwise, with a one-time warning
-    # on fallback).  Serialised and hashed, so cache keys and checkpoints
-    # distinguish backends.
+    # on fallback).  Serialised and hashed, so cache keys distinguish
+    # backends; checkpoint identity strips it.
     backend: str = "object"
 
     def __post_init__(self) -> None:
@@ -364,40 +371,68 @@ class SimConfig:
             )
         return None
 
+    def _auto_choice(self) -> Tuple[str, str]:
+        """``(backend, why)`` of the ``auto`` rule for this config.
+
+        ``why`` is ``"kernel"``, ``"below vector_min_work"`` or, for a
+        capability gap, the :meth:`_vector_unsupported_reason` text.
+        """
+        reason = self._vector_unsupported_reason()
+        if reason is not None:
+            return "object", reason
+        min_work = self.spec.vector_min_work
+        if min_work is not None and self.k * self.k * self.offered_load < min_work:
+            return "object", _BELOW_MIN_WORK
+        return "vector", "kernel"
+
+    def fastest_backend(self) -> str:
+        """The fastest bit-exact backend for this config, whatever
+        ``backend`` says: ``vector`` when the design has a kernel, no
+        per-flit tracing is requested *and* the expected work rate
+        ``k**2 * offered_load`` clears the design's profiled
+        ``vector_min_work`` threshold (under it, the active object walk
+        skips idle routers and beats the kernel's fixed per-cycle cost);
+        ``object`` otherwise.  Pure: never warns.  Sweep drivers that own
+        their configs stamp each one with it.
+        """
+        return self._auto_choice()[0]
+
+    def backend_choice(self) -> Tuple[str, str]:
+        """``(resolved backend, reason)`` for the run journal.
+
+        The reason is ``"requested explicitly"`` for ``object``/``vector``
+        and ``"auto: kernel"``, ``"auto: below vector_min_work"`` or
+        ``"auto: <capability reason>"`` for ``auto``.  Pure: never warns.
+        """
+        if self.backend != "auto":
+            return self.backend, "requested explicitly"
+        backend, why = self._auto_choice()
+        return backend, f"auto: {why}"
+
     def resolved_backend(self) -> str:
         """The backend a run of this config actually uses.
 
         ``object`` and ``vector`` resolve to themselves (validation already
-        guaranteed vector support); ``auto`` picks ``vector`` when the
-        design has a kernel, no per-flit tracing is requested *and* the
-        expected work rate ``k**2 * offered_load`` clears the design's
-        profiled ``vector_min_work`` threshold — under it, the active
-        object walk skips idle routers and beats the kernel's fixed
-        per-cycle cost, so ``auto`` quietly keeps the object backend (a
-        performance choice, not a capability gap: no warning).  Capability
-        fallbacks still warn once per (design, cause) per process.
+        guaranteed vector support); ``auto`` resolves to
+        :meth:`fastest_backend`.  Choosing ``object`` under the
+        ``vector_min_work`` threshold is a performance choice, not a
+        capability gap: no warning.  Capability fallbacks warn once per
+        (design, cause) per process.
         """
         if self.backend != "auto":
             return self.backend
-        reason = self._vector_unsupported_reason()
-        if reason is None:
-            min_work = self.spec.vector_min_work
-            if (
-                min_work is not None
-                and self.k * self.k * self.offered_load < min_work
-            ):
-                return "object"
-            return "vector"
-        key = (self.design, reason)
-        if key not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(key)
-            warnings.warn(
-                f"backend='auto': falling back to the object backend "
-                f"({reason})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "object"
+        backend, why = self._auto_choice()
+        if backend == "object" and why != _BELOW_MIN_WORK:
+            key = (self.design, why)
+            if key not in _FALLBACK_WARNED:
+                _FALLBACK_WARNED.add(key)
+                warnings.warn(
+                    f"backend='auto': falling back to the object backend "
+                    f"({why})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        return backend
 
     # ------------------------------------------------------------------
     @property

@@ -132,6 +132,24 @@ class TestConfigHash:
         assert CampaignSpec().campaign_hash() == "b9e1c98b72061f5a"
         assert SaturationSpec().search_hash() == "936e26606273d4d6"
 
+    def test_int_and_float_fault_percent_are_one_config(self):
+        """Equal configs hash and report alike: ``percent`` is stored as a
+        float however it was given."""
+        from repro.sim.engine import Simulator
+
+        a = SimConfig(design="dxbar_dor", faults=FaultConfig(percent=100))
+        b = SimConfig(design="dxbar_dor", faults=FaultConfig(percent=100.0))
+        assert type(a.faults.percent) is float
+        assert a.to_dict() == b.to_dict()
+        assert a.config_hash() == b.config_hash() == "d039922149728000"
+        small = dict(k=4, warmup_cycles=20, measure_cycles=60, drain_cycles=60)
+        reports = [
+            json.dumps(Simulator(c.with_(**small)).run().to_dict(), sort_keys=True)
+            for c in (a, b)
+        ]
+        assert reports[0] == reports[1]
+        assert '"fault_percent": 100.0' in reports[0]
+
 
 class TestFaultMapEntries:
     """Explicit fault-map entries (the campaign sampler's output) must be

@@ -1,5 +1,7 @@
 """Smoke tests for the per-figure experiment drivers at a tiny scale."""
 
+import json
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -121,6 +123,24 @@ class TestSplashFigures:
         f10 = fig10(TINY)
         for ys in f10.series.values():
             assert all(v > 0 for v in ys)
+
+
+class TestCellBackends:
+    def test_grid_cells_run_on_the_fastest_backend(self, tmp_path):
+        from repro.runner import ResultCache
+        from repro.sim.config import SimConfig
+
+        fig5(TINY, cache=ResultCache(tmp_path / "c"))
+        fig11(TINY, cache=ResultCache(tmp_path / "c"))
+        seen = {}
+        for path in (tmp_path / "c").glob("*.json"):
+            ident = json.loads(path.read_text())["identity"]["config"]
+            cfg = SimConfig.from_dict(ident)
+            assert cfg.backend == cfg.fastest_backend(), cfg.design
+            seen.setdefault(cfg.design, set()).add(cfg.backend)
+        assert set(seen) == set(PAPER_DESIGNS) | {"dxbar_dor", "dxbar_wf"}
+        assert seen["buffered4"] == {"vector"}
+        assert seen["dxbar_dor"] == {"object"}
 
 
 class TestRegistry:

@@ -182,7 +182,7 @@ class TestCampaignStatus:
 GOLDEN_JOB = {"job": "", "design": "", "pattern": "", "load": None, "tag": "",
               "state": "", "attempts": 0, "retries": 0, "heartbeats": 0,
               "checkpoints": 0, "cycle": 0, "horizon": 0, "phase": "",
-              "cps": None, "eta_s": None, "error": None}
+              "cps": None, "eta_s": None, "error": None, "backend": None}
 
 GOLDEN_STATUS = {
     "campaign": {
@@ -203,6 +203,7 @@ GOLDEN_STATUS = {
         ],
         "counts": {"running": 1, "retrying": 0, "queued": 0, "completed": 1,
                    "cached": 1, "failed": 1},
+        "backends": {},
         "finished": False,
         "elapsed_s": 15.0,
         "events_seen": 16,

@@ -261,7 +261,7 @@ class TestGoldenRun:
         report, digest = run_digest(_golden_config("dxbar_dor", 0.3, faults))
         assert report["fault_reconfigurations"] == 64
         assert digest == (
-            "93fab21d13957d29197f470092b95f32b79ae115ba72df1f3f6412e906fedd67"
+            "b617393bbbfca5ecf54c4123293ab5cf200a4a26f00a3d287ccd796dc39fd535"
         )
 
     def test_crosspoint_digest_pinned(self):
@@ -275,5 +275,5 @@ class TestGoldenRun:
         assert report["fault_reconfigurations"] == 0
         assert report["final_cycle"] == 300
         assert digest == (
-            "d6ec62e8fa12765130ba3351dc54ecae0d1e9108918d2e34130d6b8d06c2d99c"
+            "cc75c61a5fd2935cb899c8a492e00a846a8a82c01e857f9763a6d101ea6a9d72"
         )

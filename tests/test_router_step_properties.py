@@ -53,6 +53,7 @@ class SingleRouterHarness:
         self.network._active_flits += 1
         link = self.router.in_links[in_port]
         link._regs[-1] = flit  # bypass the pipeline: arrives this cycle
+        link._count += 1  # keep in_flight() consistent with the registers
         return flit
 
     def outputs_driven(self):
@@ -97,6 +98,9 @@ class TestSingleCycleContracts:
         h = SingleRouterHarness(design)
         flits = [h.force_arrival(p, dst, age) for p, dst, age in arrivals]
         h.step_router_only(cycle=0)
+        # The latch drained every input link, count included.
+        for port, _, _ in arrivals:
+            assert h.router.in_links[port].in_flight() == 0
         driven = h.outputs_driven()
         # Each output link driven at most once is enforced by Link.push;
         # here we check that every flit is accounted for: on an output

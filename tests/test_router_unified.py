@@ -153,5 +153,5 @@ class TestGoldenRun:
         report, digest = run_digest(cfg)
         assert report["fault_reconfigurations"] == 64
         assert digest == (
-            "28fc179066299ae3efa617901a18302cf2c753254890f8a98e83596a0e5d5416"
+            "173d0c7f926ac0188c3a6cc76852aa9a55ba3edb943c8b561f940d4927fe1401"
         )

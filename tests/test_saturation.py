@@ -530,6 +530,84 @@ class TestPaperOrdering:
 
 
 # ----------------------------------------------------------------------
+# probe backends
+# ----------------------------------------------------------------------
+class TestProbeBackends:
+    """Probes run on the fastest bit-exact backend unless ``spec.sim``
+    names one; the report does not depend on the choice."""
+
+    TINY_SIM = {"warmup_cycles": 20, "measure_cycles": 80, "drain_cycles": 40}
+
+    def test_probe_configs_carry_concrete_backends(self, tmp_path):
+        designs = ("buffered4", "dxbar_dor", "flit_bless")
+        cliffs = {d: 0.6 * analytic_capacity(d, 4) for d in designs}
+        calls = []
+        spec = SaturationSpec(designs=designs, k=4, tolerance=0.02, seed=7)
+        run_saturation(tmp_path / "s", spec, runner=cliff_runner(cliffs, calls))
+        by_design = {d: [c for c in calls if c.design == d] for d in designs}
+        assert all(by_design.values())
+        assert {c.backend for c in by_design["buffered4"]} == {"vector"}
+        assert {c.backend for c in by_design["dxbar_dor"]} == {"object"}
+        # flit_bless follows its vector_min_work threshold (k**2 * load).
+        min_work = DESIGNS.get("flit_bless").vector_min_work
+        for c in by_design["flit_bless"]:
+            want = "vector" if 16 * c.offered_load >= min_work else "object"
+            assert c.backend == want, c.offered_load
+        assert {c.backend for c in by_design["flit_bless"]} == {"object", "vector"}
+
+    def test_sim_backend_override_is_honoured(self, tmp_path):
+        """``sim={"backend": "object"}`` forces the reference walk, and
+        its report rows equal those of the default (stamped) search."""
+        common = dict(designs=("buffered4", "flit_bless"), k=4, tolerance=0.1,
+                      min_load=0.05, seed=5)
+        fast = run_saturation(
+            tmp_path / "fast", SaturationSpec(**common, sim=self.TINY_SIM)
+        )
+        ref_spec = SaturationSpec(**common, sim={**self.TINY_SIM, "backend": "object"})
+        ref = run_saturation(tmp_path / "ref", ref_spec)
+        assert fast.payload["designs"] == ref.payload["designs"]
+
+        def cached_backends(root):
+            return {
+                json.loads(p.read_text())["identity"]["config"]["backend"]
+                for p in (root / "cache").glob("*.json")
+            }
+
+        assert cached_backends(tmp_path / "ref") == {"object"}
+        assert "vector" in cached_backends(tmp_path / "fast")
+
+    def test_kernel_less_design_warns_nothing_and_journals_backends(self, tmp_path):
+        import warnings
+
+        from repro.obs import campaign_status, merge_journal
+        from repro.sim.config import _FALLBACK_WARNED
+
+        _FALLBACK_WARNED.clear()
+        spec = SaturationSpec(
+            designs=("buffered4", "dxbar_dor"), k=4, tolerance=0.2,
+            min_load=0.1, seed=5, sim=self.TINY_SIM,
+        )
+        root = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_saturation(root, spec)
+        events = merge_journal(root / "journal")
+        design_of = {
+            e["job"]: e["design"] for e in events if e["event"] == "job_submitted"
+        }
+        resolved = {}
+        for e in events:
+            if e["event"] == "backend_resolved":
+                assert e["requested"] == e["resolved"]
+                assert e["reason"] == "requested explicitly"
+                resolved.setdefault(design_of[e["job"]], set()).add(e["resolved"])
+        assert resolved == {"buffered4": {"vector"}, "dxbar_dor": {"object"}}
+        counts = campaign_status(root / "journal").to_dict()["backends"]
+        assert set(counts) == {"object", "vector"}
+        assert sum(counts.values()) == len(design_of)
+
+
+# ----------------------------------------------------------------------
 # CLI (one tiny real-simulation search)
 # ----------------------------------------------------------------------
 class TestCli:

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from repro.registry import DESIGNS
 from repro.sim.config import ConfigError, FaultConfig, SimConfig, _FALLBACK_WARNED
 from repro.sim.engine import Simulator
 from repro.sim.topology import Mesh
@@ -268,6 +269,41 @@ class TestAutoBackendWorkHeuristic:
         # buffered4 registers no vector_min_work: auto -> vector at any load.
         cfg = _config("buffered4", backend="auto", k=4, offered_load=0.05)
         assert cfg.resolved_backend() == "vector"
+
+    @pytest.mark.parametrize("design", DESIGNS.names())
+    def test_fastest_backend_is_the_auto_choice(self, design):
+        """``fastest_backend()`` is ``auto``'s choice, whatever the
+        requested backend, and never warns."""
+        for k, load in ((4, 0.05), (4, 0.8), (8, 0.3)):
+            cfg = _config(design, backend="auto", k=k, offered_load=load)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                resolved = cfg.resolved_backend()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cfg.fastest_backend() == resolved, (k, load)
+                assert cfg.with_(backend="object").fastest_backend() == resolved
+
+    def test_tracing_makes_object_the_fastest(self):
+        from repro.sim.config import TelemetryConfig
+
+        cfg = _config("buffered4", telemetry=TelemetryConfig(trace_buffer=64))
+        assert cfg.fastest_backend() == "object"
+
+    def test_backend_choice_reasons(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _config("flit_bless", backend="object").backend_choice() == (
+                "object", "requested explicitly")
+            assert _config("buffered4", backend="vector").backend_choice() == (
+                "vector", "requested explicitly")
+            assert _config("buffered4", backend="auto").backend_choice() == (
+                "vector", "auto: kernel")
+            low = _config("flit_bless", backend="auto", k=4, offered_load=0.3)
+            assert low.backend_choice() == ("object", "auto: below vector_min_work")
+            resolved, reason = _config("scarab", backend="auto").backend_choice()
+        assert resolved == "object"
+        assert reason.startswith("auto: design 'scarab' has no vectorized kernel")
 
 
 class TestDualCrossbarRunsTheObjectWalk:
