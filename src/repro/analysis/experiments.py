@@ -36,7 +36,7 @@ from ..sim.stats import SimResult
 from ..traffic.patterns import pattern_names
 from ..traffic.splash2 import splash2_app_names
 from .report import FigureResult
-from .sweep import CacheLike, SweepResult
+from .sweep import CacheLike, SweepResult, design_grid
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,14 @@ def _run_grid(
     cache: CacheLike,
     progress=None,
 ) -> List[SimResult]:
-    """Run figure cells, each on its fastest bit-exact backend (the
-    figure drivers own their configs and never pick a backend)."""
+    """Run figure cells.  Open-loop cells run on their fastest bit-exact
+    backend (the figure drivers own their configs and never pick one);
+    closed-loop SPLASH-2 cells keep their config's backend, because the
+    ``vector_min_work`` rule reads ``offered_load``, which they ignore."""
     specs = [
-        replace(s, config=s.config.with_(backend=s.config.fastest_backend()))
+        s
+        if s.workload is not None
+        else replace(s, config=s.config.with_(backend=s.config.fastest_backend()))
         for s in specs
     ]
     outcomes = run_specs(
@@ -182,19 +186,13 @@ def table3() -> FigureResult:
 def _ur_sweep(
     scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
 ) -> Dict[str, SweepResult]:
-    base = _base_config(scale)
-    loads = list(scale.loads)
-    specs = [
-        RunSpec(base.with_(design=d, pattern="UR", offered_load=load), tag=d)
-        for d in PAPER_DESIGNS
-        for load in loads
-    ]
-    results = _run_grid(specs, jobs, cache, progress)
-    n = len(loads)
-    return {
-        d: SweepResult(design=d, loads=loads, results=results[i * n : (i + 1) * n])
-        for i, d in enumerate(PAPER_DESIGNS)
-    }
+    return design_grid(
+        PAPER_DESIGNS,
+        scale.loads,
+        _base_config(scale),
+        lambda specs: _run_grid(specs, jobs, cache, progress),
+        pattern="UR",
+    )
 
 
 def fig5(

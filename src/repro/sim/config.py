@@ -400,13 +400,16 @@ class SimConfig:
     def backend_choice(self) -> Tuple[str, str]:
         """``(resolved backend, reason)`` for the run journal.
 
-        The reason is ``"requested explicitly"`` for ``object``/``vector``
-        and ``"auto: kernel"``, ``"auto: below vector_min_work"`` or
-        ``"auto: <capability reason>"`` for ``auto``.  Pure: never warns.
+        When the backend is the one the ``auto`` rule picks (``auto``
+        itself, or a concrete backend a sweep driver stamped from
+        :meth:`fastest_backend`) the reason is the rule's: ``"auto:
+        kernel"``, ``"auto: below vector_min_work"`` or ``"auto:
+        <capability reason>"``.  A concrete backend that overrides the
+        rule gives ``"requested explicitly"``.  Pure: never warns.
         """
-        if self.backend != "auto":
-            return self.backend, "requested explicitly"
         backend, why = self._auto_choice()
+        if self.backend not in ("auto", backend):
+            return self.backend, "requested explicitly"
         return backend, f"auto: {why}"
 
     def resolved_backend(self) -> str:

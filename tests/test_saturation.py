@@ -584,7 +584,7 @@ class TestProbeBackends:
 
         _FALLBACK_WARNED.clear()
         spec = SaturationSpec(
-            designs=("buffered4", "dxbar_dor"), k=4, tolerance=0.2,
+            designs=("buffered4", "dxbar_dor", "flit_bless"), k=4, tolerance=0.2,
             min_load=0.1, seed=5, sim=self.TINY_SIM,
         )
         root = tmp_path / "s"
@@ -595,13 +595,22 @@ class TestProbeBackends:
         design_of = {
             e["job"]: e["design"] for e in events if e["event"] == "job_submitted"
         }
-        resolved = {}
+        # Stamped probes journal the auto rule's reason, not an explicit
+        # request: nobody named a backend.
+        choices = {}
         for e in events:
             if e["event"] == "backend_resolved":
                 assert e["requested"] == e["resolved"]
-                assert e["reason"] == "requested explicitly"
-                resolved.setdefault(design_of[e["job"]], set()).add(e["resolved"])
-        assert resolved == {"buffered4": {"vector"}, "dxbar_dor": {"object"}}
+                choices.setdefault(design_of[e["job"]], set()).add(
+                    (e["resolved"], e["reason"])
+                )
+        assert choices["buffered4"] == {("vector", "auto: kernel")}
+        [(backend, reason)] = choices["dxbar_dor"]
+        assert backend == "object"
+        assert reason.startswith("auto: design 'dxbar_dor' has no vectorized kernel")
+        assert choices["flit_bless"] == {
+            ("object", "auto: below vector_min_work"), ("vector", "auto: kernel")
+        }
         counts = campaign_status(root / "journal").to_dict()["backends"]
         assert set(counts) == {"object", "vector"}
         assert sum(counts.values()) == len(design_of)

@@ -293,17 +293,24 @@ class TestAutoBackendWorkHeuristic:
     def test_backend_choice_reasons(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _config("flit_bless", backend="object").backend_choice() == (
+            # A concrete backend that overrides the auto rule.
+            assert _config("buffered4", backend="object").backend_choice() == (
                 "object", "requested explicitly")
-            assert _config("buffered4", backend="vector").backend_choice() == (
+            assert _config("flit_bless", backend="vector").backend_choice() == (
                 "vector", "requested explicitly")
-            assert _config("buffered4", backend="auto").backend_choice() == (
-                "vector", "auto: kernel")
-            low = _config("flit_bless", backend="auto", k=4, offered_load=0.3)
-            assert low.backend_choice() == ("object", "auto: below vector_min_work")
-            resolved, reason = _config("scarab", backend="auto").backend_choice()
-        assert resolved == "object"
-        assert reason.startswith("auto: design 'scarab' has no vectorized kernel")
+            # ``auto``, or a concrete backend equal to its choice (what the
+            # sweep drivers stamp), journals the rule's reason.
+            for backend in ("auto", "vector"):
+                assert _config("buffered4", backend=backend).backend_choice() == (
+                    "vector", "auto: kernel")
+            for backend in ("auto", "object"):
+                low = _config("flit_bless", backend=backend, k=4, offered_load=0.3)
+                assert low.backend_choice() == (
+                    "object", "auto: below vector_min_work")
+                resolved, reason = _config("scarab", backend=backend).backend_choice()
+                assert resolved == "object"
+                assert reason.startswith(
+                    "auto: design 'scarab' has no vectorized kernel")
 
 
 class TestDualCrossbarRunsTheObjectWalk:
