@@ -1,6 +1,6 @@
 """Fig 10: energy consumed on the SPLASH-2 traces.
 
-Shares the Fig 9 simulations through the experiment cache.
+Shares the Fig 9 simulations through the session figure root.
 
 Shape targets (paper): Flit-BLESS the most expensive (deflections), SCARAB
 next (drops + the NACK network + retransmissions), DXbar the cheapest.
@@ -14,10 +14,12 @@ from repro.analysis.experiments import fig9, fig10, scale_from_env
 from repro.analysis.metrics import geometric_mean
 
 
-def test_fig10_splash2_energy(benchmark, record_figure):
+def test_fig10_splash2_energy(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig9(scale)  # warm the shared cache outside the timer
-    fig = benchmark.pedantic(fig10, args=(scale,), rounds=1, iterations=1)
+    fig9(scale, root=figure_root)  # warm the shared cache outside the timer
+    fig = benchmark.pedantic(
+        fig10, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     gmean = {label: geometric_mean(ys) for label, ys in fig.series.items()}

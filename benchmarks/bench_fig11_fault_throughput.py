@@ -10,9 +10,11 @@ with the fault percentage.
 from repro.analysis.experiments import fig11, fig11_latency, scale_from_env
 
 
-def test_fig11_fault_throughput(benchmark, record_figure):
+def test_fig11_fault_throughput(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig = benchmark.pedantic(fig11, args=(scale,), rounds=1, iterations=1)
+    fig = benchmark.pedantic(
+        fig11, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     dor = fig.series["DXbar DOR"]
@@ -26,10 +28,12 @@ def test_fig11_fault_throughput(benchmark, record_figure):
         assert d >= w - 0.01
 
 
-def test_fig11c_fault_latency(benchmark, record_figure):
+def test_fig11c_fault_latency(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig11(scale)  # shared grid
-    fig = benchmark.pedantic(fig11_latency, args=(scale,), rounds=1, iterations=1)
+    fig11(scale, root=figure_root)  # shared grid
+    fig = benchmark.pedantic(
+        fig11_latency, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     for label, ys in fig.series.items():

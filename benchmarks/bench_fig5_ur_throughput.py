@@ -12,9 +12,11 @@ from repro.analysis.experiments import fig5, scale_from_env
 from repro.analysis.metrics import peak_accepted
 
 
-def test_fig5_ur_throughput(benchmark, record_figure):
+def test_fig5_ur_throughput(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig = benchmark.pedantic(fig5, args=(scale,), rounds=1, iterations=1)
+    fig = benchmark.pedantic(
+        fig5, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     peak = {label: peak_accepted(ys) for label, ys in fig.series.items()}

@@ -1,6 +1,6 @@
 """Fig 6: average energy (nJ/packet) vs offered load, uniform random.
 
-Shares the Fig 5 simulations through the experiment cache.
+Shares the Fig 5 simulations through the session figure root.
 
 Shape targets (paper): bufferless designs cheapest at the lowest loads but
 blowing up past their saturation point (Flit-BLESS worst); DXbar stays
@@ -11,10 +11,12 @@ than Buffered 4.
 from repro.analysis.experiments import fig5, fig6, scale_from_env
 
 
-def test_fig6_ur_energy(benchmark, record_figure):
+def test_fig6_ur_energy(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig5(scale)  # ensure the shared sweep is cached outside the timer
-    fig = benchmark.pedantic(fig6, args=(scale,), rounds=1, iterations=1)
+    fig5(scale, root=figure_root)  # ensure the shared sweep is cached outside the timer
+    fig = benchmark.pedantic(
+        fig6, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     hi = -1  # highest-load grid point

@@ -15,9 +15,11 @@ DXbar best among the non-deflecting designs only.
 from repro.analysis.experiments import fig7, scale_from_env
 
 
-def test_fig7_synthetic_throughput(benchmark, record_figure):
+def test_fig7_synthetic_throughput(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig = benchmark.pedantic(fig7, args=(scale,), rounds=1, iterations=1)
+    fig = benchmark.pedantic(
+        fig7, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     idx = {p: i for i, p in enumerate(fig.x)}

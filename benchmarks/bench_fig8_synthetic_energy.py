@@ -1,6 +1,6 @@
 """Fig 8: energy at offered load 0.5 for all nine synthetic patterns.
 
-Shares the Fig 7 simulations through the experiment cache.
+Shares the Fig 7 simulations through the session figure root.
 
 Shape target (paper): "DXbar uses the least power, while Flit-Bless uses
 the most, SCARAB the second, and the generic routers lie in between."  We
@@ -13,10 +13,12 @@ docstring and EXPERIMENTS.md).
 from repro.analysis.experiments import fig7, fig8, scale_from_env
 
 
-def test_fig8_synthetic_energy(benchmark, record_figure):
+def test_fig8_synthetic_energy(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig7(scale)  # warm the shared cache outside the timer
-    fig = benchmark.pedantic(fig8, args=(scale,), rounds=1, iterations=1)
+    fig7(scale, root=figure_root)  # warm the shared cache outside the timer
+    fig = benchmark.pedantic(
+        fig8, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     idx = {p: i for i, p in enumerate(fig.x)}

@@ -13,9 +13,11 @@ from repro.analysis.experiments import fig9, scale_from_env
 from repro.analysis.metrics import geometric_mean
 
 
-def test_fig9_splash2_time(benchmark, record_figure):
+def test_fig9_splash2_time(benchmark, record_figure, figure_root):
     scale = scale_from_env()
-    fig = benchmark.pedantic(fig9, args=(scale,), rounds=1, iterations=1)
+    fig = benchmark.pedantic(
+        fig9, args=(scale,), kwargs={"root": figure_root}, rounds=1, iterations=1
+    )
     record_figure(fig)
 
     gmean = {label: geometric_mean(ys) for label, ys in fig.series.items()}

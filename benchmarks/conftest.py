@@ -7,8 +7,10 @@ in :mod:`repro.analysis.experiments`, at the scale selected by the
 
 Rendered results are written to ``benchmarks/results/<exp>.txt`` so a run
 leaves the reproduced artifacts on disk (EXPERIMENTS.md records them).
-Figures that share simulations (5/6, 7/8, 9/10, 11/12) hit the experiment
-cache, so the second benchmark of each pair measures only rendering.
+Every figure benchmark runs its cells in one session-wide figure root
+(``figure_root``), so figures that share simulations (5/6, 7/8, 9/10,
+11/12) simulate them once and the second benchmark of each pair measures
+only cache reads and rendering.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ def save_and_render(fig: FigureResult) -> str:
     text = render_figure(fig)
     (RESULTS_DIR / f"{fig.exp_id}.txt").write_text(text + "\n")
     return text
+
+
+@pytest.fixture(scope="session")
+def figure_root(tmp_path_factory) -> Path:
+    """One figure run directory (cache + journal) for the whole session."""
+    return tmp_path_factory.mktemp("figures")
 
 
 @pytest.fixture

@@ -4,68 +4,37 @@
 Generates a synthetic cache-coherence trace for each SPLASH-2 application
 (the full-system-simulator substitution described in DESIGN.md), replays it
 on every router design, and reports normalized execution time and energy.
+Both figures come from the same figure drivers as ``repro figure fig9`` /
+``fig10``, run in one temporary figure root so Fig 10 reuses Fig 9's
+replays.
 
 Usage::
 
-    python examples/splash2_campaign.py [--apps FFT Ocean Radix] [--txns 40]
+    python examples/splash2_campaign.py [--txns 40] [--seed 11]
+
+``REPRO_JOBS=N`` replays on N worker processes.
 """
 
 import argparse
+import tempfile
 
-from repro import SimConfig, Simulator
-from repro.analysis import render_table
-from repro.designs import DESIGN_LABELS, PAPER_DESIGNS
-from repro.sim.topology import Mesh
-from repro.traffic.splash2 import generate_app_trace, splash2_app_names
-from repro.traffic.trace import TraceWorkload
-
-
-def run_app(app: str, txns: int, seed: int):
-    mesh = Mesh(8)
-    trace = generate_app_trace(app, mesh, txns_per_core=txns, seed=seed)
-    results = {}
-    for design in PAPER_DESIGNS:
-        cfg = SimConfig(
-            design=design,
-            warmup_cycles=0,
-            measure_cycles=1,
-            drain_cycles=0,
-            seed=seed,
-            max_cycles=600_000,
-        )
-        sim = Simulator(cfg)
-        workload = TraceWorkload(list(trace))
-        sim.workload = workload
-        sim.network.workload = workload
-        results[design] = sim.run()
-    return results
+from repro.analysis import ExperimentScale, fig9, fig10, render_figure
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--apps", nargs="+", default=list(splash2_app_names()), help="apps to run"
-    )
     parser.add_argument("--txns", type=int, default=40, help="transactions per core")
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    time_rows, energy_rows = [], []
-    for app in args.apps:
-        results = run_app(app, args.txns, args.seed)
-        baseline = results["buffered4"].final_cycle
-        time_rows.append(
-            [app] + [results[d].final_cycle / baseline for d in PAPER_DESIGNS]
-        )
-        energy_rows.append(
-            [app] + [results[d].energy_per_packet_nj for d in PAPER_DESIGNS]
-        )
+    scale = ExperimentScale(txns_per_core=args.txns, seed=args.seed)
+    with tempfile.TemporaryDirectory() as root:
+        time_fig = fig9(scale, root=root)
+        energy_fig = fig10(scale, root=root)
 
-    headers = ["app"] + [DESIGN_LABELS[d] for d in PAPER_DESIGNS]
-    print("normalized execution time (Buffered 4 = 1.0)\n")
-    print(render_table(headers, time_rows))
-    print("\nenergy (nJ per packet)\n")
-    print(render_table(headers, energy_rows))
+    print(render_figure(time_fig))
+    print()
+    print(render_figure(energy_fig))
     print(
         "\nDXbar finishes the traces fastest among the non-deflecting designs "
         "and at the lowest\nenergy; Flit-BLESS keeps up on time but pays for "

@@ -33,7 +33,7 @@ from .registry import (
     register_routing,
     register_workload,
 )
-from .runner import ResultCache, RunOutcome, RunSpec, run_configs, run_specs
+from .runner import ResultCache, RunOutcome, RunSpec, run_specs
 from .sim.config import FaultConfig, SimConfig, TelemetryConfig
 from .sim.engine import Simulator, run_simulation
 from .sim.stats import SimResult
@@ -54,7 +54,6 @@ __all__ = [
     "ResultCache",
     "RunOutcome",
     "RunSpec",
-    "run_configs",
     "run_specs",
     "FaultConfig",
     "SimConfig",

@@ -5,7 +5,6 @@ from .experiments import (
     ALL_EXPERIMENTS,
     SCALES,
     ExperimentScale,
-    clear_cache,
     fig5,
     fig6,
     fig7,
@@ -41,7 +40,6 @@ __all__ = [
     "ALL_EXPERIMENTS",
     "SCALES",
     "ExperimentScale",
-    "clear_cache",
     "fig5",
     "fig6",
     "fig7",

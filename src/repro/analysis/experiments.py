@@ -7,12 +7,13 @@ carry the same labels the paper plots.
 Every driver expands its simulation grid into
 :class:`~repro.runner.RunSpec` jobs and executes them through
 :func:`repro.runner.run_specs`, so all of them accept ``jobs`` (process
-parallelism) and ``cache``.  Figures that share simulations (5/6, 7/8,
-9/10, 11/12) hit the same config-hash keys in the result store and run
-them once; the default store is an in-memory
-:class:`~repro.runner.ResultCache` shared module-wide (point it at disk
-with ``cache=``, the CLI's ``--cache-dir`` or the ``REPRO_CACHE_DIR``
-environment variable for cross-process resume).
+parallelism) and ``root``, a figure run directory (the CLI's ``--root``).
+With a root, cells are cached under ``<root>/cache`` and journaled under
+``<root>/journal`` (:func:`repro.runner.rundir.run_paths`), so ``repro
+status <root>`` shows each one as executed, cached or retried, and a
+killed run resumes by being re-run.  Figures that share simulations (5/6,
+7/8, 9/10, 11/12) hit the same config-hash keys and run them once when
+they share a root; without a root nothing is kept.
 
 Runtime is controlled by an :class:`ExperimentScale`; the ``REPRO_SCALE``
 environment variable (``quick`` / ``default`` / ``full``) selects a preset
@@ -24,19 +25,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..designs import DESIGN_LABELS, PAPER_DESIGNS
 from ..energy.area import design_area
 from ..energy.constants import DESIGN_ENERGY
-from ..runner import ResultCache, RunSpec, run_specs
+from ..runner import RunSpec, run_specs
 from ..runner.executor import results_of
+from ..runner.rundir import run_paths
 from ..sim.config import FaultConfig, SimConfig
 from ..sim.stats import SimResult
 from ..traffic.patterns import pattern_names
 from ..traffic.splash2 import splash2_app_names
 from .report import FigureResult
-from .sweep import CacheLike, SweepResult, design_grid
+from .sweep import SweepResult, design_grid
+
+#: A figure run directory, or None to keep nothing.
+Root = Optional[Union[str, Path]]
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,6 @@ def scale_from_env(default: str = "quick") -> ExperimentScale:
         raise ValueError(f"REPRO_SCALE must be one of {sorted(SCALES)}, got {name!r}")
 
 
-# ----------------------------------------------------------------------
-# shared result store (config-hash keyed; replaces the old tuple-keyed
-# module cache)
-# ----------------------------------------------------------------------
-_RESULT_STORE = ResultCache(None)
-
-
-def clear_cache() -> None:
-    """Drop the default in-memory result store (tests use this)."""
-    _RESULT_STORE.clear()
-
-
 def _resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is not None:
         return jobs
@@ -100,19 +94,10 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
         raise ValueError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
 
 
-def _resolve_cache(cache: CacheLike) -> CacheLike:
-    if cache is not None:
-        return cache
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return ResultCache(env)
-    return _RESULT_STORE
-
-
 def _run_grid(
     specs: List[RunSpec],
     jobs: Optional[int],
-    cache: CacheLike,
+    root: Root,
     progress=None,
 ) -> List[SimResult]:
     """Run figure cells.  Open-loop cells run on their fastest bit-exact
@@ -125,10 +110,14 @@ def _run_grid(
         else replace(s, config=s.config.with_(backend=s.config.fastest_backend()))
         for s in specs
     ]
+    cache = journal = None
+    if root is not None:
+        cache, journal = run_paths(root)
     outcomes = run_specs(
         specs,
         jobs=_resolve_jobs(jobs),
-        cache=_resolve_cache(cache),
+        cache=cache,
+        journal=journal,
         progress=progress,
     )
     return results_of(outcomes, "experiment jobs")
@@ -184,13 +173,13 @@ def table3() -> FigureResult:
 # Figs 5 & 6 — uniform-random load sweep
 # ----------------------------------------------------------------------
 def _ur_sweep(
-    scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
+    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
 ) -> Dict[str, SweepResult]:
     return design_grid(
         PAPER_DESIGNS,
         scale.loads,
         _base_config(scale),
-        lambda specs: _run_grid(specs, jobs, cache, progress),
+        lambda specs: _run_grid(specs, jobs, root, progress),
         pattern="UR",
     )
 
@@ -199,12 +188,12 @@ def fig5(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 5: accepted vs offered load, uniform random."""
     scale = scale or scale_from_env()
-    runs = _ur_sweep(scale, jobs, cache, progress)
+    runs = _ur_sweep(scale, jobs, root, progress)
     return FigureResult(
         exp_id="fig5",
         title="Throughput of Uniform Random traffic pattern",
@@ -218,12 +207,12 @@ def fig6(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 6: average energy (nJ/packet) vs offered load, uniform random."""
     scale = scale or scale_from_env()
-    runs = _ur_sweep(scale, jobs, cache, progress)
+    runs = _ur_sweep(scale, jobs, root, progress)
     return FigureResult(
         exp_id="fig6",
         title="Power of Uniform Random traffic pattern",
@@ -237,7 +226,7 @@ def fig6(
 # Figs 7 & 8 — all synthetic patterns at offered load 0.5
 # ----------------------------------------------------------------------
 def _synthetic_half(
-    scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
+    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
 ) -> Dict[str, Dict[str, SimResult]]:
     base = _base_config(scale)
     patterns = list(pattern_names())
@@ -246,7 +235,7 @@ def _synthetic_half(
         for design in PAPER_DESIGNS
         for p in patterns
     ]
-    results = _run_grid(specs, jobs, cache, progress)
+    results = _run_grid(specs, jobs, root, progress)
     n = len(patterns)
     return {
         design: dict(zip(patterns, results[i * n : (i + 1) * n]))
@@ -258,12 +247,12 @@ def fig7(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 7: throughput at offered load 0.5 for all synthetic traces."""
     scale = scale or scale_from_env()
-    runs = _synthetic_half(scale, jobs, cache, progress)
+    runs = _synthetic_half(scale, jobs, root, progress)
     return FigureResult(
         exp_id="fig7",
         title="Throughput at offered load = 0.5 of all synthetic traces",
@@ -280,12 +269,12 @@ def fig8(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 8: energy at offered load 0.5 for all synthetic traces."""
     scale = scale or scale_from_env()
-    runs = _synthetic_half(scale, jobs, cache, progress)
+    runs = _synthetic_half(scale, jobs, root, progress)
     return FigureResult(
         exp_id="fig8",
         title="Energy consumed at offered load = 0.5 of all synthetic traces",
@@ -302,7 +291,7 @@ def fig8(
 # Figs 9 & 10 — SPLASH-2 trace replay
 # ----------------------------------------------------------------------
 def _splash_runs(
-    scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
+    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
 ) -> Dict[str, Dict[str, SimResult]]:
     apps = list(splash2_app_names())
     specs = []
@@ -323,7 +312,7 @@ def _splash_runs(
                 max_cycles=scale.max_trace_cycles,
             )
             specs.append(RunSpec(cfg, workload=workload, tag=f"{app}/{design}"))
-    results = _run_grid(specs, jobs, cache, progress)
+    results = _run_grid(specs, jobs, root, progress)
     n = len(PAPER_DESIGNS)
     return {
         app: dict(zip(PAPER_DESIGNS, results[i * n : (i + 1) * n]))
@@ -335,13 +324,13 @@ def fig9(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 9: normalized execution time of all SPLASH-2 traces
     (normalised to Buffered 4, as the tallest baseline bar)."""
     scale = scale or scale_from_env()
-    runs = _splash_runs(scale, jobs, cache, progress)
+    runs = _splash_runs(scale, jobs, root, progress)
     apps = list(splash2_app_names())
     series = {}
     for d in PAPER_DESIGNS:
@@ -362,12 +351,12 @@ def fig10(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 10: energy consumed (nJ/packet) of all SPLASH-2 traces."""
     scale = scale or scale_from_env()
-    runs = _splash_runs(scale, jobs, cache, progress)
+    runs = _splash_runs(scale, jobs, root, progress)
     apps = list(splash2_app_names())
     return FigureResult(
         exp_id="fig10",
@@ -385,7 +374,7 @@ def fig10(
 # Figs 11 & 12 — crossbar faults
 # ----------------------------------------------------------------------
 def _fault_grid(
-    scale: ExperimentScale, jobs=None, cache: CacheLike = None, progress=None
+    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
 ) -> Dict[Tuple[str, float, float], SimResult]:
     base = _base_config(scale)
     keys = [
@@ -406,7 +395,7 @@ def _fault_grid(
         )
         for design, pct, load in keys
     ]
-    results = _run_grid(specs, jobs, cache, progress)
+    results = _run_grid(specs, jobs, root, progress)
     return dict(zip(keys, results))
 
 
@@ -416,10 +405,10 @@ def _fault_fig(
     exp_id: str,
     title: str,
     jobs=None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
-    grid = _fault_grid(scale, jobs, cache, progress)
+    grid = _fault_grid(scale, jobs, root, progress)
     load = max(scale.fault_loads)  # the paper discusses high-load behaviour
     series = {}
     for design in ("dxbar_dor", "dxbar_wf"):
@@ -442,7 +431,7 @@ def fig11(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 11: throughput under increasing crossbar faults (DOR vs WF)."""
@@ -453,7 +442,7 @@ def fig11(
         "fig11",
         "Throughput with varying percentage of router crossbar faults",
         jobs,
-        cache,
+        root,
         progress,
     )
 
@@ -462,7 +451,7 @@ def fig11_latency(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 11(c): average latency under increasing crossbar faults."""
@@ -473,7 +462,7 @@ def fig11_latency(
         "fig11c",
         "Latency with varying percentage of router crossbar faults",
         jobs,
-        cache,
+        root,
         progress,
     )
 
@@ -482,7 +471,7 @@ def fig12(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> FigureResult:
     """Fig 12: power (nJ/packet) under increasing crossbar faults."""
@@ -493,7 +482,7 @@ def fig12(
         "fig12",
         "Power consumed with varying percentage of router crossbar faults",
         jobs,
-        cache,
+        root,
         progress,
     )
 
@@ -502,13 +491,13 @@ def fault_load_curves(
     scale: Optional[ExperimentScale] = None,
     *,
     jobs: Optional[int] = None,
-    cache: CacheLike = None,
+    root: Root = None,
     progress=None,
 ) -> Dict[str, FigureResult]:
     """Fig 11(a-b) companion: full accepted-vs-offered curves per fault
     percentage, one FigureResult per design."""
     scale = scale or scale_from_env()
-    grid = _fault_grid(scale, jobs, cache, progress)
+    grid = _fault_grid(scale, jobs, root, progress)
     out = {}
     for design in ("dxbar_dor", "dxbar_wf"):
         series = {

@@ -34,7 +34,7 @@ from ..analysis.reliability import (
 )
 from ..runner import ResultCache, RunOutcome, run_specs
 from ..runner.executor import ProgressFn
-from ..runner.rundir import RunDir, write_json
+from ..runner.rundir import RunDir, run_paths, write_json
 from ..sim.stats import SimResult
 from .spec import CampaignJob, CampaignSpec
 
@@ -156,7 +156,7 @@ def run_campaign(
     outcomes = run_specs(
         [j.spec for j in campaign_jobs],
         jobs=jobs,
-        cache=ResultCache(root / "cache"),
+        cache=run_paths(root).cache,
         progress=progress,
         plugins=plugins,
         retries=retries,
@@ -165,7 +165,7 @@ def run_campaign(
         checkpoint_every=checkpoint_every,
         checkpoint_root=(root / "checkpoints") if checkpoint_every > 0 else None,
         audit=audit,
-        journal=(root / "journal") if journal else None,
+        journal=run_paths(root).journal if journal else None,
     )
     records = _to_records(campaign_jobs, outcomes)
     report = build_report(records, k=spec.k, threshold=threshold)
@@ -196,7 +196,7 @@ def campaign_report(
     root = Path(root)
     spec = load_manifest(root)
     campaign_jobs = spec.jobs()
-    cache = ResultCache(root / "cache")
+    cache = ResultCache(run_paths(root).cache)
     outcomes: List[Optional[RunOutcome]] = []
     pending = 0
     for job in campaign_jobs:
@@ -227,7 +227,7 @@ def campaign_progress(root: Union[str, Path]) -> Dict[str, Any]:
     root = Path(root)
     spec = load_manifest(root)
     campaign_jobs = spec.jobs()
-    cache = ResultCache(root / "cache")
+    cache = ResultCache(run_paths(root).cache)
     completed = sum(1 for job in campaign_jobs if cache.contains(job.spec))
     total = len(campaign_jobs)
     return {

@@ -21,8 +21,9 @@ Layering:
   :meth:`repro.sim.engine.Simulator.resume_from` — the user-facing API;
 * :func:`repro.runner.run_specs` — per-job checkpoint directories and
   crash-retry-from-checkpoint for campaigns;
-* the CLI's ``--checkpoint-every`` / ``--checkpoint-dir`` /
-  ``--resume-from`` flags (plus the ``REPRO_CHECKPOINT_DIR`` variable).
+* the CLI's ``--checkpoint-every`` / ``--checkpoint-dir`` flags (plus the
+  ``REPRO_CHECKPOINT_DIR`` variable); re-running a killed command with
+  the same flags resumes it.
 
 See the "Checkpoint & resume" section of docs/architecture.md.
 """

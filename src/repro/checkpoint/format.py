@@ -12,8 +12,8 @@ to validate a resume:
   :class:`CheckpointMismatch` (bit-exact resume is only defined for the
   identical configuration);
 * ``workload`` — the job's workload *spec* dict (or None for open-loop
-  Bernoulli jobs), stored for provenance so ``--resume-from`` can report
-  what the run was;
+  Bernoulli jobs), stored for provenance so a resume can report what
+  the run was;
 * ``cycle`` — the network cycle the snapshot was taken at;
 * ``state`` — the nested ``state_dict()`` tree (network, stats, workload,
   telemetry).
@@ -83,8 +83,9 @@ def list_checkpoints(root: PathLike) -> List[Path]:
 
     Looks at ``root`` itself first; when it holds none, descends one level
     into subdirectories — that makes a *runner* checkpoint root (which keys
-    per-job directories by job id) resolvable by ``--resume-from`` without
-    the caller knowing the job id.
+    per-job directories by job id) resolvable by
+    :meth:`~repro.sim.engine.Simulator.resume_from` without the caller
+    knowing the job id.
     """
     root = Path(root)
     if not root.is_dir():

@@ -6,24 +6,24 @@ Run as ``python -m repro <command>``:
 * ``sweep`` — an offered-load sweep for one or more designs;
 * ``figure`` — regenerate one of the paper's tables/figures;
 * ``saturate`` — adaptive per-design saturation-point search;
-* ``splash`` — run one SPLASH-2 trace across designs;
 * ``status`` / ``tail`` — inspect a fleet run journal (one-shot summary
   / live follow of a running campaign);
 * ``designs`` / ``patterns`` — list what's available.
 
-``run``, ``sweep`` and ``figure`` accept ``--jobs N`` (process-parallel
-execution through :mod:`repro.runner`) and ``--cache-dir DIR`` (an on-disk
-result cache giving skip-completed/resume semantics).  ``run`` and
-``sweep`` also accept ``--checkpoint-every N`` / ``--checkpoint-dir DIR``
+Every command that simulates goes through :func:`repro.runner.run_specs`.
+``run`` and ``sweep`` accept ``--jobs N`` (process-parallel execution),
+``--cache-dir DIR`` (an on-disk result cache giving skip-completed/resume
+semantics) and ``--checkpoint-every N`` / ``--checkpoint-dir DIR``
 (periodic mid-run snapshots through :mod:`repro.checkpoint`; the
-directory defaults to ``REPRO_CHECKPOINT_DIR``), and ``run`` accepts
-``--resume-from PATH`` to continue a killed run bit-exactly from its
-latest snapshot.  Both commands accept ``--audit`` (per-cycle invariant
-auditing through :mod:`repro.audit`; ``--audit-report DIR`` writes any
-violation as a JSON report).  Design and pattern choices come from the plugin
-registries; set ``REPRO_PLUGINS`` to a comma-separated list of importable
-modules to load out-of-tree designs or patterns before the parser is
-built::
+directory defaults to ``REPRO_CHECKPOINT_DIR``).  A killed run resumes
+bit-exactly from its latest snapshot when the same command is run again.
+Both commands accept ``--audit`` (per-cycle invariant auditing through
+:mod:`repro.audit`; ``--audit-report DIR`` writes any violation as a JSON
+report).  ``figure`` accepts ``--jobs N`` and ``--root DIR``, a figure run
+directory holding the cells' cache and journal (``repro status DIR``).
+Design and pattern choices come from the plugin registries; set
+``REPRO_PLUGINS`` to a comma-separated list of importable modules to load
+out-of-tree designs or patterns before the parser is built::
 
     REPRO_PLUGINS=my_designs python -m repro run --design my_dxbar
 
@@ -32,8 +32,7 @@ Examples::
     python -m repro run --design dxbar_dor --pattern UR --load 0.3
     python -m repro run --design dxbar_dor --load 0.1 --json
     python -m repro run --trace events.jsonl --metrics-out metrics.json --profile
-    python -m repro run --checkpoint-every 500 --checkpoint-dir ckpts
-    python -m repro run --resume-from ckpts --json
+    python -m repro run --checkpoint-every 500 --checkpoint-dir ckpts --json
     python -m repro run --design unified_wf --faults 100 --audit
     python -m repro sweep --designs dxbar_dor buffered8 --loads 0.1 0.3 0.5 --jobs 4
     python -m repro sweep --jobs 4 --journal runs/journal
@@ -42,8 +41,8 @@ Examples::
         --jobs 4 --speculation 3
     python -m repro status runs/journal
     python -m repro tail runs/journal --follow
-    python -m repro figure fig5 --scale quick --jobs 4 --cache-dir .repro-cache
-    python -m repro splash --app Ocean --txns 40
+    python -m repro figure fig5 --scale quick --jobs 4 --root figures
+    python -m repro status figures
 """
 
 from __future__ import annotations
@@ -60,15 +59,11 @@ from .analysis.experiments import ALL_EXPERIMENTS, SCALES
 from .analysis.report import render_figure, render_table
 from .analysis.sweep import sweep_designs
 from .audit import AuditConfig
-from .checkpoint import CheckpointError, CheckpointPolicy
-from .designs import DESIGN_LABELS, PAPER_DESIGNS
+from .designs import DESIGN_LABELS
 from .registry import design_names, pattern_names
 from .runner import RunSpec, run_specs
+from .runner.rundir import run_paths
 from .sim.config import KNOWN_BACKENDS, FaultConfig, SimConfig, TelemetryConfig
-from .sim.engine import Simulator
-from .sim.topology import Mesh
-from .traffic.splash2 import generate_app_trace, splash2_app_names
-from .traffic.trace import TraceWorkload
 
 
 def load_plugins(spec: Optional[str] = None) -> None:
@@ -126,7 +121,7 @@ def _add_journal_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_checkpoint_args(p: argparse.ArgumentParser, resume: bool = False) -> None:
+def _add_checkpoint_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("checkpointing (repro.checkpoint)")
     g.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
@@ -135,15 +130,10 @@ def _add_checkpoint_args(p: argparse.ArgumentParser, resume: bool = False) -> No
     g.add_argument(
         "--checkpoint-dir", metavar="DIR",
         default=os.environ.get("REPRO_CHECKPOINT_DIR") or None,
-        help="where snapshots go (default: $REPRO_CHECKPOINT_DIR); for "
-             "sweeps each job gets a subdirectory keyed by its job id",
+        help="where snapshots go (default: $REPRO_CHECKPOINT_DIR); each "
+             "job gets a subdirectory keyed by its job id, and re-running "
+             "a killed command resumes from its newest snapshot",
     )
-    if resume:
-        g.add_argument(
-            "--resume-from", metavar="PATH", default=None,
-            help="resume bit-exactly from a checkpoint file, or from the "
-                 "newest checkpoint under a directory",
-        )
 
 
 def _add_audit_args(p: argparse.ArgumentParser) -> None:
@@ -227,65 +217,21 @@ def _config_from(args) -> SimConfig:
     )
 
 
-def _resume_simulator(args) -> Simulator:
-    """Rebuild a mid-run simulator from ``--resume-from`` (a checkpoint
-    file or a directory holding them), re-arming periodic checkpointing
-    when ``--checkpoint-every`` is also given."""
-    path = Path(args.resume_from)
-    policy = None
-    if args.checkpoint_every > 0:
-        root = (
-            Path(args.checkpoint_dir)
-            if args.checkpoint_dir
-            else (path if path.is_dir() else path.parent)
-        )
-        policy = CheckpointPolicy(root, every=args.checkpoint_every)
-    try:
-        return Simulator.resume_from(path, checkpoint=policy, audit=_audit_from(args))
-    except CheckpointError as exc:
-        raise SystemExit(f"repro run: {exc}")
-
-
 def cmd_run(args) -> int:
-    if args.resume_from:
-        sim = _resume_simulator(args)
-        config = sim.config
-        writer = None
-        if args.journal:
-            # Resumed runs bypass run_specs, so attach the journal here:
-            # one driver shard, job keyed by config hash like the runner's.
-            from .obs.journal import EV_JOB_STARTED, JobJournal, as_journal
-
-            writer = as_journal(args.journal).writer(f"driver-{os.getpid()}")
-            sim.journal = JobJournal(
-                writer, config.config_hash(),
-                heartbeat_interval=args.heartbeat_interval,
-            )
-            sim.journal.event(
-                EV_JOB_STARTED, attempt=1, pid=os.getpid(), cycle=sim.network.cycle
-            )
-        try:
-            result = sim.run()
-        finally:
-            if writer is not None:
-                writer.close()
-        cached = False
-    else:
-        config = _config_from(args)
-        outcome = run_specs(
-            [RunSpec(config)],
-            cache=args.cache_dir,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_root=args.checkpoint_dir,
-            audit=_audit_from(args),
-            journal=args.journal,
-            heartbeat_interval=args.heartbeat_interval,
-        )[0]
-        if not outcome.ok:
-            print(f"repro run: job failed: {outcome.error}", file=sys.stderr)
-            return 1
-        result = outcome.result
-        cached = outcome.cached
+    config = _config_from(args)
+    outcome = run_specs(
+        [RunSpec(config)],
+        cache=args.cache_dir,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_root=args.checkpoint_dir,
+        audit=_audit_from(args),
+        journal=args.journal,
+        heartbeat_interval=args.heartbeat_interval,
+    )[0]
+    if not outcome.ok:
+        print(f"repro run: job failed: {outcome.error}", file=sys.stderr)
+        return 1
+    result = outcome.result
     if args.json:
         print(result.to_json())
         return 0
@@ -301,7 +247,7 @@ def cmd_run(args) -> int:
         ["retransmissions", result.retransmissions],
         ["fairness flips", result.fairness_flips],
     ]
-    suffix = " (cached)" if cached else ""
+    suffix = " (cached)" if outcome.cached else ""
     label = DESIGN_LABELS.get(config.design, config.design)
     print(f"{label} | {config.pattern} @ {config.offered_load}{suffix}")
     print(render_table(["metric", "value"], rows))
@@ -360,55 +306,18 @@ def cmd_figure(args) -> int:
     if args.name == "table3":
         fig = driver()
     else:
-        fig = driver(SCALES[args.scale], jobs=args.jobs, cache=args.cache_dir)
+        fig = driver(SCALES[args.scale], jobs=args.jobs, root=args.root)
     print(render_figure(fig))
     return 0
 
 
-def cmd_splash(args) -> int:
-    mesh = Mesh(8)
-    trace = generate_app_trace(args.app, mesh, txns_per_core=args.txns, seed=args.seed)
-    rows = []
-    designs = args.designs or list(PAPER_DESIGNS)
-    base_time = None
-    for design in designs:
-        cfg = SimConfig(
-            design=design,
-            warmup_cycles=0,
-            measure_cycles=1,
-            drain_cycles=0,
-            seed=args.seed,
-            max_cycles=1_000_000,
-        )
-        sim = Simulator(cfg, workload=TraceWorkload(list(trace)))
-        r = sim.run()
-        if base_time is None:
-            base_time = r.final_cycle
-        rows.append(
-            [
-                DESIGN_LABELS[design],
-                r.final_cycle,
-                r.final_cycle / base_time,
-                r.energy_per_packet_nj,
-            ]
-        )
-    print(f"SPLASH-2 {args.app} ({args.txns} txns/core)")
-    print(
-        render_table(
-            ["design", "exec cycles", f"norm. to {DESIGN_LABELS[designs[0]]}", "nJ/packet"],
-            rows,
-        )
-    )
-    return 0
-
-
 def _journal_path(path: Path) -> Path:
-    """Resolve a journal argument: a campaign/saturation directory with a
-    ``journal/`` subdirectory means the journal inside it — so
-    ``repro status <root>`` works on service directories directly."""
-    if path.is_dir() and (path / "journal").is_dir():
-        return path / "journal"
-    return path
+    """Resolve a journal argument: a run directory (campaign, saturation
+    search or figure root) with a ``journal/`` subdirectory means the
+    journal inside it — so ``repro status <root>`` works on run
+    directories directly."""
+    journal = run_paths(path).journal
+    return journal if journal.is_dir() else path
 
 
 def cmd_status(args) -> int:
@@ -602,7 +511,7 @@ def cmd_campaign_status(args) -> int:
         f"{prog['completed']}/{prog['total']} jobs complete "
         f"({prog['fraction']:.1%})"
     )
-    journal = Path(args.root) / "journal"
+    journal = run_paths(args.root).journal
     if journal.exists():
         from .obs import campaign_status, render_status
 
@@ -651,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_args(p)
     _add_runner_args(p)
     _add_journal_args(p)
-    _add_checkpoint_args(p, resume=True)
+    _add_checkpoint_args(p)
     _add_telemetry_args(p)
     _add_audit_args(p)
     p.add_argument("--json", action="store_true",
@@ -674,15 +583,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
     p.add_argument("name", choices=sorted(ALL_EXPERIMENTS))
     p.add_argument("--scale", default="quick", choices=sorted(SCALES))
-    _add_runner_args(p)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes for the simulation grid (1 = serial)")
+    p.add_argument("--root", metavar="DIR", default=None,
+                   help="figure run directory: cells are cached under "
+                        "DIR/cache and journaled under DIR/journal ('repro "
+                        "status DIR'); one root may serve every figure, "
+                        "and re-running a killed figure resumes it")
     p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("splash", help="run one SPLASH-2 trace")
-    p.add_argument("--app", default="FFT", choices=sorted(splash2_app_names()))
-    p.add_argument("--txns", type=int, default=30)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--designs", nargs="+", default=None, choices=design_names())
-    p.set_defaults(func=cmd_splash)
 
     p = sub.add_parser("status", help="summarise a fleet run journal")
     p.add_argument("journal", help="journal directory (or one shard file)")

@@ -8,7 +8,7 @@ semantics.  See docs/architecture.md for the layer map.
 """
 
 from .cache import ResultCache
-from .executor import RunOutcome, execute_spec, run_configs, run_specs
+from .executor import RunOutcome, execute_spec, run_specs
 from .saturation import SaturationError, SaturationRun, SaturationSpec, run_saturation
 from .spec import RunSpec, derived_seed, materialize_workload
 
@@ -22,7 +22,6 @@ __all__ = [
     "derived_seed",
     "execute_spec",
     "materialize_workload",
-    "run_configs",
     "run_saturation",
     "run_specs",
 ]

@@ -671,25 +671,3 @@ def results_of(
         )
     return [o.result for o in outcomes]
 
-
-def run_configs(
-    configs: Sequence[SimConfig],
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressFn] = None,
-    plugins: Iterable[str] = (),
-) -> List[SimResult]:
-    """Convenience wrapper: run bare configs, return just the results.
-
-    Raises ``RuntimeError`` when any job failed terminally (callers of
-    this wrapper have no way to inspect per-job errors).
-    """
-    outcomes = run_specs(
-        [RunSpec(config=c) for c in configs],
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        plugins=plugins,
-    )
-    return results_of(outcomes, "jobs")

@@ -1,4 +1,4 @@
-"""Run directories: the manifest lifecycle shared by long-running services.
+"""Run directories: the layout and manifest lifecycle shared by services.
 
 A fault campaign (:mod:`repro.campaign`) and a saturation search
 (:mod:`repro.runner.saturation`) each live in one directory::
@@ -13,6 +13,11 @@ the first job runs; it is the run's identity.  Re-opening a directory
 re-reads it, so a crashed run resumes the same spec, and a directory
 never silently switches to a different one.
 
+A figure run (``repro figure NAME --root DIR``) uses the same ``cache/``
+and ``journal/`` pair, without a manifest: its cache is content-addressed,
+so one root may be shared by every figure.  :func:`run_paths` is the one
+place that spells this layout.
+
 A :class:`RunDir` carries what differs between services as data — the
 spec class, the manifest's id key, the error class and the nouns used in
 messages — so both services share one copy of the write/load/verify
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, NamedTuple, Optional, Union
 
 from ..checkpoint.format import atomic_write_text
 from ..sim.config import content_hash
@@ -33,6 +38,19 @@ MANIFEST_NAME = "manifest.json"
 
 #: Manifest/report schema version; bump on incompatible layout changes.
 SCHEMA_VERSION = 1
+
+
+class RunPaths(NamedTuple):
+    """Where a run directory keeps its result cache and its journal."""
+
+    cache: Path
+    journal: Path
+
+
+def run_paths(root: Union[str, Path]) -> RunPaths:
+    """``<root>/cache`` and ``<root>/journal``."""
+    root = Path(root)
+    return RunPaths(root / "cache", root / "journal")
 
 
 def write_json(path: Path, payload: Dict[str, Any]) -> None:

@@ -56,7 +56,7 @@ from ..sim.topology import Mesh
 from ..traffic.patterns import make_pattern
 from .cache import ResultCache
 from .executor import results_of, run_specs
-from .rundir import RunDir, write_json
+from .rundir import RunDir, run_paths, write_json
 from .spec import RunSpec, derived_seed
 
 REPORT_NAME = "saturation.json"
@@ -498,7 +498,8 @@ def run_saturation(
     root = Path(root)
     spec = _RUN_DIR.resolve(root, spec)
     execute = runner if runner is not None else run_specs
-    cache = ResultCache(root / "cache")
+    paths = run_paths(root)
+    cache = ResultCache(paths.cache)
     base = spec.base_config()
     # Probes run on the fastest bit-exact backend unless ``spec.sim``
     # names one (``sim={"backend": "object"}`` forces the reference walk).
@@ -541,7 +542,7 @@ def run_saturation(
             retry_backoff=retry_backoff,
             job_timeout=job_timeout,
             audit=audit,
-            journal=(root / "journal") if journal else None,
+            journal=paths.journal if journal else None,
         )
         results = results_of(outcomes, "saturation probes", SaturationError)
         for (s, load), outcome, result in zip(owners, outcomes, results):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import SCALES, ExperimentScale
 from repro.cli import build_parser, main
+from repro.obs import merge_journal
 
 
 class TestParser:
@@ -74,12 +76,50 @@ class TestCommands:
         assert main(["figure", "table3"]) == 0
         assert "Area and energy" in capsys.readouterr().out
 
-    def test_splash_single_app(self, capsys):
-        rc = main(["splash", "--app", "Water", "--txns", "2",
-                   "--designs", "dxbar_dor", "flit_bless"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Water" in out and "exec cycles" in out
+
+TINY_FAULTS = ExperimentScale(
+    warmup=60, measure=240, drain=60, fault_loads=(0.3,),
+    fault_percents=(0.0, 100.0), seed=1,
+)
+
+
+class TestFigureRoot:
+    def test_figure_root_is_seen_by_status(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(SCALES, "quick", TINY_FAULTS)
+        root = str(tmp_path / "figs")
+        assert main(["figure", "fig11", "--root", root]) == 0
+        journaled = capsys.readouterr().out
+        assert main(["status", root, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cells = 2 * len(TINY_FAULTS.fault_percents) * len(TINY_FAULTS.fault_loads)
+        counts = payload["campaign"]["counts"]
+        assert counts["completed"] == cells
+        assert sum(counts.values()) == cells
+        assert payload["metrics"]["counters"]["jobs_completed"] == cells
+        assert payload["campaign"]["backends"] == {"object": cells}
+        # The journal is a pure observer: no root, same figure.
+        assert main(["figure", "fig11"]) == 0
+        assert capsys.readouterr().out == journaled
+
+
+class TestCheckpointResume:
+    ARGS = [
+        "run", "--design", "dxbar_dor", "--load", "0.3", "--k", "4",
+        "--warmup", "100", "--measure", "400", "--drain", "400",
+        "--checkpoint-every", "100", "--json",
+    ]
+
+    def test_rerun_resumes_from_the_newest_checkpoint(self, tmp_path, capsys):
+        """Re-running the same command over its checkpoint directory
+        resumes instead of restarting, and ends where the first run did."""
+        argv = self.ARGS + ["--checkpoint-dir", str(tmp_path / "ckpts")]
+        assert main(argv) == 0
+        straight = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--journal", str(tmp_path / "j")]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed == straight
+        started = [e for e in merge_journal(tmp_path / "j") if e["event"] == "job_started"]
+        assert len(started) == 1 and started[0]["cycle"] > 0
 
 
 class TestCampaignCLI:

@@ -8,7 +8,6 @@ from repro.analysis.experiments import (
     ALL_EXPERIMENTS,
     SCALES,
     ExperimentScale,
-    clear_cache,
     fault_load_curves,
     fig5,
     fig6,
@@ -20,6 +19,8 @@ from repro.analysis.experiments import (
     table3,
 )
 from repro.designs import DESIGN_LABELS, PAPER_DESIGNS
+from repro.obs import campaign_status, merge_journal
+from repro.runner.rundir import run_paths
 
 TINY = ExperimentScale(
     warmup=60,
@@ -32,13 +33,6 @@ TINY = ExperimentScale(
     seed=1,
     max_trace_cycles=100_000,
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 class TestTable3:
@@ -80,9 +74,9 @@ class TestScales:
 
 
 class TestLoadSweepFigures:
-    def test_fig5_structure_and_cache_sharing(self):
-        f5 = fig5(TINY)
-        f6 = fig6(TINY)
+    def test_fig5_structure_and_cache_sharing(self, tmp_path):
+        f5 = fig5(TINY, root=tmp_path)
+        f6 = fig6(TINY, root=tmp_path)
         assert f5.x == list(TINY.loads)
         assert set(f5.series) == {DESIGN_LABELS[d] for d in PAPER_DESIGNS}
         # fig6 reuses fig5's simulations (same cache key).
@@ -95,9 +89,9 @@ class TestLoadSweepFigures:
 
 
 class TestFaultFigures:
-    def test_fig11_and_12_structure(self):
-        f11 = fig11(TINY)
-        f12 = fig12(TINY)
+    def test_fig11_and_12_structure(self, tmp_path):
+        f11 = fig11(TINY, root=tmp_path)
+        f12 = fig12(TINY, root=tmp_path)
         assert f11.x == [0.0, 100.0]
         assert set(f11.series) == {"DXbar DOR", "DXbar WF"}
         assert all(v > 0 for ys in f12.series.values() for v in ys)
@@ -127,15 +121,14 @@ class TestSplashFigures:
 
 class TestCellBackends:
     def test_grid_cells_run_on_the_fastest_backend(self, tmp_path):
-        from repro.runner import ResultCache
         from repro.sim.config import SimConfig
 
-        fig5(TINY, cache=ResultCache(tmp_path / "c"))
-        fig11(TINY, cache=ResultCache(tmp_path / "c"))
-        fig9(TINY, cache=ResultCache(tmp_path / "c"))
+        fig5(TINY, root=tmp_path)
+        fig11(TINY, root=tmp_path)
+        fig9(TINY, root=tmp_path)
         seen = {}
         closed_loop = set()
-        for path in (tmp_path / "c").glob("*.json"):
+        for path in run_paths(tmp_path).cache.glob("*.json"):
             ident = json.loads(path.read_text())["identity"]
             cfg = SimConfig.from_dict(ident["config"])
             if ident["workload"] is not None:
@@ -148,6 +141,30 @@ class TestCellBackends:
         assert set(seen) == set(PAPER_DESIGNS) | {"dxbar_dor", "dxbar_wf"}
         assert seen["buffered4"] == {"vector"}
         assert seen["dxbar_dor"] == {"object"}
+
+
+class TestFigureRoot:
+    """A figure root is a run directory: its journal sees every cell,
+    and a second figure sharing the root re-runs none of them."""
+
+    def test_fig5_journals_each_distinct_cell_with_its_backend(self, tmp_path):
+        fig5(TINY, root=tmp_path)
+        events = merge_journal(run_paths(tmp_path).journal)
+        completed = [e["job"] for e in events if e["event"] == "completed"]
+        assert len(completed) == len(set(completed)) == len(PAPER_DESIGNS) * len(TINY.loads)
+        status = campaign_status(events)
+        assert all(status.jobs[j].backend in ("object", "vector") for j in completed)
+        assert status.counts()["completed"] == len(completed)
+
+    def test_fig6_after_fig5_is_pure_cache_hits(self, tmp_path):
+        fig5(TINY, root=tmp_path)
+        journal = run_paths(tmp_path).journal
+        before = len(merge_journal(journal))
+        f6 = fig6(TINY, root=tmp_path)
+        added = [e["event"] for e in merge_journal(journal)[before:]]
+        assert added.count("cache_hit") == len(PAPER_DESIGNS) * len(TINY.loads)
+        assert set(added) == {"campaign", "job_submitted", "cache_hit"}
+        assert f6 == fig6(TINY)
 
 
 class TestRegistry:

@@ -10,9 +10,9 @@ from repro.runner import (
     RunSpec,
     derived_seed,
     execute_spec,
-    run_configs,
     run_specs,
 )
+from repro.runner.executor import results_of
 from repro.sim.config import SimConfig
 from repro.sim.engine import run_simulation
 
@@ -98,7 +98,7 @@ class TestExecutorDeterminism:
             assert o.result.offered_load == o.spec.config.offered_load
 
     def test_run_configs_wrapper(self):
-        results = run_configs([tiny(offered_load=0.1)])
+        results = results_of(run_specs([RunSpec(tiny(offered_load=0.1))]), "jobs")
         assert results[0].ejected_flits > 0
 
     def test_duplicate_specs_share_one_execution(self):
