@@ -14,19 +14,35 @@ this benchmark characterises the *simulator*, so it runs standalone:
 
     PYTHONPATH=src python benchmarks/bench_perf.py --quick
 
-``--check`` exits non-zero when the activity-scheduled walk falls
-materially behind the dense walk on any 0.1-offered-load row (the CI
-perf-smoke gate).  The floor is 0.85x rather than 1.0x: the k=16
-uniform-random showcase rows run near saturation, where the two walks
-are legitimately at parity and machine noise would make a strict >= 1.0
-gate flaky.
+The "active" columns time the default walk: activity-scheduled while
+the mesh is sparse, the node-ordered full walk while it is busy (the
+``BUSY_*_PER_ROUTER`` switch in ``repro.sim.network``); the "sparse"
+columns time the activity-scheduled walk alone (switch disabled), the
+"dense" columns the full walk on every cycle (``Network.dense_step``).
+``switch_speedup`` is active over sparse and ``busy_share`` the share of
+cycles the default walk spent in the full walk, so each row shows what
+the switch costs or saves.  A row the switch never engages on
+(``busy_share`` 0) runs the same walk either way, so its sparse run is
+skipped and both columns are null.  ``switch_speedup`` is reported, not
+gated: on a row the switch barely touches it is run-to-run noise (a
+``buffered4`` FFT row at 3% busy has read 0.87x).
+
+``--check`` exits non-zero when the default walk falls materially behind
+the dense walk on any row (the CI perf-smoke gate).  The floor is 0.85x
+rather than 1.0x: busy rows run the two walks at parity (the default
+walk *is* the full walk there), so a strict >= 1.0 gate would fail on
+machine noise.
 Each cell reports the median of ``--repeats`` interleaved runs; both
 walks share every run's Python process, so the comparison cancels
 machine-level drift.
 
 Rows may carry a sixth column, the percentage of routers given a
 whole-crossbar fault (default 0); the 100% row times the degraded
-buffered step of the dual-crossbar designs.
+buffered step of the dual-crossbar designs.  ``TRACE_MATRIX`` rows replay
+a SPLASH-2 trace as the quick-scale Fig. 9 cells do (``pattern`` names
+the app, ``offered_load`` is null and ``trace_flits_per_cycle`` is the
+rate the ``auto`` rule weighs), so the mis-selection gate below covers
+the trace rule too.
 
 ``--compare BASELINE`` additionally regression-gates against a previous
 run's JSON (typically the committed ``BENCH_sim_perf.json``): every
@@ -41,16 +57,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.analysis.experiments import SCALES, splash_cell  # noqa: E402
 from repro.registry import design_spec  # noqa: E402
+from repro.sim import network as network_mod  # noqa: E402
+from repro.runner.spec import materialize_workload  # noqa: E402
 from repro.sim.config import FaultConfig, SimConfig  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
@@ -90,6 +111,7 @@ FULL_MATRIX = [
     # Every router faulty (the right end of Figs 11-12): after detection
     # the whole mesh runs the degraded buffered step.
     ("dxbar_dor", "UR", 8, 0.3, 2, 100),
+    ("unified_dor", "UR", 8, 0.3, 2, 100),
 ]
 
 QUICK_MATRIX = [
@@ -98,6 +120,19 @@ QUICK_MATRIX = [
     ("flit_bless", "UR", 8, 0.1, 2),
     ("unified_dor", "UR", 8, 0.1, 2),
     ("dxbar_dor", "UR", 8, 0.3, 2, 100),
+    # Busy rows, where the default walk runs the full walk.
+    ("dxbar_dor", "UR", 8, 0.5, 2),
+    ("unified_dor", "UR", 8, 0.3, 2, 100),
+]
+
+#: (design, SPLASH-2 app) trace-replay rows of both matrices: the
+#: quick-scale Fig. 9 cells.  FFT (about 3 flits/cycle) sits below
+#: flit_bless's vector_min_work, Ocean (about 14) above it.
+TRACE_MATRIX = [
+    ("flit_bless", "FFT"),
+    ("flit_bless", "Ocean"),
+    ("buffered4", "FFT"),
+    ("buffered4", "Ocean"),
 ]
 
 
@@ -114,75 +149,69 @@ def row_key(row: dict) -> tuple:
             row["packet_size"], row.get("faults", 0))
 
 
-def run_once(design: str, pattern: str, k: int, load: float, ps: int,
-             cycles: int, dense: bool, seed: int,
-             backend: str = "object", faults: float = 0) -> tuple:
-    """One timed run; returns (cycles/sec, final_cycle)."""
-    cfg = SimConfig(
-        design=design,
-        k=k,
-        pattern=pattern,
-        offered_load=load,
-        warmup_cycles=100,
-        measure_cycles=cycles,
-        drain_cycles=2000,
-        packet_size=ps,
-        seed=seed,
-        backend=backend,
-        faults=FaultConfig(percent=faults),
-    )
-    sim = Simulator(cfg)
+def run_once(cfg: SimConfig, walk: str, workload_spec=None) -> tuple:
+    """One timed run of ``walk`` (``"active"``: the default walk;
+    ``"sparse"``: the default walk with the busy switch disabled;
+    ``"dense"``: the full walk on every cycle); returns (cycles/sec,
+    final_cycle, busy_cycles)."""
+    enter = math.inf if walk == "sparse" else network_mod.BUSY_ENTER_PER_ROUTER
+    with mock.patch.object(network_mod, "BUSY_ENTER_PER_ROUTER", enter):
+        sim = Simulator(cfg, materialize_workload(workload_spec, cfg))
     # Meaningful for the object walk only; the vector network carries an
     # inert compatibility attribute.
-    sim.network.dense_step = dense
+    sim.network.dense_step = walk == "dense"
     t0 = time.perf_counter()
     result = sim.run()
     elapsed = time.perf_counter() - t0
-    return result.final_cycle / elapsed, result.final_cycle
+    busy = getattr(sim.network, "busy_cycles", 0)
+    return result.final_cycle / elapsed, result.final_cycle, busy
 
 
-def bench_row(design: str, pattern: str, k: int, load: float, ps: int,
-              cycles: int, repeats: int, seed: int, faults: float = 0) -> dict:
+def measure(cfg: SimConfig, repeats: int, workload_spec=None) -> dict:
     """Median cycles/sec for each implementation, runs interleaved
-    (a,d[,v],a,d[,v],...) so machine-level drift cancels."""
-    has_vector = design_spec(design).supports_vector
-    active, dense, vector = [], [], []
-    final_cycle = 0
+    (a,s,d[,v],a,s,d[,v],...) so machine-level drift cancels."""
+    has_vector = design_spec(cfg.design).supports_vector
+    active, sparse, dense, vector = [], [], [], []
+    final_cycle = busy = 0
     for _ in range(repeats):
-        cps, final_cycle = run_once(design, pattern, k, load, ps, cycles, False, seed,
-                                    faults=faults)
+        cps, final_cycle, busy = run_once(cfg, "active", workload_spec)
         active.append(cps)
-        cps, _ = run_once(design, pattern, k, load, ps, cycles, True, seed,
-                          faults=faults)
-        dense.append(cps)
+        # Runs are bit-exact, so busy is the same every repeat; with no
+        # busy cycle the default walk *is* the switch-off walk.
+        if busy:
+            sparse.append(run_once(cfg, "sparse", workload_spec)[0])
+        dense.append(run_once(cfg, "dense", workload_spec)[0])
         if has_vector:
-            cps, _ = run_once(design, pattern, k, load, ps, cycles, False, seed,
-                              backend="vector", faults=faults)
+            cps, _, _ = run_once(cfg.with_(backend="vector"), "active", workload_spec)
             vector.append(cps)
     active_cps = statistics.median(active)
+    sparse_cps = statistics.median(sparse) if sparse else None
     dense_cps = statistics.median(dense)
     vector_cps = statistics.median(vector) if vector else None
     # What backend="auto" would run for this cell (the vector_min_work
-    # heuristic plus capability gating); recorded so --compare can assert
-    # the heuristic never picks the slower implementation.
+    # rule on the workload's rate, plus capability gating); recorded so
+    # --compare can assert the rule never picks the slower implementation.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        auto_backend = SimConfig(
-            design=design, k=k, pattern=pattern, offered_load=load,
-            packet_size=ps, backend="auto", faults=FaultConfig(percent=faults),
-        ).resolved_backend()
+        auto_backend = cfg.with_(backend="auto").resolved_backend(
+            materialize_workload(workload_spec, cfg)
+        )
     return {
-        "design": design,
-        "pattern": pattern,
-        "k": k,
-        "offered_load": load,
-        "packet_size": ps,
-        "faults": faults,
         "simulated_cycles": final_cycle,
         "repeats": repeats,
         "active_cycles_per_sec": round(active_cps, 1),
+        "sparse_cycles_per_sec": (
+            round(sparse_cps, 1) if sparse_cps is not None else None
+        ),
         "dense_cycles_per_sec": round(dense_cps, 1),
         "speedup": round(active_cps / dense_cps, 3),
+        # The busy switch's own effect: the default walk against the
+        # activity-scheduled walk alone (null when the switch never
+        # engaged), and the share of cycles spent in the full walk.
+        "switch_speedup": (
+            round(active_cps / sparse_cps, 3) if sparse_cps is not None else None
+        ),
+        "busy_share": round(busy / final_cycle, 3),
         "vector_cycles_per_sec": (
             round(vector_cps, 1) if vector_cps is not None else None
         ),
@@ -193,6 +222,79 @@ def bench_row(design: str, pattern: str, k: int, load: float, ps: int,
         ),
         "auto_backend": auto_backend,
     }
+
+
+def bench_row(design: str, pattern: str, k: int, load: float, ps: int,
+              cycles: int, repeats: int, seed: int, faults: float = 0) -> dict:
+    """One open-loop row of the matrix."""
+    cfg = SimConfig(
+        design=design,
+        k=k,
+        pattern=pattern,
+        offered_load=load,
+        warmup_cycles=100,
+        measure_cycles=cycles,
+        drain_cycles=2000,
+        packet_size=ps,
+        seed=seed,
+        faults=FaultConfig(percent=faults),
+    )
+    return {
+        "design": design,
+        "pattern": pattern,
+        "k": k,
+        "offered_load": load,
+        "packet_size": ps,
+        "faults": faults,
+        **measure(cfg, repeats),
+    }
+
+
+def bench_trace_row(design: str, app: str, repeats: int) -> dict:
+    """One SPLASH-2 trace-replay row: the quick-scale Fig. 9 cell."""
+    spec = splash_cell(SCALES["quick"], app, design)
+    cfg = spec.config
+    rate = materialize_workload(spec.workload, cfg).flits_per_cycle()
+    return {
+        "design": design,
+        "pattern": app,
+        "k": cfg.k,
+        "offered_load": None,
+        "packet_size": None,
+        "faults": 0,
+        "trace_flits_per_cycle": round(rate, 3),
+        **measure(cfg, repeats, spec.workload),
+    }
+
+
+def _row_label(row: dict) -> str:
+    if row["offered_load"] is None:
+        return (f"{row['design']:>11} {row['pattern']:>5} k={row['k']} "
+                f"trace ({row['trace_flits_per_cycle']:.2f} flits/cycle)")
+    return (f"{row['design']:>11} {row['pattern']:>5} k={row['k']} "
+            f"load={row['offered_load']:<5} ps={row['packet_size']}"
+            + (f" faults={row['faults']}%" if row["faults"] else ""))
+
+
+def _print_row(row: dict) -> None:
+    switch = (
+        f"switch {row['switch_speedup']:.2f}x, "
+        if row["switch_speedup"] is not None
+        else ""
+    )
+    vec = (
+        f" vector={row['vector_cycles_per_sec']:>10,.0f} c/s "
+        f"({row['vector_speedup']:.1f}x active)"
+        if row["vector_cycles_per_sec"] is not None
+        else ""
+    )
+    print(
+        f"{_row_label(row)} "
+        f"active={row['active_cycles_per_sec']:>10,.0f} c/s "
+        f"dense={row['dense_cycles_per_sec']:>10,.0f} c/s "
+        f"speedup={row['speedup']:.2f}x "
+        f"({switch}busy {row['busy_share']:.0%}){vec}"
+    )
 
 
 def main(argv=None) -> int:
@@ -206,8 +308,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3,
                     help="runs per (config, walk) cell; median wins")
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 if the active walk falls below 0.85x dense "
-                    "on any 0.1-offered-load row")
+                    help="exit 1 if the default walk falls below 0.85x dense "
+                    "on any row")
     ap.add_argument("--compare", metavar="BASELINE", default=None,
                     help="regression-gate against a previous run's JSON: "
                     "exit 1 when any matched row's active (or vector, "
@@ -232,22 +334,12 @@ def main(argv=None) -> int:
     rows = []
     for entry in matrix:
         design, pattern, k, load, ps, faults = cell(entry)
-        row = bench_row(design, pattern, k, load, ps, cycles, args.repeats, seed=7,
-                        faults=faults)
-        rows.append(row)
-        vec = (
-            f" vector={row['vector_cycles_per_sec']:>10,.0f} c/s "
-            f"({row['vector_speedup']:.1f}x active)"
-            if row["vector_cycles_per_sec"] is not None
-            else ""
-        )
-        print(
-            f"{design:>11} {pattern:>3} k={k} load={load:<5} ps={ps} "
-            + (f"faults={faults}% " if faults else "")
-            + f"active={row['active_cycles_per_sec']:>10,.0f} c/s "
-            f"dense={row['dense_cycles_per_sec']:>10,.0f} c/s "
-            f"speedup={row['speedup']:.2f}x{vec}"
-        )
+        rows.append(bench_row(design, pattern, k, load, ps, cycles, args.repeats,
+                              seed=7, faults=faults))
+        _print_row(rows[-1])
+    for design, app in TRACE_MATRIX:
+        rows.append(bench_trace_row(design, app, args.repeats))
+        _print_row(rows[-1])
 
     payload = {
         "benchmark": "sim_perf",
@@ -262,25 +354,19 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
 
     if args.check:
-        gated = [r for r in rows if r["offered_load"] == 0.1]
-        if not gated:
-            # A matrix edit (or a custom --quick variant) with no 0.1-load
-            # rows must fail loudly, not pass a gate that matched nothing.
-            print("FAIL: no 0.1-offered-load rows in this matrix; "
-                  "the --check gate matched nothing", file=sys.stderr)
-            return 1
-        # 0.85 rather than 1.0: saturated rows (k=16 UR at 0.1) run the two
-        # walks at parity, so strict >= 1.0 would gate on machine noise.
-        bad = [r for r in gated if r["speedup"] < 0.85]
+        # 0.85 rather than 1.0: busy rows run the two walks at parity (the
+        # default walk is the full walk there), so strict >= 1.0 would
+        # gate on machine noise.
+        bad = [r for r in rows if r["speedup"] < 0.85]
         if bad:
             for r in bad:
                 print(
-                    f"FAIL: {r['design']}/{r['pattern']} k={r['k']} at load 0.1: "
-                    f"active walk is {r['speedup']:.2f}x dense (< 0.85)",
+                    f"FAIL: {_row_label(r).strip()}: default walk is "
+                    f"{r['speedup']:.2f}x dense (< 0.85)",
                     file=sys.stderr,
                 )
             return 1
-        print("check passed: active >= 0.85x dense on every 0.1-load row")
+        print("check passed: default walk >= 0.85x dense on every row")
 
     if args.compare:
         # The auto-backend mis-selection gate: on every row that has both
@@ -302,11 +388,7 @@ def main(argv=None) -> int:
                 mispicks.append((row, f"auto kept the object walk but the "
                                  f"vector kernel runs at {vs:.2f}x"))
         for row, why in mispicks:
-            print(
-                f"FAIL: {row['design']}/{row['pattern']} k={row['k']} "
-                f"load={row['offered_load']}: {why}",
-                file=sys.stderr,
-            )
+            print(f"FAIL: {_row_label(row).strip()}: {why}", file=sys.stderr)
         if mispicks:
             return 1
         regressions = []
@@ -331,11 +413,9 @@ def main(argv=None) -> int:
                 if vec is None or vec < args.tolerance * base_vec:
                     regressions.append((key, "vector", row, base))
         for key, kind, row, base in regressions:
-            design, pattern, k, load, ps, faults = key
             have = row[f"{kind}_cycles_per_sec"]
             print(
-                f"FAIL: {design}/{pattern} k={k} load={load} ps={ps} "
-                f"faults={faults}%: {kind} "
+                f"FAIL: {_row_label(row).strip()}: {kind} "
                 + (f"{have:,.0f} c/s" if have is not None else "backend lost (null)")
                 + f" < {args.tolerance:.0%} of baseline "
                 f"{base[f'{kind}_cycles_per_sec']:,.0f} c/s",

@@ -34,6 +34,7 @@ from ..energy.constants import DESIGN_ENERGY
 from ..runner import RunSpec, run_specs
 from ..runner.executor import results_of
 from ..runner.rundir import run_paths
+from ..runner.spec import materialize_workload
 from ..sim.config import FaultConfig, SimConfig
 from ..sim.stats import SimResult
 from ..traffic.patterns import pattern_names
@@ -100,14 +101,14 @@ def _run_grid(
     root: Root,
     progress=None,
 ) -> List[SimResult]:
-    """Run figure cells.  Open-loop cells run on their fastest bit-exact
-    backend (the figure drivers own their configs and never pick one);
-    closed-loop SPLASH-2 cells keep their config's backend, because the
-    ``vector_min_work`` rule reads ``offered_load``, which they ignore."""
+    """Run figure cells, each on its fastest bit-exact backend (the
+    figure drivers own their configs and never pick one).  The ``auto``
+    rule reads each cell's workload: ``k**2 * offered_load`` for the
+    open-loop cells, the replayed trace's flits per cycle for SPLASH-2."""
     specs = [
-        s
-        if s.workload is not None
-        else replace(s, config=s.config.with_(backend=s.config.fastest_backend()))
+        replace(s, config=s.config.with_(backend=s.config.fastest_backend(
+            materialize_workload(s.workload, s.config)
+        )))
         for s in specs
     ]
     cache = journal = None
@@ -290,28 +291,30 @@ def fig8(
 # ----------------------------------------------------------------------
 # Figs 9 & 10 — SPLASH-2 trace replay
 # ----------------------------------------------------------------------
+def splash_cell(scale: ExperimentScale, app: str, design: str) -> RunSpec:
+    """The Figs. 9/10 cell replaying SPLASH-2 ``app`` on ``design``."""
+    workload = {
+        "kind": "splash2",
+        "app": app,
+        "txns_per_core": scale.txns_per_core,
+        "seed": scale.seed + 100,
+    }
+    cfg = SimConfig(
+        design=design,
+        warmup_cycles=0,
+        measure_cycles=1,
+        drain_cycles=0,
+        seed=scale.seed,
+        max_cycles=scale.max_trace_cycles,
+    )
+    return RunSpec(cfg, workload=workload, tag=f"{app}/{design}")
+
+
 def _splash_runs(
     scale: ExperimentScale, jobs=None, root: Root = None, progress=None
 ) -> Dict[str, Dict[str, SimResult]]:
     apps = list(splash2_app_names())
-    specs = []
-    for app in apps:
-        workload = {
-            "kind": "splash2",
-            "app": app,
-            "txns_per_core": scale.txns_per_core,
-            "seed": scale.seed + 100,
-        }
-        for design in PAPER_DESIGNS:
-            cfg = SimConfig(
-                design=design,
-                warmup_cycles=0,
-                measure_cycles=1,
-                drain_cycles=0,
-                seed=scale.seed,
-                max_cycles=scale.max_trace_cycles,
-            )
-            specs.append(RunSpec(cfg, workload=workload, tag=f"{app}/{design}"))
+    specs = [splash_cell(scale, app, design) for app in apps for design in PAPER_DESIGNS]
     results = _run_grid(specs, jobs, root, progress)
     n = len(PAPER_DESIGNS)
     return {

@@ -40,10 +40,15 @@ from .sim.topology import Mesh
 # Registration order is the CLI listing order; the paper's six designs
 # first, then the routed unified variants and the AFC extension.
 # vector_min_work thresholds come from benchmarks/bench_perf.py sweeps of
-# the committed baseline: below k**2 * offered_load of the given value the
-# SoA kernel's fixed per-cycle cost loses to the active object walk, which
+# the committed baseline and object-vs-vector pairs on the SPLASH-2
+# traces: below the given injected flits per cycle (k**2 * offered_load
+# for Bernoulli traffic, flits over issue span for a trace) the SoA
+# kernel's fixed per-cycle cost loses to the active object walk, which
 # skips idle routers entirely.  Buffered designs have no idle-skip
-# advantage, so their kernels win at any load (threshold None).
+# advantage under Bernoulli traffic, so buffered4's kernel wins at any
+# load (threshold None); SPLASH-2 traces converge on 16 memory-controller
+# tiles and leave the rest of the mesh idle, where its object walk wins
+# below about 2 flits/cycle (Radiosity, Water and LU at quick scale).
 register_design(
     "flit_bless", BlessRouter, routing="adaptive", label="Flit-Bless",
     supports_vector=True, vector_min_work=10.0,
@@ -51,7 +56,7 @@ register_design(
 register_design("scarab", ScarabRouter, routing="adaptive", label="SCARAB")
 register_design(
     "buffered4", Buffered4Router, routing="dor", label="Buffered 4",
-    supports_vector=True,
+    supports_vector=True, vector_min_trace_work=2.0,
 )
 register_design("buffered8", Buffered8Router, routing="dor", label="Buffered 8")
 register_design(

@@ -166,6 +166,10 @@ class CampaignStatus:
     cps_samples: List[float] = field(default_factory=list)
     #: jobs with at least one lifecycle (non-side) record.
     _tracked: Set[str] = field(default_factory=set, init=False, repr=False)
+    #: batch digest -> specs, one entry per distinct ``campaign`` batch.
+    _batch_specs: Dict[Optional[str], int] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -196,7 +200,13 @@ class CampaignStatus:
         if event == EV_HEARTBEAT and record.get("cps") is not None:
             self.cps_samples.append(float(record["cps"]))
         if event == EV_CAMPAIGN:
-            self.total_specs = record.get("total_specs", self.total_specs)
+            # A journal collects every run_specs batch written into it (a
+            # figure root, a saturation search's rounds): total_specs sums
+            # the distinct batches, and a re-run of one counts once.
+            specs = record.get("total_specs")
+            if specs is not None:
+                self._batch_specs[record.get("batch")] = specs
+                self.total_specs = sum(self._batch_specs.values())
             self.workers = record.get("jobs", self.workers)
             return
         job_id = record.get("job")

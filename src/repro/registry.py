@@ -158,11 +158,18 @@ class DesignSpec:
     base: Optional[str] = None
     supports_faults: bool = False
     supports_vector: bool = False
-    #: Minimum expected flits-in-flight per cycle (``k**2 * offered_load``)
-    #: below which the design's vector kernel is *slower* than the active
-    #: object walk; ``backend="auto"`` resolves to ``object`` under it.
-    #: ``None`` means the kernel wins at any load (or was never profiled).
+    #: Minimum injected flits per cycle for the whole network (the
+    #: workload's ``flits_per_cycle()``: ``k**2 * offered_load`` for
+    #: Bernoulli traffic, flits over issue span for a trace) below which
+    #: the design's vector kernel is *slower* than the active object walk;
+    #: ``backend="auto"`` resolves to ``object`` under it.  ``None`` means
+    #: the kernel wins at any rate (or was never profiled).
     vector_min_work: Optional[float] = None
+    #: The same crossover for trace replays (``Workload.is_trace``), whose
+    #: traffic converges on a few memory-controller tiles and leaves more
+    #: of the mesh idle than Bernoulli traffic of the same rate.  ``None``
+    #: means ``vector_min_work`` holds for traces too.
+    vector_min_trace_work: Optional[float] = None
     energy: Any = None
     metadata: Dict[str, Any] = field(default_factory=dict)
 
@@ -183,6 +190,7 @@ def register_design(
     supports_faults: bool = False,
     supports_vector: bool = False,
     vector_min_work: Optional[float] = None,
+    vector_min_trace_work: Optional[float] = None,
     energy: Any = None,
     replace: bool = False,
     **metadata: Any,
@@ -209,6 +217,7 @@ def register_design(
             supports_faults=supports_faults,
             supports_vector=supports_vector,
             vector_min_work=vector_min_work,
+            vector_min_trace_work=vector_min_trace_work,
             energy=energy,
             metadata=dict(metadata),
         )

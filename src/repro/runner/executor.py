@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import (
@@ -73,7 +74,7 @@ from ..obs.journal import (
     JournalWriter,
     as_journal,
 )
-from ..sim.config import SimConfig
+from ..sim.config import SimConfig, content_hash
 from ..sim.engine import Simulator
 from ..sim.stats import SimResult
 from .cache import ResultCache
@@ -138,7 +139,8 @@ def execute_spec(
     attempt's lifecycle: a ``job_started`` event here (carrying
     ``attempt``, the executing pid and the start cycle — nonzero when the
     attempt resumed from a checkpoint) and a ``backend_resolved`` event
-    (requested and resolved backend, and why), a ``checkpoint_skipped``
+    (requested and resolved backend, and why, as the simulator resolved
+    them for this workload), a ``checkpoint_skipped``
     event for every unreadable snapshot the resume passed over, heartbeats
     and ``checkpointed`` events from inside the run, and an
     ``audit_violation`` event when the auditor aborts the job.
@@ -177,7 +179,7 @@ def execute_spec(
         journal.event(
             EV_JOB_STARTED, attempt=attempt, pid=os.getpid(), cycle=sim.network.cycle
         )
-        resolved, reason = spec.config.backend_choice()
+        resolved, reason = sim.backend_choice
         journal.event(
             EV_BACKEND_RESOLVED,
             requested=spec.config.backend,
@@ -201,7 +203,23 @@ def execute_spec(
 # ----------------------------------------------------------------------
 # worker-side entry points (must be module-level for pickling)
 # ----------------------------------------------------------------------
+#: Seconds between a pool worker's checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Daemon-thread body: end this worker once it is re-parented, i.e.
+    its parent (the driver, or the forkserver that exits with it) died
+    without shutting the pool down — ``kill -9`` of the driver."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_worker(plugins: Tuple[str, ...]) -> None:
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
     for module in plugins:
         importlib.import_module(module)
 
@@ -425,17 +443,22 @@ def run_specs(
         cache.journal = writer
 
     try:
+        job_ids = [spec.job_id() for spec in specs]
         if writer is not None:
-            writer.write(EV_CAMPAIGN, total_specs=total, jobs=jobs)
+            # ``batch`` identifies the grid, so ``repro status`` counts a
+            # re-run of the same batch (a resumed figure) once.
+            writer.write(
+                EV_CAMPAIGN, total_specs=total, jobs=jobs, batch=content_hash(job_ids)
+            )
 
         # Resolve cache hits first so a resumed campaign only pays for the
         # missing cells of its grid, and deduplicate identical specs within
         # the batch (they share one execution).
         pending: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
+            key = job_ids[i]
             hit = cache.get(spec) if cache is not None else None
             if hit is not None:
-                key = spec.job_id()
                 _submitted(spec, key)
                 if writer is not None:
                     writer.write(EV_CACHE_HIT, job=key)
@@ -444,7 +467,6 @@ def run_specs(
                 )
                 _report(outcomes[i])
             else:
-                key = spec.job_id()
                 if key not in pending:
                     _submitted(spec, key)
                 pending.setdefault(key, []).append(i)

@@ -279,14 +279,14 @@ class SimConfig:
     """All knobs of one simulation run.
 
     Parameters mirror the paper's methodology: 8x8 mesh, Bernoulli packet
-    injection at a fraction of network capacity, 4-flit input buffers, a
+    injection of ``offered_load`` flits/node/cycle, 4-flit input buffers, a
     fairness threshold of 4, and a 5-cycle BIST detection delay.
     """
 
     design: str = "dxbar_dor"
     k: int = 8
     pattern: str = "UR"
-    offered_load: float = 0.3  # fraction of pattern capacity
+    offered_load: float = 0.3  # flits/node/cycle (Bernoulli injection rate)
     packet_size: int = 4  # flits per packet (64 B cache line @ 128-bit flits)
     warmup_cycles: int = 1000
     measure_cycles: int = 4000
@@ -320,7 +320,7 @@ class SimConfig:
         if self.k < 2:
             raise ValueError("mesh radix k must be >= 2")
         if not (0.0 <= self.offered_load <= 2.0):
-            raise ValueError("offered_load is a fraction of capacity in [0, 2]")
+            raise ValueError("offered_load is in flits/node/cycle, within [0, 2]")
         if self.packet_size < 1:
             raise ValueError("packet_size must be >= 1")
         if min(self.warmup_cycles, self.measure_cycles, self.drain_cycles) < 0:
@@ -371,49 +371,70 @@ class SimConfig:
             )
         return None
 
-    def _auto_choice(self) -> Tuple[str, str]:
-        """``(backend, why)`` of the ``auto`` rule for this config.
+    def _auto_choice(self, workload=None) -> Tuple[str, str]:
+        """``(backend, why)`` of the ``auto`` rule for this config running
+        ``workload``.
 
-        ``why`` is ``"kernel"``, ``"below vector_min_work"`` or, for a
+        The rule weighs the workload's expected injected flits per cycle
+        for the whole network (:meth:`~repro.traffic.generator.Workload.flits_per_cycle`)
+        against the design's ``vector_min_work`` — ``vector_min_trace_work``
+        for a trace replay, when the design sets one.  Without a workload,
+        or one that gives no rate, the rate is ``k**2 * offered_load``:
+        the Bernoulli workload the engine builds from this config.
+        ``why`` is ``"kernel"``, ``"below vector_min_work"`` (both naming
+        the rate against the threshold when there is one) or, for a
         capability gap, the :meth:`_vector_unsupported_reason` text.
         """
         reason = self._vector_unsupported_reason()
         if reason is not None:
             return "object", reason
-        min_work = self.spec.vector_min_work
-        if min_work is not None and self.k * self.k * self.offered_load < min_work:
-            return "object", _BELOW_MIN_WORK
-        return "vector", "kernel"
+        spec = self.spec
+        min_work = spec.vector_min_work
+        rate = None
+        if workload is not None:
+            rate = workload.flits_per_cycle()
+            if workload.is_trace and spec.vector_min_trace_work is not None:
+                min_work = spec.vector_min_trace_work
+        if min_work is None:
+            return "vector", "kernel"
+        if rate is None:
+            rate = self.k * self.k * self.offered_load
+        if rate < min_work:
+            return "object", f"{_BELOW_MIN_WORK} ({rate:.2f} flits/cycle < {min_work:g})"
+        return "vector", f"kernel ({rate:.2f} flits/cycle >= {min_work:g})"
 
-    def fastest_backend(self) -> str:
-        """The fastest bit-exact backend for this config, whatever
-        ``backend`` says: ``vector`` when the design has a kernel, no
-        per-flit tracing is requested *and* the expected work rate
-        ``k**2 * offered_load`` clears the design's profiled
+    def fastest_backend(self, workload=None) -> str:
+        """The fastest bit-exact backend for this config running
+        ``workload`` (default: the config's own Bernoulli workload),
+        whatever ``backend`` says: ``vector`` when the design has a
+        kernel, no per-flit tracing is requested *and* the workload's
+        injected flits per cycle clear the design's profiled
         ``vector_min_work`` threshold (under it, the active object walk
         skips idle routers and beats the kernel's fixed per-cycle cost);
         ``object`` otherwise.  Pure: never warns.  Sweep drivers that own
         their configs stamp each one with it.
         """
-        return self._auto_choice()[0]
+        return self._auto_choice(workload)[0]
 
-    def backend_choice(self) -> Tuple[str, str]:
-        """``(resolved backend, reason)`` for the run journal.
+    def backend_choice(self, workload=None) -> Tuple[str, str]:
+        """``(resolved backend, reason)`` for the run journal, for this
+        config running ``workload`` (see :meth:`fastest_backend`).
 
         When the backend is the one the ``auto`` rule picks (``auto``
         itself, or a concrete backend a sweep driver stamped from
         :meth:`fastest_backend`) the reason is the rule's: ``"auto:
-        kernel"``, ``"auto: below vector_min_work"`` or ``"auto:
-        <capability reason>"``.  A concrete backend that overrides the
-        rule gives ``"requested explicitly"``.  Pure: never warns.
+        kernel"``, ``"auto: below vector_min_work (3.05 flits/cycle <
+        10)"`` or ``"auto: <capability reason>"``.  A concrete backend
+        that overrides the rule gives ``"requested explicitly"``.  Pure:
+        never warns.
         """
-        backend, why = self._auto_choice()
+        backend, why = self._auto_choice(workload)
         if self.backend not in ("auto", backend):
             return self.backend, "requested explicitly"
         return backend, f"auto: {why}"
 
-    def resolved_backend(self) -> str:
-        """The backend a run of this config actually uses.
+    def resolved_backend(self, workload=None) -> str:
+        """The backend a run of this config on ``workload`` actually uses.
 
         ``object`` and ``vector`` resolve to themselves (validation already
         guaranteed vector support); ``auto`` resolves to
@@ -424,18 +445,28 @@ class SimConfig:
         """
         if self.backend != "auto":
             return self.backend
-        backend, why = self._auto_choice()
-        if backend == "object" and why != _BELOW_MIN_WORK:
-            key = (self.design, why)
-            if key not in _FALLBACK_WARNED:
-                _FALLBACK_WARNED.add(key)
-                warnings.warn(
-                    f"backend='auto': falling back to the object backend "
-                    f"({why})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return backend
+        choice = self.backend_choice(workload)
+        self.warn_on_fallback(choice)
+        return choice[0]
+
+    def warn_on_fallback(self, choice: Tuple[str, str]) -> None:
+        """Warn when ``backend='auto'`` fell back to the object walk for a
+        capability gap, once per (design, cause) per process; ``choice``
+        is :meth:`backend_choice`'s result for the run."""
+        backend, reason = choice
+        if self.backend != "auto" or backend != "object":
+            return
+        why = reason[len("auto: "):]
+        if why.startswith(_BELOW_MIN_WORK):
+            return
+        key = (self.design, why)
+        if key not in _FALLBACK_WARNED:
+            _FALLBACK_WARNED.add(key)
+            warnings.warn(
+                f"backend='auto': falling back to the object backend ({why})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     # ------------------------------------------------------------------
     @property

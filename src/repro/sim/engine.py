@@ -40,6 +40,7 @@ from ..traffic.patterns import make_pattern
 from .config import SimConfig
 from .network import Network
 from .stats import SimResult, StatsCollector
+from .topology import Mesh
 
 
 class Simulator:
@@ -73,16 +74,8 @@ class Simulator:
             if telemetry is not None
             else Telemetry.from_config(config.telemetry, k=config.k)
         )
-        if config.resolved_backend() == "vector":
-            from .vector import build_vector_network
-
-            self.network = build_vector_network(
-                config, self.stats, telemetry=self.telemetry
-            )
-        else:
-            self.network = Network(config, self.stats, telemetry=self.telemetry)
         if workload is None:
-            pattern = make_pattern(config.pattern, self.network.mesh)
+            pattern = make_pattern(config.pattern, Mesh(config.k))
             workload = BernoulliSynthetic(
                 pattern,
                 load=config.offered_load,
@@ -90,6 +83,19 @@ class Simulator:
                 seed=config.seed,
                 inject_until=config.warmup_cycles + config.measure_cycles,
             )
+        # The backend is resolved here, where the workload is at hand: the
+        # ``auto`` rule reads the rate this run will actually inject.
+        # ``(backend, reason)`` is what execute_spec journals.
+        self.backend_choice = config.backend_choice(workload)
+        config.warn_on_fallback(self.backend_choice)
+        if self.backend_choice[0] == "vector":
+            from .vector import build_vector_network
+
+            self.network = build_vector_network(
+                config, self.stats, telemetry=self.telemetry
+            )
+        else:
+            self.network = Network(config, self.stats, telemetry=self.telemetry)
         self.workload = workload
         self.network.workload = workload
         # Per-cycle invariant auditor: opt-in (``audit=True`` or an

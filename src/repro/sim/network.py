@@ -25,6 +25,20 @@ from .topology import Mesh
 if TYPE_CHECKING:  # pragma: no cover
     from ..routers.base import BaseRouter
 
+#: Flits in flight per router at or above which :meth:`Network.step`
+#: takes the node-ordered full walk: with most routers busy, the active
+#: walk's per-cycle set upkeep costs more than the idle steps it skips.
+#: Swept over 2.0-4.0 on every ``benchmarks/bench_perf.py`` row (see
+#: docs/architecture.md): 3.0 is the lowest entry that slows no row by
+#: more than 1% against the active walk alone (at 2.0, ``buffered4`` UR
+#: k=8 at 0.1 spends 86% of its cycles in the full walk and can lose 3%).
+BUSY_ENTER_PER_ROUTER = 3.0
+
+#: Flits in flight per router below which a full-walk phase hands back
+#: to the active walk.  Lower than the entry threshold (hysteresis), so a
+#: load hovering at the boundary does not rebuild the sets every cycle.
+BUSY_EXIT_PER_ROUTER = 1.5
+
 
 class Network:
     """An ``k x k`` mesh of routers of one design."""
@@ -59,6 +73,16 @@ class Network:
         # both walks are bit-exact, so the toggle must not perturb
         # config_hash (result-cache and checkpoint identity).
         self.dense_step = False
+        # The busy switch: True while the default walk runs the full walk
+        # because the mesh is busy (see BUSY_ENTER_PER_ROUTER).  Read at
+        # construction, so tests can move the thresholds per network.
+        self._busy_walk = False
+        # Cycles the busy switch ran the full walk (a diagnostic for
+        # benchmarks/bench_perf.py; derived, never serialised).
+        self.busy_cycles = 0
+        n = config.k * config.k
+        self._busy_enter = BUSY_ENTER_PER_ROUTER * n
+        self._busy_exit = BUSY_EXIT_PER_ROUTER * n
         self._active_routers: Set[int] = set()
         self._active_links: Set[int] = set()
         self._active_channels: Set[int] = set()
@@ -200,14 +224,28 @@ class Network:
     def step(self) -> None:
         """Advance the whole network by one clock cycle.
 
-        Dispatches to the activity-scheduled walk (the default) or the
-        dense reference walk (``dense_step = True``); the two are bit-exact
-        (enforced by tests/test_active_scheduling.py).  When flipping
-        ``dense_step`` back to False mid-run, call
-        :meth:`_rebuild_active_sets` first — the dense walk does not
-        maintain the active sets.
+        Dispatches to the dense reference walk (``dense_step = True``)
+        or the default walk, which is activity-scheduled while the mesh
+        is sparse and switches to the same full walk once at least
+        ``BUSY_ENTER_PER_ROUTER`` flits per router are in flight, until
+        they fall below ``BUSY_EXIT_PER_ROUTER``.  All of these are
+        bit-exact (enforced by tests/test_active_scheduling.py).  The full
+        walk does not maintain the active sets, so every hand-back to the
+        active walk goes through :meth:`_rebuild_active_sets` — call it
+        too when flipping ``dense_step`` back to False mid-run.
         """
         if self.dense_step:
+            self._step_dense()
+        elif self._busy_walk:
+            if self._active_flits < self._busy_exit:
+                self._rebuild_active_sets()
+                self._step_active()
+            else:
+                self.busy_cycles += 1
+                self._step_dense()
+        elif self._active_flits >= self._busy_enter:
+            self._busy_walk = True
+            self.busy_cycles += 1
             self._step_dense()
         else:
             self._step_active()
@@ -380,13 +418,15 @@ class Network:
         """Derive the active sets from component state.
 
         Called at construction (after fault injection, so routers with a
-        pending detection latch start active) and from
-        :meth:`load_state_dict`.  The sets are pure functions of state a
+        pending detection latch start active), from :meth:`load_state_dict`
+        and when the busy switch hands back to the active walk, which it
+        re-arms.  The sets are pure functions of state a
         checkpoint already carries, so they are never serialised; skipping
         an extra router would break bit-exactness while waking an extra
         idle one cannot (its step is a no-op), hence the conservative
         direction of every rule below.
         """
+        self._busy_walk = False
         self._pending_wakes.clear()
         # The link/channel callbacks capture these set objects: mutate in
         # place, never rebind.

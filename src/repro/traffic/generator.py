@@ -21,6 +21,10 @@ from .patterns import TrafficPattern
 class Workload(ABC):
     """Drives injection each cycle; observes ejections."""
 
+    #: True for trace replays, whose ``backend="auto"`` crossover a design
+    #: may set apart (``DesignSpec.vector_min_trace_work``).
+    is_trace = False
+
     @abstractmethod
     def tick(self, cycle: int, network: Network) -> None:
         """Inject this cycle's new packets."""
@@ -32,6 +36,13 @@ class Workload(ABC):
         """True when a closed-loop workload has completed (open-loop
         workloads are time-bounded and always return False)."""
         return False
+
+    def flits_per_cycle(self) -> Optional[float]:
+        """Expected injected flits per cycle for the whole network, the
+        figure ``backend="auto"`` weighs against a design's
+        ``vector_min_work``.  None (the default) means unknown: the rule
+        then reads the config's ``k**2 * offered_load``."""
+        return None
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -73,6 +84,10 @@ class BernoulliSynthetic(Workload):
         self.inject_until = inject_until
         self.rng = np.random.default_rng(seed)
         self._n = pattern.mesh.num_nodes
+
+    def flits_per_cycle(self) -> float:
+        # ``load`` is in flits/node/cycle.
+        return self._n * self.load
 
     def tick(self, cycle: int, network: Network) -> None:
         if self.inject_until is not None and cycle >= self.inject_until:

@@ -43,6 +43,8 @@ class TraceWorkload(Workload):
     """Open-loop replay of a trace; ``done`` when all events are injected
     (the simulator additionally waits for the network to drain)."""
 
+    is_trace = True
+
     def __init__(self, events: Iterable[TraceEvent]) -> None:
         self.events: List[TraceEvent] = sorted(events)
         self._idx = 0
@@ -57,6 +59,15 @@ class TraceWorkload(Workload):
 
     def done(self) -> bool:
         return self._idx >= len(self.events)
+
+    def flits_per_cycle(self) -> float:
+        """The whole trace's flits over its issue span (first to last
+        event cycle, inclusive); 0.0 for an empty trace.  Independent of
+        the replay cursor, so a resumed replay resolves as the original."""
+        if not self.events:
+            return 0.0
+        span = self.events[-1].cycle - self.events[0].cycle + 1
+        return sum(ev.num_flits for ev in self.events) / span
 
     @property
     def remaining(self) -> int:

@@ -129,3 +129,13 @@ def _kill9_once(spec: Mapping[str, Any], config: SimConfig) -> Workload:
             lambda: os.kill(os.getpid(), signal.SIGKILL),
         )
     return inner
+
+
+@register_workload("pid_then_sleep")
+def _pid_then_sleep(spec: Mapping[str, Any], config: SimConfig) -> Workload:
+    """Records the executing pid as an empty file in ``pid_dir``, then
+    sleeps ``sleep`` seconds at cycle 0 (a job that outlives its driver)."""
+    Path(spec["pid_dir"], str(os.getpid())).touch()
+    return _CrashingWorkload(
+        _bernoulli(config), 0, lambda: time.sleep(spec.get("sleep", 60.0))
+    )

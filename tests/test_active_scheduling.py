@@ -1,19 +1,39 @@
 """Differential and unit tests for the activity-scheduled network walk.
 
-The hard requirement: ``Network._step_active`` must be *bit-exact* with
-the dense reference walk (``Network._step_dense``) — identical
-``SimResult.to_dict()`` for every design, routing, and fault level.  The
-active sets may only change how much wall-clock a cycle costs, never
-what it computes.
+The hard requirement: the default walk — ``Network._step_active`` while
+the mesh is sparse, the node-ordered full walk while it is busy — must be
+*bit-exact* with the dense reference walk (``Network._step_dense``):
+identical ``SimResult.to_dict()`` for every design, routing, and fault
+level.  The active sets and the busy switch may only change how much
+wall-clock a cycle costs, never what it computes.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+import repro.sim.network as network_mod
 from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
+from repro.sim.topology import Mesh
 from repro.traffic.generator import Workload
+from repro.traffic.splash2 import generate_app_trace
+from repro.traffic.trace import TraceWorkload
+
+#: Busy-switch thresholds (enter, exit), in flits in flight per router,
+#: of the walks every differential case runs besides the dense reference
+#: and the shipped default: ``sparse`` never leaves the active walk, and
+#: ``flip`` switches at 2 flits per router with no hysteresis, which at
+#: these loads flips the walk tens of times per run.
+SWITCHES = {
+    "sparse": (math.inf, math.inf),
+    "flip": (2.0, 2.0),
+    # Not a differential walk: the busy-phase checkpoint test's switch,
+    # busy from 1 flit per router (most of a k=4 run at 0.3 load).
+    "early": (1.0, 0.5),
+}
 
 
 def _config(design: str, **overrides) -> SimConfig:
@@ -32,31 +52,53 @@ def _config(design: str, **overrides) -> SimConfig:
     return SimConfig(**defaults)
 
 
-def _run(config: SimConfig, dense: bool) -> dict:
-    sim = Simulator(config)
-    sim.network.dense_step = dense
-    if dense:
+def _simulator(config: SimConfig, walk: str, workload=None) -> Simulator:
+    """A simulator on one walk: ``dense``, ``default`` or a key of
+    :data:`SWITCHES` (the thresholds are read at network construction)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if walk in SWITCHES:
+            enter, exit_ = SWITCHES[walk]
+            mp.setattr(network_mod, "BUSY_ENTER_PER_ROUTER", enter)
+            mp.setattr(network_mod, "BUSY_EXIT_PER_ROUTER", exit_)
+        sim = Simulator(config, workload)
+    if walk == "dense":
+        sim.network.dense_step = True
         sim.network._rebuild_active_sets()
-    result = sim.run(check_invariants=True)
-    d = result.to_dict()
+    return sim
+
+
+def _result(sim: Simulator, **run_kwargs) -> dict:
+    d = sim.run(**run_kwargs).to_dict()
     # Wall-clock profile timings are the one legitimately nondeterministic
     # field.
     d.get("extra", {}).pop("profile", None)
     return d
 
 
+def _assert_walks_agree(config: SimConfig, workload_factory=lambda: None) -> None:
+    """Dense, sparse-only, flipping and default walks: identical results."""
+    runs = {
+        walk: _result(
+            _simulator(config, walk, workload_factory()), check_invariants=True
+        )
+        for walk in ("dense", "sparse", "flip", "default")
+    }
+    for walk in ("sparse", "flip", "default"):
+        assert runs[walk] == runs["dense"], walk
+
+
 class TestBitExactness:
-    """Active vs dense: identical results over the whole design matrix."""
+    """Every walk: identical results over the whole design matrix."""
 
     def test_all_designs(self, any_design):
-        assert _run(_config(any_design), False) == _run(_config(any_design), True)
+        _assert_walks_agree(_config(any_design))
 
     @pytest.mark.parametrize("design", ["dxbar_dor", "unified_wf"])
     def test_full_fault_run(self, design):
         cfg = _config(
             design, offered_load=0.25, faults=FaultConfig(percent=100, seed=3)
         )
-        assert _run(cfg, False) == _run(cfg, True)
+        _assert_walks_agree(cfg)
 
     def test_crosspoint_fault_run(self):
         cfg = _config(
@@ -64,7 +106,7 @@ class TestBitExactness:
             offered_load=0.25,
             faults=FaultConfig(percent=50, granularity="crosspoint", seed=5),
         )
-        assert _run(cfg, False) == _run(cfg, True)
+        _assert_walks_agree(cfg)
 
     @pytest.mark.parametrize("design", ["dxbar_dor", "unified_dor"])
     @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
@@ -74,11 +116,42 @@ class TestBitExactness:
         measured traffic is in flight."""
         faults = FaultConfig(percent=50, granularity=granularity, manifest_window=250)
         cfg = _config(design, faults=faults)
-        assert _run(cfg, False) == _run(cfg, True)
+        _assert_walks_agree(cfg)
 
     def test_closed_loop_run(self):
         cfg = _config("dxbar_dor", max_cycles=3000)
-        assert _run(cfg, False) == _run(cfg, True)
+        _assert_walks_agree(cfg)
+
+    def test_scarab_mid_step_wakes_at_high_load(self):
+        """SCARAB's NACKs wake source routers during the step phase; at
+        0.4 the walk crosses the busy threshold while they are queued."""
+        _assert_walks_agree(_config("scarab", offered_load=0.4))
+
+    @pytest.mark.parametrize("design", ["flit_bless", "buffered4", "unified_dor"])
+    def test_trace_replay(self, design):
+        """A bursty SPLASH-2 trace (Ocean) drives the mesh in and out of
+        the busy phase."""
+        trace = generate_app_trace("Ocean", Mesh(4), txns_per_core=12, seed=5)
+        cfg = _config(
+            design, warmup_cycles=0, measure_cycles=1, drain_cycles=0,
+            max_cycles=50_000,
+        )
+        _assert_walks_agree(cfg, lambda: TraceWorkload(trace))
+
+    def test_flip_walk_flips(self):
+        """The ``flip`` thresholds really exercise the hand-back path."""
+        cfg = _config("dxbar_dor")
+        sim = _simulator(cfg, "flip")
+        net = sim.network
+        flips, busy = 0, False
+        for _ in range(cfg.total_cycles):
+            sim.workload.tick(net.cycle, net)
+            net.step()
+            flips += net._busy_walk != busy
+            busy = net._busy_walk
+        assert flips >= 10
+        # The diagnostic counter bench_perf reports as busy_share.
+        assert 0 < net.busy_cycles < cfg.total_cycles
 
 
 class TestActiveSets:
@@ -109,9 +182,7 @@ class TestActiveSets:
         """Switching walks mid-run (with the documented rebuild) lands on
         the same trajectory as an all-active run."""
         cfg = _config("dxbar_dor")
-        mixed = Simulator(cfg)
-        mixed.network.dense_step = True
-        mixed.network._rebuild_active_sets()
+        mixed = _simulator(cfg, "dense")
         for _ in range(150):
             mixed.workload.tick(mixed.network.cycle, mixed.network)
             mixed.network.step()
@@ -123,18 +194,14 @@ class TestActiveSets:
             pure.workload.tick(pure.network.cycle, pure.network)
             pure.network.step()
 
-        a = mixed.run()
-        b = pure.run()
-        da, db = a.to_dict(), b.to_dict()
-        da.get("extra", {}).pop("profile", None)
-        db.get("extra", {}).pop("profile", None)
-        assert da == db
+        assert _result(mixed) == _result(pure)
 
     def test_checkpoint_resume_rebuilds_active_sets(self):
         """Active sets are derived state: a checkpoint round-trip mid-run
-        must continue on the identical trajectory."""
+        must continue on the identical trajectory.  The original is pinned
+        to the active walk, the only phase that maintains the sets."""
         cfg = _config("buffered8")
-        orig = Simulator(cfg)
+        orig = _simulator(cfg, "sparse")
         for _ in range(200):
             orig.workload.tick(orig.network.cycle, orig.network)
             orig.network.step()
@@ -146,12 +213,26 @@ class TestActiveSets:
         assert resumed.network._active_links == orig.network._active_links
         assert resumed.network._active_channels == orig.network._active_channels
 
-        a = orig.run()
-        b = resumed.run()
-        da, db = a.to_dict(), b.to_dict()
-        da.get("extra", {}).pop("profile", None)
-        db.get("extra", {}).pop("profile", None)
-        assert da == db
+        assert _result(orig) == _result(resumed)
+
+    def test_checkpoint_in_busy_phase_resumes(self):
+        """A snapshot taken while the default walk runs its full-walk
+        phase (whose active sets are stale) resumes bit-exactly."""
+        cfg = _config("dxbar_dor")
+        orig = _simulator(cfg, "early")
+        net = orig.network
+        while not net._busy_walk and net.cycle < cfg.total_cycles:
+            orig.workload.tick(net.cycle, net)
+            net.step()
+        for _ in range(20):
+            orig.workload.tick(net.cycle, net)
+            net.step()
+        assert net._busy_walk
+        snap = orig.state_dict()
+
+        resumed = Simulator(cfg)
+        resumed.load_state_dict(snap)
+        assert _result(orig) == _result(resumed) == _result(Simulator(cfg))
 
 
 class TestConservationEveryCycle:

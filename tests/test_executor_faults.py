@@ -7,6 +7,13 @@ The failure modes are injected through the workload kinds registered in
 worker processes via ``plugins=``)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +331,61 @@ class TestCacheQuarantine:
             cache.get(spec)
         cache.clear()
         assert list(tmp_path.glob("*.corrupt"))  # evidence survives clear()
+
+
+# ----------------------------------------------------------------------
+# orphaned workers
+# ----------------------------------------------------------------------
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an orphan re-parented
+    to a non-reaping init stays a zombie after it exits)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_pool_workers_exit_when_the_driver_is_killed(tmp_path):
+    """``kill -9`` of a ``jobs=2`` driver must not leave its pool workers
+    running: each exits within a few seconds of losing its parent."""
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    root = Path(__file__).resolve().parents[1]
+    code = textwrap.dedent(
+        f"""
+        from repro.runner import RunSpec, run_specs
+        from repro.sim.config import SimConfig
+
+        cfg = SimConfig(**{TINY!r})
+        specs = [
+            RunSpec(cfg.with_(seed=seed), workload={{
+                "kind": "pid_then_sleep", "pid_dir": {str(pid_dir)!r}}})
+            for seed in (1, 2)
+        ]
+        run_specs(specs, jobs=2, plugins={list(PLUGINS)!r})
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    driver = subprocess.Popen([sys.executable, "-c", code], cwd=root, env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2:
+            assert time.monotonic() < deadline, "workers never started"
+            assert driver.poll() is None, "driver exited early"
+            time.sleep(0.1)
+            pids = [int(p.name) for p in pid_dir.iterdir()]
+        driver.kill()
+        driver.wait()
+        deadline = time.monotonic() + 5
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _running(pid)], "orphaned workers"
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -21,6 +21,7 @@ from repro.analysis.experiments import (
 from repro.designs import DESIGN_LABELS, PAPER_DESIGNS
 from repro.obs import campaign_status, merge_journal
 from repro.runner.rundir import run_paths
+from repro.runner.spec import materialize_workload
 
 TINY = ExperimentScale(
     warmup=60,
@@ -127,17 +128,25 @@ class TestCellBackends:
         fig11(TINY, root=tmp_path)
         fig9(TINY, root=tmp_path)
         seen = {}
-        closed_loop = set()
+        splash = {}
         for path in run_paths(tmp_path).cache.glob("*.json"):
             ident = json.loads(path.read_text())["identity"]
             cfg = SimConfig.from_dict(ident["config"])
             if ident["workload"] is not None:
-                # SPLASH-2 cells ignore offered_load: not stamped.
-                closed_loop.add(cfg.backend)
+                # SPLASH-2 cells: the rule reads the replayed trace, whose
+                # rate offered_load (never set for them) does not give.
+                workload = materialize_workload(ident["workload"], cfg)
+                assert cfg.backend == cfg.fastest_backend(workload), cfg.design
+                splash.setdefault(cfg.design, set()).add(cfg.backend)
                 continue
             assert cfg.backend == cfg.fastest_backend(), cfg.design
             seen.setdefault(cfg.design, set()).add(cfg.backend)
-        assert closed_loop == {"object"}
+        assert set(splash) == set(PAPER_DESIGNS)
+        # TINY's traces inject 0.8-3 flits/cycle: under flit_bless's
+        # threshold, on both sides of buffered4's trace threshold.
+        assert splash["buffered4"] == {"object", "vector"}
+        assert splash["flit_bless"] == {"object"}
+        assert splash["dxbar_dor"] == {"object"}
         assert set(seen) == set(PAPER_DESIGNS) | {"dxbar_dor", "dxbar_wf"}
         assert seen["buffered4"] == {"vector"}
         assert seen["dxbar_dor"] == {"object"}

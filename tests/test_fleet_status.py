@@ -175,6 +175,25 @@ class TestCampaignStatus:
         shard.write_text("".join(json.dumps(e) + "\n" for e in events))
         assert campaign_status(tmp_path / "j").events_seen == len(events)
 
+    def test_total_specs_sums_distinct_batches(self):
+        """A journal holding several run_specs batches (a figure root)
+        counts each batch's specs once, however often it re-ran."""
+        batches = [("fig5", 45), ("fig7", 81), ("fig5", 45), ("fig12", 12)]
+        st = CampaignStatus.from_events(
+            {"event": "campaign", "total_specs": n, "jobs": 2, "batch": batch}
+            for batch, n in batches
+        )
+        assert st.total_specs == 45 + 81 + 12
+
+    def test_real_batches_in_one_journal(self, tmp_path):
+        a = [RunSpec(tiny()), RunSpec(tiny(seed=4))]
+        b = [RunSpec(tiny(seed=5))]
+        for batch in (a, b, a):
+            run_specs(batch, cache=tmp_path / "c", journal=tmp_path / "j")
+        st = campaign_status(tmp_path / "j")
+        assert st.total_specs == len(st.jobs) == 3
+        assert "(3 specs)" not in render_status(st)
+
 
 # ----------------------------------------------------------------------
 # golden status surface: the exact ``repro status`` / ``tail`` output

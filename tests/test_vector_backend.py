@@ -305,8 +305,13 @@ class TestAutoBackendWorkHeuristic:
                     "vector", "auto: kernel")
             for backend in ("auto", "object"):
                 low = _config("flit_bless", backend=backend, k=4, offered_load=0.3)
+                # The reason names the rate the rule weighed (k**2 x load).
                 assert low.backend_choice() == (
-                    "object", "auto: below vector_min_work")
+                    "object", "auto: below vector_min_work (4.80 flits/cycle < 10)")
+                high = _config("flit_bless", backend=backend, k=8, offered_load=0.3)
+                assert high.backend_choice() == (
+                    ("vector", "auto: kernel (19.20 flits/cycle >= 10)")
+                    if backend == "auto" else ("object", "requested explicitly"))
                 resolved, reason = _config("scarab", backend=backend).backend_choice()
                 assert resolved == "object"
                 assert reason.startswith(
