@@ -245,7 +245,10 @@ class CampaignStatus:
             job.state = "retrying"
             job.error = record.get("error", job.error)
         elif event == EV_CACHE_HIT:
-            job.state = "cached"
+            # A re-run reads back what an earlier batch executed: the job
+            # stays completed (the hit still counts in ``cache_hits``).
+            if job.state != "completed":
+                job.state = "cached"
         elif event == EV_COMPLETED:
             job.state = "completed"
             job.attempts = max(job.attempts, record.get("attempts", job.attempts))

@@ -376,6 +376,7 @@ def run_specs(
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     total = len(specs)
+    job_ids = [spec.job_id() for spec in specs]
     outcomes: List[Optional[RunOutcome]] = [None] * total
     done = 0
 
@@ -399,7 +400,7 @@ def run_specs(
         if writer is not None:
             writer.write(
                 EV_COMPLETED,
-                job=specs[indexes[0]].job_id(),
+                job=job_ids[indexes[0]],
                 attempts=attempts,
                 cycles=result.final_cycle,
             )
@@ -413,7 +414,7 @@ def run_specs(
         if writer is not None:
             writer.write(
                 EV_FAILED,
-                job=specs[indexes[0]].job_id(),
+                job=job_ids[indexes[0]],
                 error=error,
                 attempts=attempts,
             )
@@ -443,7 +444,6 @@ def run_specs(
         cache.journal = writer
 
     try:
-        job_ids = [spec.job_id() for spec in specs]
         if writer is not None:
             # ``batch`` identifies the grid, so ``repro status`` counts a
             # re-run of the same batch (a resumed figure) once.

@@ -198,6 +198,16 @@ write_manifest = _RUN_DIR.write_manifest
 load_manifest = _RUN_DIR.load_manifest
 
 
+def _channel_capacity(spec: SaturationSpec, routing: str) -> float:
+    """The analytic channel capacity of ``spec``'s mesh and pattern under
+    the routing function named ``routing``: every (src, dst) path is
+    walked, so compute it once per routing function, not per design."""
+    mesh = Mesh(spec.k)
+    return channel_capacity(
+        make_pattern(spec.pattern, mesh), mesh, ROUTING.get(routing)(mesh)
+    )
+
+
 # ----------------------------------------------------------------------
 # per-design search state machine
 # ----------------------------------------------------------------------
@@ -211,13 +221,10 @@ class _Search:
     kill -9 resume and speculative/serial identity both rest on.
     """
 
-    def __init__(self, spec: SaturationSpec, design: str) -> None:
+    def __init__(self, spec: SaturationSpec, design: str, capacity: float) -> None:
         self.spec = spec
         self.design = design
-        mesh = Mesh(spec.k)
-        pattern = make_pattern(spec.pattern, mesh)
-        routing = ROUTING.get(DESIGNS.get(design).routing)(mesh)
-        self.capacity = channel_capacity(pattern, mesh, routing)
+        self.capacity = capacity  # see _channel_capacity
         self.generation = 0
         self.status = "pending"
         self.error: Optional[str] = None
@@ -504,7 +511,10 @@ def run_saturation(
     # Probes run on the fastest bit-exact backend unless ``spec.sim``
     # names one (``sim={"backend": "object"}`` forces the reference walk).
     stamp = "backend" not in spec.sim
-    searches = [_Search(spec, d) for d in spec.designs]
+    # Designs sharing a routing function share a capacity: one path walk each.
+    routings = {d: DESIGNS.get(d).routing for d in spec.designs}
+    capacity = {r: _channel_capacity(spec, r) for r in set(routings.values())}
+    searches = [_Search(spec, d, capacity[routings[d]]) for d in spec.designs]
     rounds = probes_total = probes_executed = 0
     write_json(root / REPORT_NAME, _report_payload(spec, searches))
     while any(not s.done for s in searches):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..registry import DESIGNS, PATTERNS
@@ -56,6 +56,25 @@ def content_hash(payload: Any) -> str:
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+#: Field names per dataclass, in declaration order (see _fields_dict).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _fields_dict(obj) -> Dict[str, Any]:
+    """A fresh dict of ``obj``'s dataclass fields, one level deep.
+
+    The ``to_dict`` methods build on this rather than on ``asdict``, which
+    deep-copies recursively: about 2 ms for a 64-entry fault map, paid by
+    every cache key and job id.  Callers convert their nested configs
+    through the nested ``to_dict``.
+    """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return {name: getattr(obj, name) for name in names}
 
 
 def check_fields(cls, data: Dict[str, Any]) -> None:
@@ -120,7 +139,7 @@ class FaultMapEntry:
         return self.input_port is not None
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultMapEntry":
@@ -207,8 +226,8 @@ class FaultConfig:
         return self.percent > 0 or self.entries is not None
 
     def to_dict(self) -> Dict[str, Any]:
-        d = asdict(self)
-        if d["entries"] is None:
+        d = _fields_dict(self)
+        if self.entries is None:
             # Omitted rather than null: keeps the canonical JSON — and so
             # every pre-existing config_hash, cache key and checkpoint
             # identity — byte-identical for entry-less configs.
@@ -216,7 +235,7 @@ class FaultConfig:
         else:
             # A list, not a tuple: the dict must equal its own JSON round
             # trip or cache identity checks read stored results as misses.
-            d["entries"] = list(d["entries"])
+            d["entries"] = [e.to_dict() for e in self.entries]
         return d
 
     @classmethod
@@ -266,7 +285,7 @@ class TelemetryConfig:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TelemetryConfig":
@@ -501,15 +520,16 @@ class SimConfig:
     # serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-serialisable form (nested configs become dicts).
+        """Lossless JSON-serialisable form (nested configs become dicts
+        through their own ``to_dict``).  Each call returns a fresh dict.
 
-        The faults sub-dict goes through :meth:`FaultConfig.to_dict` rather
-        than bare ``asdict``: it omits an absent ``entries`` key (keeping
+        :meth:`FaultConfig.to_dict` omits an absent ``entries`` key (keeping
         entry-less config hashes identical to pre-entries builds) and emits
         present entries in JSON-round-trip-stable form.
         """
-        d = asdict(self)
+        d = _fields_dict(self)
         d["faults"] = self.faults.to_dict()
+        d["telemetry"] = self.telemetry.to_dict()
         return d
 
     @classmethod
@@ -531,7 +551,13 @@ class SimConfig:
 
         Computed over the canonical JSON encoding of :meth:`to_dict`, so it
         is identical across processes and interpreter runs and keys the
-        runner's on-disk result cache.
+        runner's on-disk result cache.  Computed once per instance: the
+        config and everything nested in it are frozen, so the value is
+        stored in the instance ``__dict__`` (as ``cached_property`` does;
+        pickles carry it, ``with_`` builds a new instance without it).
         """
-        return content_hash(self.to_dict())
+        cached = self.__dict__.get("_config_hash")
+        if cached is None:
+            cached = self.__dict__["_config_hash"] = content_hash(self.to_dict())
+        return cached
 

@@ -1,11 +1,66 @@
 """Tests for config serialization: to_dict/from_dict round-trips and the
 stable content hash that keys the result cache."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
-from repro.sim.config import FaultConfig, SimConfig, TelemetryConfig
+from repro.campaign.sampler import FaultMapSampler
+from repro.sim.config import (
+    FaultConfig,
+    FaultMapEntry,
+    SimConfig,
+    TelemetryConfig,
+    content_hash,
+)
+
+
+def full_map_config() -> SimConfig:
+    """A fault in every router of the 8x8 mesh: the 64-entry crossbar map
+    a 100% campaign level carries."""
+    entries = FaultMapSampler(64, seed=2012).sample(3, 64)
+    return SimConfig(design="unified_dor", faults=FaultConfig(entries=entries))
+
+
+def crosspoint_config() -> SimConfig:
+    entries = FaultMapSampler(
+        16, seed=5, granularity="crosspoint", manifest_lo=100, manifest_hi=900
+    ).sample(1, 8)
+    return SimConfig(
+        design="dxbar_wf",
+        k=4,
+        faults=FaultConfig(granularity="crosspoint", detection_cycles=3, entries=entries),
+    )
+
+
+def telemetry_config() -> SimConfig:
+    return SimConfig(
+        telemetry=TelemetryConfig(
+            trace_path="ev.jsonl", metrics_interval=25, metrics_path="m.json", profile=True
+        )
+    )
+
+
+def asdict_form(cfg: SimConfig) -> dict:
+    """``cfg`` serialised the way ``SimConfig.to_dict`` did through
+    ``dataclasses.asdict``: the identity every existing cache entry and
+    checkpoint stores."""
+    d = dataclasses.asdict(cfg)
+    if d["faults"]["entries"] is None:
+        del d["faults"]["entries"]
+    else:
+        d["faults"]["entries"] = list(d["faults"]["entries"])
+    return d
+
+
+CONFIGS = {
+    "default": SimConfig,
+    "full_map": full_map_config,
+    "crosspoint": crosspoint_config,
+    "telemetry": telemetry_config,
+}
 
 
 class TestRoundTrip:
@@ -131,6 +186,30 @@ class TestConfigHash:
         assert RunSpec(SimConfig(), workload=workload).job_id() == "bd90b074db0cb9ca"
         assert CampaignSpec().campaign_hash() == "b9e1c98b72061f5a"
         assert SaturationSpec().search_hash() == "936e26606273d4d6"
+        assert full_map_config().config_hash() == "9c33ec613ebdb108"
+        assert crosspoint_config().config_hash() == "cb48c4b6ea63eace"
+        assert telemetry_config().config_hash() == "1b2654784f86be4f"
+        full = RunSpec(full_map_config(), workload=workload)
+        assert full.job_id() == "c4019edc2ef0ba5d"
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_to_dict_matches_the_asdict_form(self, name):
+        cfg = CONFIGS[name]()
+        assert cfg.to_dict() == asdict_form(cfg)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_to_dict_equals_its_json_round_trip(self, name):
+        d = CONFIGS[name]().to_dict()
+        assert json.loads(json.dumps(d)) == d
+
+    def test_to_dict_serialises_every_field(self):
+        names = lambda cls: {f.name for f in dataclasses.fields(cls)}
+        d = full_map_config().to_dict()
+        assert set(SimConfig().to_dict()) == names(SimConfig)
+        assert set(d) == names(SimConfig)
+        assert set(d["faults"]) == names(FaultConfig)
+        assert set(d["telemetry"]) == names(TelemetryConfig)
+        assert all(set(e) == names(FaultMapEntry) for e in d["faults"]["entries"])
 
     def test_int_and_float_fault_percent_are_one_config(self):
         """Equal configs hash and report alike: ``percent`` is stored as a
@@ -149,6 +228,68 @@ class TestConfigHash:
         ]
         assert reports[0] == reports[1]
         assert '"fault_percent": 100.0' in reports[0]
+
+
+class TestCachedHash:
+    """``config_hash`` is computed once per instance; these pin that the
+    stored value can never disagree with the config it belongs to."""
+
+    def test_with_gives_a_new_hash(self):
+        cfg = full_map_config()
+        before = cfg.config_hash()
+        other = cfg.with_(seed=2)
+        assert other.config_hash() != before
+        assert other.config_hash() == content_hash(other.to_dict())
+        assert cfg.with_().config_hash() == before
+        assert cfg.config_hash() == before
+
+    def test_mutating_a_returned_dict_changes_nothing(self):
+        cfg = full_map_config()
+        pristine = cfg.to_dict()
+        h = cfg.config_hash()
+        d = cfg.to_dict()
+        d["seed"] = 99
+        d["faults"]["detection_cycles"] = 0
+        d["faults"]["entries"][0]["node"] = 63
+        d["faults"]["entries"].pop()
+        d["telemetry"]["profile"] = True
+        assert cfg.to_dict() == pristine
+        assert cfg.config_hash() == h == content_hash(pristine)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pickle_keeps_the_hash(self, warm):
+        cfg = full_map_config()
+        if warm:
+            cfg.config_hash()
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash() == "9c33ec613ebdb108"
+
+    def test_the_cached_hash_is_not_config_data(self):
+        cfg = SimConfig()
+        cfg.config_hash()
+        assert cfg == SimConfig()
+        assert hash(cfg) == hash(SimConfig())
+        assert set(cfg.to_dict()) == {f.name for f in dataclasses.fields(SimConfig)}
+        assert SimConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_entries_written_with_the_asdict_identity_still_hit(self, tmp_path, name):
+        """A cache entry holding the identity ``asdict`` produced (what
+        every existing cache directory stores) reads as a hit."""
+        from repro.runner import ResultCache, RunSpec
+
+        cfg = CONFIGS[name]()
+        old_id = content_hash(asdict_form(cfg))
+        payload = {
+            "job_id": old_id,
+            "identity": {"config": asdict_form(cfg), "workload": None},
+            "result": {"marker": name},
+        }
+        (tmp_path / f"{old_id}.json").write_text(json.dumps(payload))
+        cache = ResultCache(tmp_path)
+        assert cache.get(RunSpec(cfg, tag="t")) == {"marker": name}
+        assert (cache.hits, cache.misses) == (1, 0)
 
 
 class TestFaultMapEntries:

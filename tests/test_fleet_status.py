@@ -194,6 +194,45 @@ class TestCampaignStatus:
         assert st.total_specs == len(st.jobs) == 3
         assert "(3 specs)" not in render_status(st)
 
+    def test_cache_hit_does_not_demote_a_completed_job(self):
+        """A re-run of a batch reads back what the first run executed:
+        those jobs stay ``completed``, a job that was only ever a hit is
+        ``cached``, and every hit still counts in ``cache_hits``."""
+        mk = lambda i, event, **f: {"v": 1, "ts": float(i), "src": "t",
+                                    "seq": i, "event": event, **f}
+        first = [
+            mk(0, "campaign", total_specs=2, jobs=1, batch="x"),
+            mk(1, "job_submitted", job="a"),
+            mk(2, "job_submitted", job="b"),
+            mk(3, "cache_hit", job="b"),
+            mk(4, "job_started", job="a", attempt=1, pid=1, cycle=0),
+            mk(5, "completed", job="a", attempts=1, cycles=120),
+        ]
+        rerun = [
+            mk(6, "campaign", total_specs=2, jobs=1, batch="x"),
+            mk(7, "job_submitted", job="a"),
+            mk(8, "cache_hit", job="a"),
+            mk(9, "job_submitted", job="b"),
+            mk(10, "cache_hit", job="b"),
+        ]
+        st = CampaignStatus.from_events(first + rerun)
+        assert {j.job_id: j.state for j in st.jobs.values()} == {
+            "a": "completed", "b": "cached"}
+        counts = st.counts()
+        assert (counts["completed"], counts["cached"]) == (1, 1)
+        assert st.tallies["cache_hits"] == 3
+        assert st.jobs["a"].attempts == 1
+        assert st.finished
+
+    def test_rerun_of_a_finished_batch_reports_completed(self, tmp_path):
+        batch = [RunSpec(tiny()), RunSpec(tiny(seed=4))]
+        for _ in range(2):
+            run_specs(batch, cache=tmp_path / "c", journal=tmp_path / "j")
+        st = campaign_status(tmp_path / "j")
+        assert st.counts()["completed"] == 2
+        assert st.counts()["cached"] == 0
+        assert st.tallies["cache_hits"] == 2
+
 
 # ----------------------------------------------------------------------
 # golden status surface: the exact ``repro status`` / ``tail`` output

@@ -199,6 +199,25 @@ class TestConvergence:
                 <= spec.tolerance
             )
 
+    def test_capacity_is_computed_once_per_routing_function(self, tmp_path, monkeypatch):
+        """Designs that share a routing function share one path walk, and
+        each still reports its own routing function's capacity."""
+        import repro.runner.saturation as sat
+
+        walks = []
+        real = sat.channel_capacity
+        monkeypatch.setattr(
+            sat, "channel_capacity", lambda *a: walks.append(a) or real(*a)
+        )
+        designs = ("dxbar_dor", "dxbar_wf", "unified_dor", "flit_bless", "unified_wf")
+        cliffs = {d: 0.7 * analytic_capacity(d, 4) for d in designs}
+        spec = SaturationSpec(designs=designs, k=4, tolerance=0.05, seed=3)
+        res = run_saturation(tmp_path / "s", spec, runner=cliff_runner(cliffs))
+        assert len(walks) == 3  # dor, wf, adaptive
+        assert {e["design"]: e["capacity"] for e in res.results} == {
+            d: round(analytic_capacity(d, 4), 9) for d in designs
+        }
+
     def test_latency_criterion_finds_latency_cliff(self, tmp_path):
         """With accepted throughput always keeping up, only the latency
         criterion can see this cliff."""
@@ -355,7 +374,11 @@ class TestNonMonotone:
         }
 
     def test_contradiction_widens_and_reseeds(self):
-        s = _Search(spec_for("dxbar_dor", 8, max_widenings=2), "dxbar_dor")
+        s = _Search(
+            spec_for("dxbar_dor", 8, max_widenings=2),
+            "dxbar_dor",
+            analytic_capacity("dxbar_dor", 8),
+        )
         seed0 = s.seed()
         self.contradict(s)
         s.integrate()
@@ -367,7 +390,11 @@ class TestNonMonotone:
         assert s.seed() != seed0
 
     def test_contradiction_fails_after_max_widenings(self):
-        s = _Search(spec_for("dxbar_dor", 8, max_widenings=1), "dxbar_dor")
+        s = _Search(
+            spec_for("dxbar_dor", 8, max_widenings=1),
+            "dxbar_dor",
+            analytic_capacity("dxbar_dor", 8),
+        )
         self.contradict(s)
         s.integrate()
         assert s.status == "pending" and s.generation == 1
