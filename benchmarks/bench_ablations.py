@@ -1,6 +1,8 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-Not figures from the paper — these probe the knobs the paper fixed:
+Not figures from the paper — these probe the knobs the paper fixed, each
+a registered figure (``repro figure ablation_*``) with its own pinned
+configs and seed:
 
 * fairness-counter threshold (paper picked 4 "after testing with different
   traffic patterns");
@@ -10,97 +12,33 @@ Not figures from the paper — these probe the knobs the paper fixed:
 * BIST detection delay (paper assumed 5 cycles).
 """
 
-from repro.analysis.report import FigureResult
-from repro.sim.config import FaultConfig, SimConfig
-from repro.sim.engine import run_simulation
-
-BASE = SimConfig(
-    pattern="UR",
-    offered_load=0.5,
-    warmup_cycles=300,
-    measure_cycles=900,
-    drain_cycles=0,
-    seed=17,
+from repro.analysis.experiments import (
+    ablation_allocator,
+    ablation_depth,
+    ablation_detection,
+    ablation_fairness,
 )
 
 
-def test_ablation_fairness_threshold(benchmark, record_figure):
-    thresholds = (1, 2, 4, 8, 32)
+def run(benchmark, figure, root):
+    return benchmark.pedantic(figure, kwargs={"root": root}, rounds=1, iterations=1)
 
-    def run():
-        rows = {
-            "accepted": [],
-            "latency": [],
-            "flips_per_kcycle": [],
-        }
-        for t in thresholds:
-            r = run_simulation(BASE.with_(design="dxbar_dor", fairness_threshold=t))
-            rows["accepted"].append(r.accepted_load)
-            rows["latency"].append(r.avg_flit_latency)
-            rows["flips_per_kcycle"].append(
-                1000.0 * r.fairness_flips / (64 * BASE.total_cycles)
-            )
-        return FigureResult(
-            "ablation_fairness",
-            "DXbar fairness threshold sweep (UR @ 0.5)",
-            "threshold",
-            list(thresholds),
-            rows,
-        )
 
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(fig)
+def test_ablation_fairness_threshold(benchmark, record_figure, figure_root):
+    fig = record_figure(run(benchmark, ablation_fairness, figure_root))
     # More aggressive flipping => more flips; throughput stays in a band.
     flips = fig.series["flips_per_kcycle"]
     assert flips[0] > flips[-1]
 
 
-def test_ablation_buffer_depth(benchmark, record_figure):
-    depths = (2, 4, 8, 16)
-
-    def run():
-        rows = {"accepted": [], "latency": [], "buffered_fraction": []}
-        for d in depths:
-            r = run_simulation(BASE.with_(design="dxbar_dor", buffer_depth=d))
-            rows["accepted"].append(r.accepted_load)
-            rows["latency"].append(r.avg_flit_latency)
-            rows["buffered_fraction"].append(r.buffered_fraction)
-        return FigureResult(
-            "ablation_depth",
-            "DXbar side-buffer depth sweep (UR @ 0.5)",
-            "depth",
-            list(depths),
-            rows,
-        )
-
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(fig)
+def test_ablation_buffer_depth(benchmark, record_figure, figure_root):
+    fig = record_figure(run(benchmark, ablation_depth, figure_root))
     acc = fig.series["accepted"]
     assert acc[-1] >= acc[0]  # deeper buffers never hurt throughput
 
 
-def test_ablation_dual_vs_unified_allocator(benchmark, record_figure):
-    designs = ("dxbar_dor", "unified_dor", "dxbar_wf", "unified_wf")
-
-    def run():
-        rows = {"accepted": [], "energy_nj_per_pkt": [], "swaps_per_kcycle": []}
-        for d in designs:
-            r = run_simulation(BASE.with_(design=d))
-            rows["accepted"].append(r.accepted_load)
-            rows["energy_nj_per_pkt"].append(r.energy_per_packet_nj)
-            rows["swaps_per_kcycle"].append(
-                1000.0 * r.allocator_swaps / (64 * BASE.total_cycles)
-            )
-        return FigureResult(
-            "ablation_allocator",
-            "Dual crossbar vs unified dual-input crossbar (UR @ 0.5)",
-            "design",
-            list(designs),
-            rows,
-        )
-
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(fig)
+def test_ablation_dual_vs_unified_allocator(benchmark, record_figure, figure_root):
+    fig = record_figure(run(benchmark, ablation_allocator, figure_root))
     acc = dict(zip(fig.x, fig.series["accepted"]))
     # The unified design provides at least comparable performance (the
     # paper: "consistently better performance ... due to full connectivity").
@@ -109,30 +47,6 @@ def test_ablation_dual_vs_unified_allocator(benchmark, record_figure):
     assert swaps["unified_dor"] > 0  # the conflict-free logic is exercised
 
 
-def test_ablation_detection_delay(benchmark, record_figure):
-    delays = (0, 5, 20, 80)
-
-    def run():
-        rows = {"accepted": [], "latency": []}
-        for d in delays:
-            r = run_simulation(
-                BASE.with_(
-                    design="dxbar_dor",
-                    faults=FaultConfig(
-                        percent=100, detection_cycles=d, manifest_window=250
-                    ),
-                )
-            )
-            rows["accepted"].append(r.accepted_load)
-            rows["latency"].append(r.avg_flit_latency)
-        return FigureResult(
-            "ablation_detection",
-            "BIST detection delay sweep at 100% faults (UR @ 0.5)",
-            "detection_cycles",
-            list(delays),
-            rows,
-        )
-
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(fig)
+def test_ablation_detection_delay(benchmark, record_figure, figure_root):
+    fig = record_figure(run(benchmark, ablation_detection, figure_root))
     assert all(v > 0 for v in fig.series["accepted"])

@@ -1,4 +1,6 @@
-"""Extension benches beyond the paper's evaluation.
+"""Extension benches beyond the paper's evaluation, each a registered
+figure (``repro figure ext_* / scaling_*``) with its own pinned configs and
+seed:
 
 * **AFC comparison** — the paper's related-work argument quantified: the
   AFC-style mode-switching router against DXbar and the endpoints it
@@ -10,46 +12,20 @@
   advantage compound as the mesh grows beyond 8x8.
 """
 
-from repro.analysis.report import FigureResult
-from repro.analysis.scaling import scaling_study
-from repro.sim.config import FaultConfig, SimConfig
-from repro.sim.engine import run_simulation
-
-BASE = SimConfig(
-    pattern="UR",
-    warmup_cycles=300,
-    measure_cycles=900,
-    drain_cycles=8000,
-    seed=23,
+from repro.analysis.experiments import (
+    ext_afc,
+    ext_crosspoint,
+    scaling_energy,
+    scaling_latency,
 )
 
 
-def test_extension_afc_comparison(benchmark, record_figure):
-    designs = ("flit_bless", "buffered4", "afc", "dxbar_dor")
-    loads = (0.1, 0.3, 0.5, 0.7)
+def run(benchmark, figure, root):
+    return benchmark.pedantic(figure, kwargs={"root": root}, rounds=1, iterations=1)
 
-    def run():
-        from repro.designs import DESIGN_LABELS
 
-        acc = {DESIGN_LABELS[d]: [] for d in designs}
-        energy = {DESIGN_LABELS[d]: [] for d in designs}
-        for load in loads:
-            for d in designs:
-                r = run_simulation(BASE.with_(design=d, offered_load=load))
-                acc[DESIGN_LABELS[d]].append(r.accepted_load)
-                energy[DESIGN_LABELS[d]].append(r.energy_per_packet_nj)
-        return FigureResult(
-            "ext_afc",
-            "AFC mode-switching vs DXbar (UR sweep)",
-            "offered_load",
-            list(loads),
-            {**{f"acc {k}": v for k, v in acc.items()},
-             **{f"nJ {k}": v for k, v in energy.items()}},
-        )
-
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(fig)
-
+def test_extension_afc_comparison(benchmark, record_figure, figure_root):
+    fig = record_figure(run(benchmark, ext_afc, figure_root))
     hi = -1
     # AFC interpolates its endpoints: beats BLESS on throughput and energy
     # at high load, beats Buffered-4 on energy at low load.
@@ -60,63 +36,22 @@ def test_extension_afc_comparison(benchmark, record_figure):
     assert fig.series["nJ DXbar DOR"][hi] < fig.series["nJ AFC"][hi]
 
 
-def test_extension_crosspoint_faults(benchmark, record_figure):
-    percents = (0.0, 50.0, 100.0)
-
-    def run():
-        series = {}
-        for design in ("dxbar_dor", "dxbar_wf"):
-            acc = []
-            for pct in percents:
-                r = run_simulation(
-                    BASE.with_(
-                        design=design,
-                        offered_load=0.4,
-                        faults=FaultConfig(
-                            percent=pct,
-                            granularity="crosspoint",
-                            manifest_window=250,
-                        ),
-                    )
-                )
-                acc.append(r.accepted_load)
-            series[design] = acc
-        return FigureResult(
-            "ext_crosspoint",
-            "Crosspoint-granularity faults (UR @ 0.4)",
-            "fault_percent",
-            list(percents),
-            series,
-        )
-
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(fig)
-
+def test_extension_crosspoint_faults(benchmark, record_figure, figure_root):
+    fig = record_figure(run(benchmark, ext_crosspoint, figure_root))
     for design, ys in fig.series.items():
         # A single dead crosspoint per router costs far less than a dead
         # crossbar: degradation stays under 15% even at 100%.
         assert ys[-1] > 0.85 * ys[0], design
 
 
-def test_extension_mesh_scaling(benchmark, record_figure):
-    def run():
-        return scaling_study(
-            designs=("buffered4", "dxbar_dor", "flit_bless"),
-            radices=(4, 6, 8),
-            offered_load=0.12,
-            base=SimConfig(
-                warmup_cycles=300, measure_cycles=700, drain_cycles=4000, seed=5
-            ),
-        )
+def test_extension_mesh_scaling(benchmark, record_figure, figure_root):
+    latency = record_figure(run(benchmark, scaling_latency, figure_root))
+    energy = record_figure(scaling_energy(root=figure_root))
 
-    figs = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_figure(figs["latency"])
-    record_figure(figs["energy"])
-
-    b4 = figs["latency"].series["Buffered 4"]
-    dx = figs["latency"].series["DXbar DOR"]
+    b4 = latency.series["Buffered 4"]
+    dx = latency.series["DXbar DOR"]
     # The per-hop pipeline advantage compounds with the mesh diameter.
     assert (b4[-1] - dx[-1]) > (b4[0] - dx[0])
     # DXbar's energy advantage holds at every radix.
-    for i in range(len(figs["energy"].x)):
-        assert figs["energy"].series["DXbar DOR"][i] < figs["energy"].series["Buffered 4"][i]
+    for i in range(len(energy.x)):
+        assert energy.series["DXbar DOR"][i] < energy.series["Buffered 4"][i]

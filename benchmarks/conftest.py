@@ -1,16 +1,19 @@
 """Benchmark harness support.
 
-Every benchmark regenerates one table/figure of the paper via the drivers
-in :mod:`repro.analysis.experiments`, at the scale selected by the
-``REPRO_SCALE`` environment variable (``quick`` by default; use
-``REPRO_SCALE=default`` or ``full`` for publication-grade runs).
+Every benchmark regenerates one registered figure of
+:data:`repro.analysis.experiments.ALL_EXPERIMENTS`.  The paper's figures
+run at the scale selected by the ``REPRO_SCALE`` environment variable
+(``quick`` by default; use ``REPRO_SCALE=default`` or ``full`` for
+publication-grade runs); Table III and the ablation, extension and
+scaling figures pin their own configs and ignore it.
 
 Rendered results are written to ``benchmarks/results/<exp>.txt`` so a run
 leaves the reproduced artifacts on disk (EXPERIMENTS.md records them).
 Every figure benchmark runs its cells in one session-wide figure root
 (``figure_root``), so figures that share simulations (5/6, 7/8, 9/10,
-11/12) simulate them once and the second benchmark of each pair measures
-only cache reads and rendering.
+11/12, scaling latency/energy, and the ablation cells at the paper's
+default knobs) simulate them once and the second benchmark of each pair
+measures only cache reads and rendering.
 """
 
 from __future__ import annotations

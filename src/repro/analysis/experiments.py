@@ -1,32 +1,40 @@
 """Per-figure experiment drivers.
 
-One function per table/figure of the paper's evaluation (Section III).
-Each returns a :class:`~repro.analysis.report.FigureResult` whose series
-carry the same labels the paper plots.
+Every reproduced table and figure — the paper's (Section III) and the
+ablations, extensions and mesh-scaling study beyond it — is a
+:class:`Figure` record in :data:`ALL_EXPERIMENTS`: its id, title and x
+label, the simulation grid it reads, and how it turns that grid's cell
+results into the plotted x axis and series.  One driver,
+:meth:`Figure.__call__`, serves them all and returns a
+:class:`~repro.analysis.report.FigureResult` whose series carry the same
+labels the paper plots.
 
-Every driver expands its simulation grid into
-:class:`~repro.runner.RunSpec` jobs and executes them through
-:func:`repro.runner.run_specs`, so all of them accept ``jobs`` (process
-parallelism) and ``root``, a figure run directory (the CLI's ``--root``).
-With a root, cells are cached under ``<root>/cache`` and journaled under
-``<root>/journal`` (:func:`repro.runner.rundir.run_paths`), so ``repro
-status <root>`` shows each one as executed, cached or retried, and a
-killed run resumes by being re-run.  Figures that share simulations (5/6,
-7/8, 9/10, 11/12) hit the same config-hash keys and run them once when
-they share a root; without a root nothing is kept.
+The driver expands a figure's grid into :class:`~repro.runner.RunSpec`
+jobs and executes them through :func:`repro.runner.run_specs`, so every
+figure accepts ``jobs`` (process parallelism) and ``root``, a figure run
+directory (the CLI's ``--root``).  With a root, cells are cached under
+``<root>/cache`` and journaled under ``<root>/journal``
+(:func:`repro.runner.rundir.run_paths`), so ``repro status <root>`` shows
+each one as executed, cached or retried, and a killed run resumes by
+being re-run.  Figures that share a grid (5/6, 7/8, 9/10, 11/12, the two
+scaling figures) hit the same config-hash keys and run them once when they
+share a root; without a root nothing is kept.
 
-Runtime is controlled by an :class:`ExperimentScale`; the ``REPRO_SCALE``
-environment variable (``quick`` / ``default`` / ``full``) selects a preset
-when the caller does not pass one explicitly, and ``REPRO_JOBS`` sets the
-default worker count.
+The paper's figures size themselves from an :class:`ExperimentScale`; the
+``REPRO_SCALE`` environment variable (``quick`` / ``default`` / ``full``)
+selects a preset when the caller does not pass one explicitly, and
+``REPRO_JOBS`` sets the default worker count.  Table III and the
+ablation, extension and scaling figures pin their own configs and seeds
+(``scaled=False``) and never read a scale.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..designs import DESIGN_LABELS, PAPER_DESIGNS
 from ..energy.area import design_area
@@ -40,10 +48,18 @@ from ..sim.stats import SimResult
 from ..traffic.patterns import pattern_names
 from ..traffic.splash2 import splash2_app_names
 from .report import FigureResult
-from .sweep import SweepResult, design_grid
 
 #: A figure run directory, or None to keep nothing.
 Root = Optional[Union[str, Path]]
+
+#: A figure's simulation grid: cell key -> job.
+Grid = Dict[Hashable, RunSpec]
+
+#: The grid's results: cell key -> result.
+Cells = Dict[Hashable, SimResult]
+
+#: A figure's plotted series: label -> one value per x.
+Series = Dict[str, List]
 
 
 @dataclass(frozen=True)
@@ -95,21 +111,16 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
         raise ValueError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
 
 
-def _run_grid(
-    specs: List[RunSpec],
-    jobs: Optional[int],
-    root: Root,
-    progress=None,
-) -> List[SimResult]:
+def _run_grid(grid: Grid, jobs: Optional[int], root: Root, progress=None) -> Cells:
     """Run figure cells, each on its fastest bit-exact backend (the
-    figure drivers own their configs and never pick one).  The ``auto``
-    rule reads each cell's workload: ``k**2 * offered_load`` for the
-    open-loop cells, the replayed trace's flits per cycle for SPLASH-2."""
+    figures own their configs and never pick one).  The ``auto`` rule
+    reads each cell's workload: ``k**2 * offered_load`` for the open-loop
+    cells, the replayed trace's flits per cycle for SPLASH-2."""
     specs = [
         replace(s, config=s.config.with_(backend=s.config.fastest_backend(
             materialize_workload(s.workload, s.config)
         )))
-        for s in specs
+        for s in grid.values()
     ]
     cache = journal = None
     if root is not None:
@@ -121,9 +132,116 @@ def _run_grid(
         journal=journal,
         progress=progress,
     )
-    return results_of(outcomes, "experiment jobs")
+    return dict(zip(grid, results_of(outcomes, "experiment jobs")))
 
 
+@dataclass(frozen=True)
+class Figure:
+    """One reproduced table or figure, as data.
+
+    ``grid`` builds the keyed cells the figure reads (None for an
+    analytic table); figures sharing a grid function share its cells
+    through a root's cache.  ``series`` turns the cell results into the x
+    axis and the series; ``notes`` adds footnotes.  A figure with
+    ``scaled=False`` pins its own configs and seeds: it is handed no scale
+    and ``--scale`` does not change it.
+    """
+
+    exp_id: str
+    title: str
+    x_label: str
+    grid: Optional[Callable[[Optional[ExperimentScale]], Grid]]
+    series: Callable[[Optional[ExperimentScale], Cells], Tuple[list, Series]]
+    notes: Callable[[Optional[ExperimentScale]], List[str]] = lambda scale: []
+    scaled: bool = True
+
+    def __call__(
+        self,
+        scale: Optional[ExperimentScale] = None,
+        *,
+        jobs: Optional[int] = None,
+        root: Root = None,
+        progress=None,
+    ) -> FigureResult:
+        scale = (scale or scale_from_env()) if self.scaled else None
+        cells = _run_grid(self.grid(scale), jobs, root, progress) if self.grid else {}
+        x, series = self.series(scale, cells)
+        return FigureResult(
+            self.exp_id, self.title, self.x_label, x, series, self.notes(scale)
+        )
+
+
+# ----------------------------------------------------------------------
+# cells -> series
+# ----------------------------------------------------------------------
+_ACCEPTED = attrgetter("accepted_load")
+_LATENCY = attrgetter("avg_flit_latency")
+_ENERGY = attrgetter("energy_per_packet_nj")
+
+
+def _table(
+    cells: Cells,
+    metric: Callable[[SimResult], float],
+    label: Callable[[Hashable], str] = DESIGN_LABELS.__getitem__,
+) -> Tuple[list, Series]:
+    """Cells keyed ``(row, x)`` as one series per row (named by
+    ``label``) of ``metric`` at every x, both in first-seen order."""
+    rows = list(dict.fromkeys(r for r, _ in cells))
+    xs = list(dict.fromkeys(x for _, x in cells))
+    return xs, {label(r): [metric(cells[r, x]) for x in xs] for r in rows}
+
+
+def _per_design(metric: Callable[[SimResult], float]):
+    return lambda scale, cells: _table(cells, metric)
+
+
+def _columns(**metrics: Callable[[SimResult], float]):
+    """Cells keyed by x value, one series per named metric."""
+    return lambda scale, cells: (
+        list(cells),
+        {name: [m(r) for r in cells.values()] for name, m in metrics.items()},
+    )
+
+
+# ----------------------------------------------------------------------
+# Table III — area and energy
+# ----------------------------------------------------------------------
+_TABLE3_LABELS = {
+    "flit_bless": "Flit-Bless",
+    "scarab": "SCARAB",
+    "buffered4": "Buffered 4",
+    "buffered8": "Buffered 8",
+    "dxbar": "DXbar",
+    "unified": "Unified Xbar",
+}
+
+
+def _table3_series(scale, cells) -> Tuple[list, Series]:
+    designs = list(_TABLE3_LABELS)
+    return [_TABLE3_LABELS[d] for d in designs], {
+        "area_mm2": [design_area(d).total for d in designs],
+        "buffer_energy_pj_per_flit": [DESIGN_ENERGY[d].buffer_pj for d in designs],
+        "xbar_energy_pj_per_flit": [DESIGN_ENERGY[d].xbar_pj for d in designs],
+    }
+
+
+table3 = Figure(
+    "table3",
+    "Area and energy estimation for 65 nm, 1.0 V, 1 GHz",
+    "design",
+    grid=None,
+    series=_table3_series,
+    notes=lambda scale: [
+        "absolute areas solved from the paper's stated ratios "
+        "(OCR dropped the table values); see repro/energy/area.py",
+    ],
+    scaled=False,
+)
+
+
+# ----------------------------------------------------------------------
+# The paper's figures: grids sized by the scale
+# ----------------------------------------------------------------------
 def _base_config(scale: ExperimentScale) -> SimConfig:
     return SimConfig(
         warmup_cycles=scale.warmup,
@@ -133,164 +251,26 @@ def _base_config(scale: ExperimentScale) -> SimConfig:
     )
 
 
-# ----------------------------------------------------------------------
-# Table III — area and energy
-# ----------------------------------------------------------------------
-def table3() -> FigureResult:
-    """Area and per-event energy for the six designs (Table III)."""
-    designs = ("flit_bless", "scarab", "buffered4", "buffered8", "dxbar", "unified")
-    labels = {
-        "flit_bless": "Flit-Bless",
-        "scarab": "SCARAB",
-        "buffered4": "Buffered 4",
-        "buffered8": "Buffered 8",
-        "dxbar": "DXbar",
-        "unified": "Unified Xbar",
-    }
-    area, buf_e, xbar_e = [], [], []
-    for d in designs:
-        area.append(design_area(d).total)
-        ec = DESIGN_ENERGY[d]
-        buf_e.append(ec.buffer_pj)
-        xbar_e.append(ec.xbar_pj)
-    return FigureResult(
-        exp_id="table3",
-        title="Area and energy estimation for 65 nm, 1.0 V, 1 GHz",
-        x_label="design",
-        x=[labels[d] for d in designs],
-        series={
-            "area_mm2": area,
-            "buffer_energy_pj_per_flit": buf_e,
-            "xbar_energy_pj_per_flit": xbar_e,
-        },
-        notes=[
-            "absolute areas solved from the paper's stated ratios "
-            "(OCR dropped the table values); see repro/energy/area.py",
-        ],
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 5 & 6 — uniform-random load sweep
-# ----------------------------------------------------------------------
-def _ur_sweep(
-    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
-) -> Dict[str, SweepResult]:
-    return design_grid(
-        PAPER_DESIGNS,
-        scale.loads,
-        _base_config(scale),
-        lambda specs: _run_grid(specs, jobs, root, progress),
-        pattern="UR",
-    )
-
-
-def fig5(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 5: accepted vs offered load, uniform random."""
-    scale = scale or scale_from_env()
-    runs = _ur_sweep(scale, jobs, root, progress)
-    return FigureResult(
-        exp_id="fig5",
-        title="Throughput of Uniform Random traffic pattern",
-        x_label="offered_load",
-        x=list(scale.loads),
-        series={DESIGN_LABELS[d]: runs[d].accepted for d in PAPER_DESIGNS},
-    )
-
-
-def fig6(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 6: average energy (nJ/packet) vs offered load, uniform random."""
-    scale = scale or scale_from_env()
-    runs = _ur_sweep(scale, jobs, root, progress)
-    return FigureResult(
-        exp_id="fig6",
-        title="Power of Uniform Random traffic pattern",
-        x_label="offered_load",
-        x=list(scale.loads),
-        series={DESIGN_LABELS[d]: runs[d].energy_per_packet for d in PAPER_DESIGNS},
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 7 & 8 — all synthetic patterns at offered load 0.5
-# ----------------------------------------------------------------------
-def _synthetic_half(
-    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
-) -> Dict[str, Dict[str, SimResult]]:
+def _ur_sweep(scale: ExperimentScale) -> Grid:
+    """Figs. 5/6: every paper design across the uniform-random loads."""
     base = _base_config(scale)
-    patterns = list(pattern_names())
-    specs = [
-        RunSpec(base.with_(design=design, pattern=p, offered_load=0.5), tag=design)
-        for design in PAPER_DESIGNS
-        for p in patterns
-    ]
-    results = _run_grid(specs, jobs, root, progress)
-    n = len(patterns)
     return {
-        design: dict(zip(patterns, results[i * n : (i + 1) * n]))
-        for i, design in enumerate(PAPER_DESIGNS)
+        (d, load): RunSpec(base.with_(design=d, offered_load=load, pattern="UR"), tag=d)
+        for d in PAPER_DESIGNS
+        for load in scale.loads
     }
 
 
-def fig7(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 7: throughput at offered load 0.5 for all synthetic traces."""
-    scale = scale or scale_from_env()
-    runs = _synthetic_half(scale, jobs, root, progress)
-    return FigureResult(
-        exp_id="fig7",
-        title="Throughput at offered load = 0.5 of all synthetic traces",
-        x_label="pattern",
-        x=list(pattern_names()),
-        series={
-            DESIGN_LABELS[d]: [runs[d][p].accepted_load for p in pattern_names()]
-            for d in PAPER_DESIGNS
-        },
-    )
+def _synthetic_half(scale: ExperimentScale) -> Grid:
+    """Figs. 7/8: every paper design on every synthetic pattern at 0.5."""
+    base = _base_config(scale)
+    return {
+        (d, p): RunSpec(base.with_(design=d, pattern=p, offered_load=0.5), tag=d)
+        for d in PAPER_DESIGNS
+        for p in pattern_names()
+    }
 
 
-def fig8(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 8: energy at offered load 0.5 for all synthetic traces."""
-    scale = scale or scale_from_env()
-    runs = _synthetic_half(scale, jobs, root, progress)
-    return FigureResult(
-        exp_id="fig8",
-        title="Energy consumed at offered load = 0.5 of all synthetic traces",
-        x_label="pattern",
-        x=list(pattern_names()),
-        series={
-            DESIGN_LABELS[d]: [runs[d][p].energy_per_packet_nj for p in pattern_names()]
-            for d in PAPER_DESIGNS
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 9 & 10 — SPLASH-2 trace replay
-# ----------------------------------------------------------------------
 def splash_cell(scale: ExperimentScale, app: str, design: str) -> RunSpec:
     """The Figs. 9/10 cell replaying SPLASH-2 ``app`` on ``design``."""
     workload = {
@@ -310,84 +290,29 @@ def splash_cell(scale: ExperimentScale, app: str, design: str) -> RunSpec:
     return RunSpec(cfg, workload=workload, tag=f"{app}/{design}")
 
 
-def _splash_runs(
-    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
-) -> Dict[str, Dict[str, SimResult]]:
-    apps = list(splash2_app_names())
-    specs = [splash_cell(scale, app, design) for app in apps for design in PAPER_DESIGNS]
-    results = _run_grid(specs, jobs, root, progress)
-    n = len(PAPER_DESIGNS)
+def _splash_runs(scale: ExperimentScale) -> Grid:
+    """Figs. 9/10: every SPLASH-2 trace replayed on every paper design."""
     return {
-        app: dict(zip(PAPER_DESIGNS, results[i * n : (i + 1) * n]))
-        for i, app in enumerate(apps)
+        (d, app): splash_cell(scale, app, d)
+        for app in splash2_app_names()
+        for d in PAPER_DESIGNS
     }
 
 
-def fig9(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 9: normalized execution time of all SPLASH-2 traces
-    (normalised to Buffered 4, as the tallest baseline bar)."""
-    scale = scale or scale_from_env()
-    runs = _splash_runs(scale, jobs, root, progress)
-    apps = list(splash2_app_names())
-    series = {}
-    for d in PAPER_DESIGNS:
-        series[DESIGN_LABELS[d]] = [
-            runs[a][d].final_cycle / runs[a]["buffered4"].final_cycle for a in apps
-        ]
-    return FigureResult(
-        exp_id="fig9",
-        title="Normalized time of simulation of all SPLASH-2 traces",
-        x_label="app",
-        x=apps,
-        series=series,
-        notes=["execution time normalised to Buffered 4"],
-    )
+def _normalised_time(scale, cells) -> Tuple[list, Series]:
+    apps, cycles = _table(cells, attrgetter("final_cycle"))
+    base = cycles[DESIGN_LABELS["buffered4"]]
+    return apps, {label: [c / b for c, b in zip(ys, base)] for label, ys in cycles.items()}
 
 
-def fig10(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 10: energy consumed (nJ/packet) of all SPLASH-2 traces."""
-    scale = scale or scale_from_env()
-    runs = _splash_runs(scale, jobs, root, progress)
-    apps = list(splash2_app_names())
-    return FigureResult(
-        exp_id="fig10",
-        title="Energy consumed of all SPLASH-2 traces",
-        x_label="app",
-        x=apps,
-        series={
-            DESIGN_LABELS[d]: [runs[a][d].energy_per_packet_nj for a in apps]
-            for d in PAPER_DESIGNS
-        },
-    )
+_FAULT_DESIGNS = ("dxbar_dor", "dxbar_wf")
 
 
-# ----------------------------------------------------------------------
-# Figs 11 & 12 — crossbar faults
-# ----------------------------------------------------------------------
-def _fault_grid(
-    scale: ExperimentScale, jobs=None, root: Root = None, progress=None
-) -> Dict[Tuple[str, float, float], SimResult]:
+def _fault_grid(scale: ExperimentScale) -> Grid:
+    """Figs. 11/12: DXbar DOR and WF across fault percentages and loads."""
     base = _base_config(scale)
-    keys = [
-        (design, pct, load)
-        for design in ("dxbar_dor", "dxbar_wf")
-        for pct in scale.fault_percents
-        for load in scale.fault_loads
-    ]
-    specs = [
-        RunSpec(
+    return {
+        (design, pct, load): RunSpec(
             base.with_(
                 design=design,
                 pattern="UR",
@@ -396,98 +321,62 @@ def _fault_grid(
             ),
             tag=f"{design}@{pct:.0f}%",
         )
-        for design, pct, load in keys
-    ]
-    results = _run_grid(specs, jobs, root, progress)
-    return dict(zip(keys, results))
+        for design in _FAULT_DESIGNS
+        for pct in scale.fault_percents
+        for load in scale.fault_loads
+    }
 
 
-def _fault_fig(
-    scale: ExperimentScale,
-    metric: str,
-    exp_id: str,
-    title: str,
-    jobs=None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    grid = _fault_grid(scale, jobs, root, progress)
-    load = max(scale.fault_loads)  # the paper discusses high-load behaviour
-    series = {}
-    for design in ("dxbar_dor", "dxbar_wf"):
-        ys = []
-        for pct in scale.fault_percents:
-            r = grid[(design, pct, load)]
-            ys.append(getattr(r, metric) if metric != "energy" else r.energy_per_packet_nj)
-        series[DESIGN_LABELS[design]] = ys
-    return FigureResult(
-        exp_id=exp_id,
-        title=title,
-        x_label="fault_percent",
-        x=list(scale.fault_percents),
-        series=series,
-        notes=[f"uniform random traffic at offered load {load}"],
-    )
+def _at_high_load(metric: Callable[[SimResult], float]):
+    """Fault figures plot fault percent at the highest fault load (the
+    paper discusses high-load behaviour)."""
+    def series(scale, cells):
+        load = max(scale.fault_loads)
+        return _table({(d, p): r for (d, p, lo), r in cells.items() if lo == load}, metric)
+    return series
 
 
-def fig11(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 11: throughput under increasing crossbar faults (DOR vs WF)."""
-    scale = scale or scale_from_env()
-    return _fault_fig(
-        scale,
-        "accepted_load",
-        "fig11",
-        "Throughput with varying percentage of router crossbar faults",
-        jobs,
-        root,
-        progress,
-    )
+def _fault_note(scale: ExperimentScale) -> List[str]:
+    return [f"uniform random traffic at offered load {max(scale.fault_loads)}"]
 
 
-def fig11_latency(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 11(c): average latency under increasing crossbar faults."""
-    scale = scale or scale_from_env()
-    return _fault_fig(
-        scale,
-        "avg_flit_latency",
-        "fig11c",
-        "Latency with varying percentage of router crossbar faults",
-        jobs,
-        root,
-        progress,
-    )
-
-
-def fig12(
-    scale: Optional[ExperimentScale] = None,
-    *,
-    jobs: Optional[int] = None,
-    root: Root = None,
-    progress=None,
-) -> FigureResult:
-    """Fig 12: power (nJ/packet) under increasing crossbar faults."""
-    scale = scale or scale_from_env()
-    return _fault_fig(
-        scale,
-        "energy",
-        "fig12",
-        "Power consumed with varying percentage of router crossbar faults",
-        jobs,
-        root,
-        progress,
-    )
+fig5 = Figure(
+    "fig5", "Throughput of Uniform Random traffic pattern", "offered_load",
+    _ur_sweep, _per_design(_ACCEPTED),
+)
+fig6 = Figure(
+    "fig6", "Power of Uniform Random traffic pattern", "offered_load",
+    _ur_sweep, _per_design(_ENERGY),
+)
+fig7 = Figure(
+    "fig7", "Throughput at offered load = 0.5 of all synthetic traces", "pattern",
+    _synthetic_half, _per_design(_ACCEPTED),
+)
+fig8 = Figure(
+    "fig8", "Energy consumed at offered load = 0.5 of all synthetic traces", "pattern",
+    _synthetic_half, _per_design(_ENERGY),
+)
+fig9 = Figure(
+    "fig9", "Normalized time of simulation of all SPLASH-2 traces", "app",
+    _splash_runs, _normalised_time,
+    notes=lambda scale: ["execution time normalised to Buffered 4"],
+)
+fig10 = Figure(
+    "fig10", "Energy consumed of all SPLASH-2 traces", "app",
+    _splash_runs, _per_design(_ENERGY),
+)
+fig11 = Figure(
+    "fig11", "Throughput with varying percentage of router crossbar faults",
+    "fault_percent", _fault_grid, _at_high_load(_ACCEPTED), notes=_fault_note,
+)
+fig11_latency = Figure(
+    "fig11c", "Latency with varying percentage of router crossbar faults",
+    "fault_percent", _fault_grid, _at_high_load(_LATENCY), notes=_fault_note,
+)
+fig12 = Figure(
+    "fig12", "Power consumed with varying percentage of router crossbar faults",
+    "fault_percent", _fault_grid, _at_high_load(_ENERGY), notes=_fault_note,
+)
 
 
 def fault_load_curves(
@@ -500,35 +389,189 @@ def fault_load_curves(
     """Fig 11(a-b) companion: full accepted-vs-offered curves per fault
     percentage, one FigureResult per design."""
     scale = scale or scale_from_env()
-    grid = _fault_grid(scale, jobs, root, progress)
+    cells = _run_grid(_fault_grid(scale), jobs, root, progress)
     out = {}
-    for design in ("dxbar_dor", "dxbar_wf"):
-        series = {
-            f"faults {pct:.0f}%": [
-                grid[(design, pct, load)].accepted_load for load in scale.fault_loads
-            ]
-            for pct in scale.fault_percents
-        }
+    for design in _FAULT_DESIGNS:
+        x, series = _table(
+            {(p, lo): r for (d, p, lo), r in cells.items() if d == design},
+            _ACCEPTED,
+            label=lambda pct: f"faults {pct:.0f}%",
+        )
         out[design] = FigureResult(
             exp_id=f"fig11_{design}",
             title=f"Throughput vs offered load under faults ({DESIGN_LABELS[design]})",
             x_label="offered_load",
-            x=list(scale.fault_loads),
+            x=x,
             series=series,
         )
     return out
 
 
-#: Registry used by the benchmark harness and EXPERIMENTS.md generator.
-ALL_EXPERIMENTS = {
-    "table3": table3,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig11c": fig11_latency,
-    "fig12": fig12,
+# ----------------------------------------------------------------------
+# Ablations: the knobs the paper fixed (fairness threshold 4, side-buffer
+# depth 4, dual vs unified crossbar, 5-cycle BIST detection), each swept
+# alone around DXbar DOR at UR 0.5.
+# ----------------------------------------------------------------------
+_ABLATION = SimConfig(
+    design="dxbar_dor",
+    pattern="UR",
+    offered_load=0.5,
+    warmup_cycles=300,
+    measure_cycles=900,
+    drain_cycles=0,
+    seed=17,
+)
+
+
+def _knob_grid(name: str, values: Sequence, overrides: Callable[[Any], dict]) -> Grid:
+    """One ablation cell per value, keyed by the value and tagged
+    ``name=value``; ``overrides`` maps a value to its config fields."""
+    return {
+        v: RunSpec(_ABLATION.with_(**overrides(v)), tag=f"{name}={v}") for v in values
+    }
+
+
+def _per_kcycle(count: str) -> Callable[[SimResult], float]:
+    """Router events per thousand cycles per router, on the 8x8 mesh."""
+    return lambda r: 1000.0 * getattr(r, count) / (64 * _ABLATION.total_cycles)
+
+
+ablation_fairness = Figure(
+    "ablation_fairness", "DXbar fairness threshold sweep (UR @ 0.5)", "threshold",
+    lambda _: _knob_grid("threshold", (1, 2, 4, 8, 32), lambda t: {"fairness_threshold": t}),
+    _columns(
+        accepted=_ACCEPTED, latency=_LATENCY, flips_per_kcycle=_per_kcycle("fairness_flips")
+    ),
+    scaled=False,
+)
+ablation_depth = Figure(
+    "ablation_depth", "DXbar side-buffer depth sweep (UR @ 0.5)", "depth",
+    lambda _: _knob_grid("depth", (2, 4, 8, 16), lambda d: {"buffer_depth": d}),
+    _columns(
+        accepted=_ACCEPTED, latency=_LATENCY, buffered_fraction=attrgetter("buffered_fraction")
+    ),
+    scaled=False,
+)
+ablation_allocator = Figure(
+    "ablation_allocator", "Dual crossbar vs unified dual-input crossbar (UR @ 0.5)",
+    "design",
+    lambda _: _knob_grid(
+        "design", ("dxbar_dor", "unified_dor", "dxbar_wf", "unified_wf"), lambda d: {"design": d}
+    ),
+    _columns(
+        accepted=_ACCEPTED,
+        energy_nj_per_pkt=_ENERGY,
+        swaps_per_kcycle=_per_kcycle("allocator_swaps"),
+    ),
+    scaled=False,
+)
+ablation_detection = Figure(
+    "ablation_detection", "BIST detection delay sweep at 100% faults (UR @ 0.5)",
+    "detection_cycles",
+    lambda _: _knob_grid(
+        "detection",
+        (0, 5, 20, 80),
+        lambda d: {"faults": FaultConfig(percent=100, detection_cycles=d, manifest_window=250)},
+    ),
+    _columns(accepted=_ACCEPTED, latency=_LATENCY),
+    scaled=False,
+)
+
+
+# ----------------------------------------------------------------------
+# Extensions beyond the paper's evaluation
+# ----------------------------------------------------------------------
+_EXTENSION = SimConfig(
+    pattern="UR", warmup_cycles=300, measure_cycles=900, drain_cycles=8000, seed=23
+)
+
+
+def _afc_grid(_) -> Grid:
+    """AFC mode-switching against DXbar and the endpoints it interpolates."""
+    return {
+        (d, load): RunSpec(_EXTENSION.with_(design=d, offered_load=load), tag=d)
+        for load in (0.1, 0.3, 0.5, 0.7)
+        for d in ("flit_bless", "buffered4", "afc", "dxbar_dor")
+    }
+
+
+def _afc_series(scale, cells) -> Tuple[list, Series]:
+    loads, acc = _table(cells, _ACCEPTED)
+    _, energy = _table(cells, _ENERGY)
+    return loads, {
+        **{f"acc {k}": v for k, v in acc.items()},
+        **{f"nJ {k}": v for k, v in energy.items()},
+    }
+
+
+def _crosspoint_grid(_) -> Grid:
+    """Per-crosspoint failures, masked by the allocator, at UR 0.4."""
+    return {
+        (d, pct): RunSpec(
+            _EXTENSION.with_(
+                design=d,
+                offered_load=0.4,
+                faults=FaultConfig(percent=pct, granularity="crosspoint", manifest_window=250),
+            ),
+            tag=f"{d}@{pct:.0f}%",
+        )
+        for d in _FAULT_DESIGNS
+        for pct in (0.0, 50.0, 100.0)
+    }
+
+
+def scaling_grid(
+    designs: Sequence[str], radices: Sequence[int], offered_load: float, base: SimConfig
+) -> Grid:
+    """Every design at every mesh radix under UR at ``offered_load``, keyed
+    ``(design, k)``.  The load stays below every radix's saturation, so
+    the comparison is the per-hop pipeline and energy story, not capacity
+    (capacity per node falls as the mesh grows)."""
+    return {
+        (d, k): RunSpec(
+            base.with_(design=d, k=k, offered_load=offered_load, pattern="UR"),
+            tag=f"{d}@k{k}",
+        )
+        for k in radices
+        for d in designs
+    }
+
+
+def _scaling_cells(_) -> Grid:
+    return scaling_grid(
+        ("buffered4", "dxbar_dor", "flit_bless"),
+        (4, 6, 8),
+        0.12,
+        SimConfig(warmup_cycles=300, measure_cycles=700, drain_cycles=4000, seed=5),
+    )
+
+
+ext_afc = Figure(
+    "ext_afc", "AFC mode-switching vs DXbar (UR sweep)", "offered_load",
+    _afc_grid, _afc_series, scaled=False,
+)
+ext_crosspoint = Figure(
+    "ext_crosspoint", "Crosspoint-granularity faults (UR @ 0.4)", "fault_percent",
+    _crosspoint_grid, lambda scale, cells: _table(cells, _ACCEPTED, label=str),
+    scaled=False,
+)
+scaling_latency = Figure(
+    "scaling_latency", "Average latency vs mesh radix (UR @ 0.12)", "radix",
+    _scaling_cells, _per_design(_LATENCY), scaled=False,
+)
+scaling_energy = Figure(
+    "scaling_energy", "Energy per packet vs mesh radix (UR @ 0.12)", "radix",
+    _scaling_cells, _per_design(_ENERGY), scaled=False,
+)
+
+
+#: Every figure by id: the CLI's ``repro figure NAME``, the benchmark
+#: harness and the EXPERIMENTS.md generator read this.
+ALL_EXPERIMENTS: Dict[str, Figure] = {
+    f.exp_id: f
+    for f in (
+        table3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig11_latency, fig12,
+        ablation_fairness, ablation_depth, ablation_allocator, ablation_detection,
+        ext_afc, ext_crosspoint, scaling_latency, scaling_energy,
+    )
 }

@@ -4,15 +4,14 @@ These helpers expand grids of :class:`~repro.sim.config.SimConfig` into
 :class:`~repro.runner.RunSpec` jobs and execute them through
 :func:`repro.runner.run_specs`, so every sweep accepts ``jobs`` (process
 parallelism), ``cache`` (a :class:`~repro.runner.ResultCache`, a directory
-path, or None) and ``progress`` callbacks.  The per-figure drivers in
-:mod:`repro.analysis.experiments` are built on them.
+path, or None) and ``progress`` callbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runner import ResultCache, RunSpec, run_specs
 from ..runner.executor import results_of
@@ -74,46 +73,28 @@ def sweep_designs(
     The full designs x loads grid is submitted as one batch, so ``jobs``
     parallelism spans the whole grid rather than one design at a time.
     """
-
-    def run(specs: List[RunSpec]) -> List[SimResult]:
-        outcomes = run_specs(
-            specs,
-            jobs=jobs,
-            cache=cache,
-            progress=progress,
-            checkpoint_every=checkpoint_every,
-            checkpoint_root=checkpoint_root,
-            audit=audit,
-            journal=journal,
-            heartbeat_interval=heartbeat_interval,
-        )
-        return results_of(outcomes, "sweep jobs")
-
-    return design_grid(designs, loads, base or SimConfig(), run, **overrides)
-
-
-def design_grid(
-    designs: Iterable[str],
-    loads: Sequence[float],
-    base: SimConfig,
-    run: Callable[[List[RunSpec]], List[SimResult]],
-    **overrides,
-) -> Dict[str, SweepResult]:
-    """Expand ``designs`` x ``loads`` over ``base`` (plus ``overrides``)
-    into one batch of :class:`~repro.runner.RunSpec` jobs, execute it with
-    ``run`` (specs in, results out, in order) and split the results per
-    design."""
     designs = list(designs)
     loads = list(loads)
+    base = base or SimConfig()
     specs = [
         RunSpec(base.with_(design=d, offered_load=load, **overrides), tag=d)
         for d in designs
         for load in loads
     ]
-    results = run(specs)
+    outcomes = run_specs(
+        specs,
+        jobs=jobs,
+        cache=cache,
+        progress=progress,
+        checkpoint_every=checkpoint_every,
+        checkpoint_root=checkpoint_root,
+        audit=audit,
+        journal=journal,
+        heartbeat_interval=heartbeat_interval,
+    )
+    results = results_of(outcomes, "sweep jobs")
     n = len(loads)
     return {
         d: SweepResult(design=d, loads=loads, results=results[i * n : (i + 1) * n])
         for i, d in enumerate(designs)
     }
-

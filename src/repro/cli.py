@@ -4,10 +4,12 @@ Run as ``python -m repro <command>``:
 
 * ``run`` — one simulation, printing the result summary;
 * ``sweep`` — an offered-load sweep for one or more designs;
-* ``figure`` — regenerate one of the paper's tables/figures;
+* ``figure`` — regenerate one registered table/figure (the paper's, or
+  an ablation, extension or mesh-scaling figure);
 * ``saturate`` — adaptive per-design saturation-point search;
 * ``status`` / ``tail`` — inspect a fleet run journal (one-shot summary
-  / live follow of a running campaign);
+  / live follow of a running campaign); on a campaign directory
+  ``status`` also prints the manifest's completion line;
 * ``designs`` / ``patterns`` — list what's available.
 
 Every command that simulates goes through :func:`repro.runner.run_specs`.
@@ -62,7 +64,7 @@ from .audit import AuditConfig
 from .designs import DESIGN_LABELS
 from .registry import design_names, pattern_names
 from .runner import RunSpec, run_specs
-from .runner.rundir import run_paths
+from .runner.rundir import MANIFEST_NAME, run_paths
 from .sim.config import KNOWN_BACKENDS, FaultConfig, SimConfig, TelemetryConfig
 
 
@@ -302,11 +304,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    driver = ALL_EXPERIMENTS[args.name]
-    if args.name == "table3":
-        fig = driver()
-    else:
-        fig = driver(SCALES[args.scale], jobs=args.jobs, root=args.root)
+    fig = ALL_EXPERIMENTS[args.name](SCALES[args.scale], jobs=args.jobs, root=args.root)
     print(render_figure(fig))
     return 0
 
@@ -320,17 +318,46 @@ def _journal_path(path: Path) -> Path:
     return journal if journal.is_dir() else path
 
 
+def _holds_campaign(root: Path) -> bool:
+    """Whether ``root`` has a campaign manifest (one naming a
+    ``campaign_id``; a saturation search's names a ``search_id``)."""
+    try:
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+    except (OSError, ValueError):
+        return False
+    return isinstance(manifest, dict) and "campaign_id" in manifest
+
+
 def cmd_status(args) -> int:
     from .obs import campaign_status, render_status
 
-    path = _journal_path(Path(args.journal))
-    if not path.exists():
+    root = Path(args.journal)
+    progress = None
+    if _holds_campaign(root):
+        from .campaign import CampaignError, campaign_progress
+
+        try:
+            progress = campaign_progress(root)
+        except CampaignError as exc:
+            print(f"repro status: {exc}", file=sys.stderr)
+            return 1
+    path = _journal_path(root)
+    if not path.exists() and progress is None:
         print(f"repro status: no journal at {path}", file=sys.stderr)
         return 1
-    status = campaign_status(path)
+    status = campaign_status(path if path.exists() else [])
     if args.json:
-        print(json.dumps({"campaign": status.to_dict(), "metrics": status.metrics()}))
+        payload = {"campaign": status.to_dict(), "metrics": status.metrics()}
+        if progress is not None:
+            payload["progress"] = progress
+        print(json.dumps(payload))
         return 0
+    if progress is not None:
+        print(
+            f"campaign {progress['campaign_id']} at {progress['root']}: "
+            f"{progress['completed']}/{progress['total']} jobs complete "
+            f"({progress['fraction']:.1%})"
+        )
     print(render_status(status, max_rows=args.rows))
     return 0
 
@@ -495,30 +522,6 @@ def cmd_campaign_run(args) -> int:
     return 1 if result.failures else 0
 
 
-def cmd_campaign_status(args) -> int:
-    from .campaign import CampaignError, campaign_progress
-
-    try:
-        prog = campaign_progress(args.root)
-    except CampaignError as exc:
-        print(f"repro campaign status: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(prog, sort_keys=True))
-        return 0
-    print(
-        f"campaign {prog['campaign_id']} at {prog['root']}: "
-        f"{prog['completed']}/{prog['total']} jobs complete "
-        f"({prog['fraction']:.1%})"
-    )
-    journal = run_paths(args.root).journal
-    if journal.exists():
-        from .obs import campaign_status, render_status
-
-        print(render_status(campaign_status(journal), max_rows=args.rows))
-    return 0
-
-
 def cmd_campaign_report(args) -> int:
     from .analysis.reliability import render_reliability
     from .campaign import CampaignError, campaign_report
@@ -580,9 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print all SimResults as one JSON object")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("figure", help="regenerate a paper table/figure")
+    p = sub.add_parser("figure", help="regenerate a table/figure (the paper's, "
+                                      "an ablation or an extension)")
     p.add_argument("name", choices=sorted(ALL_EXPERIMENTS))
-    p.add_argument("--scale", default="quick", choices=sorted(SCALES))
+    p.add_argument("--scale", default="quick", choices=sorted(SCALES),
+                   help="run size of the paper's figures; table3 and the "
+                        "ablation/extension/scaling figures pin their own")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for the simulation grid (1 = serial)")
     p.add_argument("--root", metavar="DIR", default=None,
@@ -593,9 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("status", help="summarise a fleet run journal")
-    p.add_argument("journal", help="journal directory (or one shard file)")
+    p.add_argument("journal", help="journal directory (or one shard file), or "
+                                    "a run directory holding one")
     p.add_argument("--json", action="store_true",
-                   help="print the campaign + fleet metrics as one JSON object")
+                   help="print the campaign + fleet metrics (+ a campaign "
+                        "directory's progress) as one JSON object")
     p.add_argument("--rows", type=int, default=40, metavar="N",
                    help="cap on per-job table rows (default 40)")
     p.set_defaults(func=cmd_status)
@@ -728,13 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--json", action="store_true",
                    help="print the report payload as one JSON object")
     c.set_defaults(func=cmd_campaign_run)
-
-    c = csub.add_parser("status", help="completion summary of a campaign")
-    c.add_argument("root")
-    c.add_argument("--rows", type=int, default=40, metavar="N",
-                   help="cap on journal table rows (default 40)")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_campaign_status)
 
     c = csub.add_parser(
         "report", help="rebuild analytics from a campaign's result cache"

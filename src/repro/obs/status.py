@@ -254,6 +254,9 @@ class CampaignStatus:
             job.attempts = max(job.attempts, record.get("attempts", job.attempts))
             job.cycle = record.get("cycles", job.cycle)
             job.error = None
+            # The last heartbeat's phase and rates described the run in
+            # flight; a finished job has neither.
+            job.phase, job.cps, job.eta_s = "", None, None
         elif event == EV_FAILED:
             job.state = "failed"
             job.attempts = max(job.attempts, record.get("attempts", job.attempts))

@@ -1,9 +1,12 @@
 """Tests for multi-seed replication statistics and the scaling study."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.scaling import scaling_study
+from repro.analysis.experiments import scaling_energy, scaling_grid, scaling_latency
 from repro.analysis.stats import METRICS, compare, replicate
+from repro.runner.rundir import run_paths
 from repro.sim.config import SimConfig
 
 
@@ -85,41 +88,35 @@ class TestCompare:
 
 
 class TestScalingStudy:
-    def test_structure(self):
-        figs = scaling_study(
-            designs=("buffered4", "dxbar_dor"),
-            radices=(3, 4),
-            offered_load=0.08,
-            base=SimConfig(
-                warmup_cycles=60, measure_cycles=200, drain_cycles=800, seed=2
-            ),
-        )
-        assert set(figs) == {"latency", "energy"}
-        assert figs["latency"].x == [3, 4]
+    """The mesh-scaling figures on a tiny base: the registered figures
+    with their grid swapped for a smaller one through ``scaling_grid``."""
+
+    BASE = SimConfig(warmup_cycles=60, measure_cycles=200, drain_cycles=800, seed=2)
+
+    def run(self, figure, designs, radices, root=None):
+        grid = lambda _: scaling_grid(designs, radices, 0.08, self.BASE)
+        return replace(figure, grid=grid)(root=root)
+
+    def test_structure(self, tmp_path):
+        designs, radices = ("buffered4", "dxbar_dor"), (3, 4)
+        latency = self.run(scaling_latency, designs, radices, tmp_path)
+        energy = self.run(scaling_energy, designs, radices, tmp_path)
+        assert (latency.exp_id, energy.exp_id) == ("scaling_latency", "scaling_energy")
+        assert latency.x == energy.x == [3, 4]
+        assert set(latency.series) == set(energy.series) == {"Buffered 4", "DXbar DOR"}
+        # Both figures read one grid: the energy figure re-runs no cell.
+        assert scaling_latency.grid is scaling_energy.grid
+        assert len(list(run_paths(tmp_path).cache.glob("*.json"))) == 4
 
     def test_latency_grows_with_radix(self):
-        figs = scaling_study(
-            designs=("dxbar_dor",),
-            radices=(3, 5),
-            offered_load=0.08,
-            base=SimConfig(
-                warmup_cycles=60, measure_cycles=200, drain_cycles=800, seed=2
-            ),
-        )
-        lat = figs["latency"].series["DXbar DOR"]
+        fig = self.run(scaling_latency, ("dxbar_dor",), (3, 5))
+        lat = fig.series["DXbar DOR"]
         assert lat[1] > lat[0]
 
     def test_pipeline_gap_compounds_with_radix(self):
-        figs = scaling_study(
-            designs=("buffered4", "dxbar_dor"),
-            radices=(3, 6),
-            offered_load=0.08,
-            base=SimConfig(
-                warmup_cycles=60, measure_cycles=200, drain_cycles=800, seed=2
-            ),
-        )
-        b4 = figs["latency"].series["Buffered 4"]
-        dx = figs["latency"].series["DXbar DOR"]
+        fig = self.run(scaling_latency, ("buffered4", "dxbar_dor"), (3, 6))
+        b4 = fig.series["Buffered 4"]
+        dx = fig.series["DXbar DOR"]
         gap_small = b4[0] - dx[0]
         gap_large = b4[1] - dx[1]
         assert gap_large > gap_small  # one extra stage per hop, more hops

@@ -220,7 +220,7 @@ class TestCampaignSpec:
         """Design names are checked even when no job injects faults: an
         unknown name used to pass the spec, get ``manifest.json`` written
         and only then crash ``jobs()``, leaving a directory that neither
-        ``campaign status`` nor ``--resume`` could read."""
+        ``repro status`` nor ``--resume`` could read."""
         root = tmp_path / "c"
         with pytest.raises(ValueError, match="unknown design 'bogus'"):
             run_campaign(

@@ -143,8 +143,11 @@ class TestCampaignCLI:
         assert "dxbar_dor @ load 0.3" in out
         assert (tmp_path / "camp" / "report.json").exists()
 
-        assert main(["campaign", "status", root]) == 0
-        assert "3/3 jobs" in capsys.readouterr().out
+        assert main(["status", root]) == 0
+        assert "3/3 jobs complete" in capsys.readouterr().out
+        assert main(["status", root, "--json"]) == 0
+        progress = json.loads(capsys.readouterr().out)["progress"]
+        assert (progress["completed"], progress["total"]) == (3, 3)
 
         assert main(["campaign", "report", root, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -183,7 +186,7 @@ class TestCampaignCLI:
         manifest["spec"]["samples"] = 0
         (root / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert main(["campaign", "status", str(root)]) == 1
+        assert main(["status", str(root)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("repro campaign status: invalid spec")
-        assert "Traceback" not in err
+        assert err.startswith("repro status: invalid spec")
+        assert "Traceback" not in err and err.count("\n") == 1

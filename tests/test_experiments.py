@@ -36,6 +36,13 @@ TINY = ExperimentScale(
 )
 
 
+@pytest.fixture(scope="module")
+def tiny_root(tmp_path_factory):
+    """One figure root for the tests that only read figure values, so
+    figures sharing a TINY grid simulate it once."""
+    return tmp_path_factory.mktemp("tiny-figures")
+
+
 class TestTable3:
     def test_has_all_six_designs(self):
         fig = table3()
@@ -75,47 +82,47 @@ class TestScales:
 
 
 class TestLoadSweepFigures:
-    def test_fig5_structure_and_cache_sharing(self, tmp_path):
-        f5 = fig5(TINY, root=tmp_path)
-        f6 = fig6(TINY, root=tmp_path)
+    def test_fig5_structure_and_cache_sharing(self, tiny_root):
+        f5 = fig5(TINY, root=tiny_root)
+        f6 = fig6(TINY, root=tiny_root)
         assert f5.x == list(TINY.loads)
         assert set(f5.series) == {DESIGN_LABELS[d] for d in PAPER_DESIGNS}
         # fig6 reuses fig5's simulations (same cache key).
         assert f6.x == f5.x
 
-    def test_fig5_low_load_tracks_offered(self):
-        f5 = fig5(TINY)
+    def test_fig5_low_load_tracks_offered(self, tiny_root):
+        f5 = fig5(TINY, root=tiny_root)
         for label, ys in f5.series.items():
             assert ys[0] == pytest.approx(0.1, abs=0.05), label
 
 
 class TestFaultFigures:
-    def test_fig11_and_12_structure(self, tmp_path):
-        f11 = fig11(TINY, root=tmp_path)
-        f12 = fig12(TINY, root=tmp_path)
+    def test_fig11_and_12_structure(self, tiny_root):
+        f11 = fig11(TINY, root=tiny_root)
+        f12 = fig12(TINY, root=tiny_root)
         assert f11.x == [0.0, 100.0]
         assert set(f11.series) == {"DXbar DOR", "DXbar WF"}
         assert all(v > 0 for ys in f12.series.values() for v in ys)
 
-    def test_fault_energy_rises_with_faults(self):
-        f12 = fig12(TINY)
+    def test_fault_energy_rises_with_faults(self, tiny_root):
+        f12 = fig12(TINY, root=tiny_root)
         for label, ys in f12.series.items():
             assert ys[-1] > ys[0], f"{label}: buffering under faults costs energy"
 
-    def test_fault_load_curves(self):
-        curves = fault_load_curves(TINY)
+    def test_fault_load_curves(self, tiny_root):
+        curves = fault_load_curves(TINY, root=tiny_root)
         assert set(curves) == {"dxbar_dor", "dxbar_wf"}
         for fig in curves.values():
             assert len(fig.series) == len(TINY.fault_percents)
 
 
 class TestSplashFigures:
-    def test_fig9_normalised_to_buffered4(self):
-        f9 = fig9(TINY)
+    def test_fig9_normalised_to_buffered4(self, tiny_root):
+        f9 = fig9(TINY, root=tiny_root)
         assert f9.series["Buffered 4"] == pytest.approx([1.0] * len(f9.x))
 
-    def test_fig10_energy_positive(self):
-        f10 = fig10(TINY)
+    def test_fig10_energy_positive(self, tiny_root):
+        f10 = fig10(TINY, root=tiny_root)
         for ys in f10.series.values():
             assert all(v > 0 for v in ys)
 
@@ -189,4 +196,48 @@ class TestRegistry:
             "fig11",
             "fig11c",
             "fig12",
+            "ablation_fairness",
+            "ablation_depth",
+            "ablation_allocator",
+            "ablation_detection",
+            "ext_afc",
+            "ext_crosspoint",
+            "scaling_latency",
+            "scaling_energy",
         }
+        for name, figure in ALL_EXPERIMENTS.items():
+            assert figure.exp_id == name
+
+    def test_only_the_papers_figures_read_the_scale(self):
+        scaled = {name for name, f in ALL_EXPERIMENTS.items() if f.scaled}
+        assert scaled == {
+            "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig11c", "fig12"
+        }
+
+
+class TestPinnedFigureRoot:
+    """A figure with pinned configs runs through the same grid runner as
+    the paper's: ``repro figure NAME --root DIR`` caches and journals
+    every cell, whatever ``--scale`` says."""
+
+    def test_scaling_figures_share_one_journaled_grid(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = str(tmp_path / "figroot")
+        assert main(["figure", "scaling_latency", "--scale", "full", "--root", root]) == 0
+        assert capsys.readouterr().out.startswith("== scaling_latency:")
+        cells = ALL_EXPERIMENTS["scaling_latency"].grid(None)
+        cached = {p.stem for p in run_paths(root).cache.glob("*.json")}
+        assert len(cached) == len(cells)
+
+        # The energy figure reads the same grid: pure cache hits.
+        assert main(["figure", "scaling_energy", "--root", root]) == 0
+        capsys.readouterr()
+        assert len(list(run_paths(root).cache.glob("*.json"))) == len(cells)
+        assert main(["status", root, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)["campaign"]
+        completed = {j["job"] for j in status["jobs"] if j["state"] == "completed"}
+        assert completed == cached
+        assert status["counts"]["failed"] == 0
+        assert status["total_specs"] == len(cells)
+        assert sum(status["backends"].values()) == len(cells)

@@ -224,6 +224,21 @@ class TestCampaignStatus:
         assert st.jobs["a"].attempts == 1
         assert st.finished
 
+    def test_completed_row_drops_the_last_heartbeats_phase_and_rate(self):
+        """A finished job's row shows its cycle count, not the phase, rate
+        and eta its last heartbeat reported mid-run."""
+        st = CampaignStatus.from_events([
+            {"event": "job_submitted", "job": "a", "tag": "a"},
+            {"event": "job_started", "job": "a", "attempt": 1, "cycle": 0},
+            {"event": "heartbeat", "job": "a", "cycle": 900, "horizon": 1200,
+             "phase": "warmup", "cps": 995.0, "eta_s": 0.3},
+            {"event": "completed", "job": "a", "attempts": 1, "cycles": 1217},
+        ])
+        job = st.jobs["a"]
+        assert (job.phase, job.cps, job.eta_s) == ("", None, None)
+        row = render_status(st).splitlines()[-1].split()
+        assert row == ["a", "a", "completed", "1", "1217", "cyc", "-", "-"]
+
     def test_rerun_of_a_finished_batch_reports_completed(self, tmp_path):
         batch = [RunSpec(tiny()), RunSpec(tiny(seed=4))]
         for _ in range(2):
@@ -249,8 +264,7 @@ GOLDEN_STATUS = {
         "jobs": [
             {**GOLDEN_JOB, "job": "a", "design": "dxbar_dor", "pattern": "UR",
              "load": 0.2, "tag": "a", "state": "completed", "attempts": 1,
-             "heartbeats": 1, "cycle": 120, "horizon": 100,
-             "phase": "measure", "cps": 1000.0, "eta_s": 0.05},
+             "heartbeats": 1, "cycle": 120, "horizon": 100},
             {**GOLDEN_JOB, "job": "b", "design": "buffered4", "pattern": "TR",
              "load": 0.4, "tag": "b", "state": "running", "attempts": 2,
              "retries": 1, "heartbeats": 1, "checkpoints": 1, "horizon": 100,
@@ -283,12 +297,12 @@ GOLDEN_TEXT = """\
 attempts 4 | retries 1 (rate 25%) | cache hits 1 (rate 25%) | checkpoints 1 | audit violations 0
 cycles/sec: p50 500  p90 1,000  mean 750 (2 heartbeats)
 
-job  label  state      att  progress    c/s    eta  detail            
----  -----  ---------  ---  ----------  -----  ---  ------------------
-b    b      running    2    0/100 (0%)  500    -    RuntimeError: boom
-a    a      completed  1    120 cyc     1,000  -    measure           
-c    -      cached     0    cache       -      -                      
-d    -      failed     3    100%        -      -    ValueError: nope  
+job  label  state      att  progress    c/s  eta  detail            
+---  -----  ---------  ---  ----------  ---  ---  ------------------
+b    b      running    2    0/100 (0%)  500  -    RuntimeError: boom
+a    a      completed  1    120 cyc     -    -                      
+c    -      cached     0    cache       -    -                      
+d    -      failed     3    100%        -    -    ValueError: nope  
 """
 
 GOLDEN_TAIL = """\

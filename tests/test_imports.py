@@ -63,7 +63,7 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
              "--loads", "0.3", "--percents", "0", "100", "--samples", "1",
              "--quiet", *tiny]
         ) == 0
-        assert main(["campaign", "status", "camp"]) == 0
+        assert main(["status", "camp"]) == 0
         """,
         tmp_path,
     )
