@@ -66,19 +66,7 @@ class DistStats:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "DistStats":
-        arr = np.asarray(sorted(values), dtype=float)
-        ps = np.percentile(arr, PERCENTILES)
-        return cls(
-            n=len(arr),
-            mean=float(arr.mean()),
-            min=float(arr[0]),
-            p5=float(ps[0]),
-            p25=float(ps[1]),
-            p50=float(ps[2]),
-            p75=float(ps[3]),
-            p95=float(ps[4]),
-            max=float(arr[-1]),
-        )
+        return _dist_stats([values])[0]
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -157,6 +145,7 @@ class ReliabilityReport:
         self.k = k
         self.threshold = threshold
         self._groups: Dict[Tuple[str, float, float], List[ReliabilityRecord]] = {}
+        self._group_stats: Dict[Tuple[str, float, float], GroupStats] = {}
         for r in self.records:
             self._groups.setdefault((r.design, r.load, r.percent), []).append(r)
         # Baseline = mean over the percent-0 cell (usually one record).
@@ -179,34 +168,42 @@ class ReliabilityReport:
         return self._baseline.get((design, load))
 
     def group(self, design: str, load: float, percent: float) -> GroupStats:
+        """The cell's distributions, computed on first use (the report is
+        immutable once built, and ``to_dict`` reads every cell twice)."""
+        key = (design, load, percent)
+        cached = self._group_stats.get(key)
+        if cached is None:
+            cached = self._group_stats[key] = self._build_group(*key)
+        return cached
+
+    def _build_group(self, design: str, load: float, percent: float) -> GroupStats:
         rs = self._groups[(design, load, percent)]
         tput = [r.result.accepted_load for r in rs]
         lat = [r.result.avg_flit_latency for r in rs]
         energy = [r.result.energy_per_packet_nj for r in rs]
+        columns = {"throughput": tput, "latency": lat, "energy": energy}
         base = self._baseline.get((design, load))
-        tput_ratio = lat_ratio = energy_ratio = None
         yield_fraction = None
         if base is not None and base["throughput"] > 0:
             ratios = [v / base["throughput"] for v in tput]
-            tput_ratio = DistStats.from_values(ratios)
+            columns["throughput_ratio"] = ratios
             yield_fraction = sum(v >= self.threshold for v in ratios) / len(ratios)
             if base["latency"] > 0:
-                lat_ratio = DistStats.from_values([v / base["latency"] for v in lat])
+                columns["latency_ratio"] = [v / base["latency"] for v in lat]
             if base["energy"] > 0:
-                energy_ratio = DistStats.from_values(
-                    [v / base["energy"] for v in energy]
-                )
+                columns["energy_ratio"] = [v / base["energy"] for v in energy]
+        stats = dict(zip(columns, _dist_stats(list(columns.values()))))
         return GroupStats(
             design=design,
             load=load,
             percent=percent,
             maps=len(rs),
-            throughput=DistStats.from_values(tput),
-            latency=DistStats.from_values(lat),
-            energy=DistStats.from_values(energy),
-            throughput_ratio=tput_ratio,
-            latency_ratio=lat_ratio,
-            energy_ratio=energy_ratio,
+            throughput=stats["throughput"],
+            latency=stats["latency"],
+            energy=stats["energy"],
+            throughput_ratio=stats.get("throughput_ratio"),
+            latency_ratio=stats.get("latency_ratio"),
+            energy_ratio=stats.get("energy_ratio"),
             yield_fraction=yield_fraction,
         )
 
@@ -294,6 +291,34 @@ class ReliabilityReport:
                 for d, ld in pairs
             },
         }
+
+
+def _dist_stats(columns: Sequence[Sequence[float]]) -> List[DistStats]:
+    """:class:`DistStats` of equally long value columns, with one
+    ``np.percentile`` call for all of them.
+
+    Bit-exact with summarising each column on its own: a percentile along
+    an axis applies the same interpolation to each row, and the mean of a
+    contiguous row sums in the same order as the mean of a 1-D array.
+    """
+    arr = np.array([sorted(values) for values in columns], dtype=float)
+    ps = np.percentile(arr, PERCENTILES, axis=1)
+    means = arr.mean(axis=1)
+    n = arr.shape[1]
+    return [
+        DistStats(
+            n=n,
+            mean=float(means[i]),
+            min=float(row[0]),
+            p5=float(ps[0, i]),
+            p25=float(ps[1, i]),
+            p50=float(ps[2, i]),
+            p75=float(ps[3, i]),
+            p95=float(ps[4, i]),
+            max=float(row[-1]),
+        )
+        for i, row in enumerate(arr)
+    ]
 
 
 def _mean(values) -> float:

@@ -29,7 +29,7 @@ weighted orderings use Gumbel keys (see ``draw_fault_map``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,8 +131,27 @@ class FaultMapSampler:
         """One fault map: ``count`` faulty routers drawn for
         ``sample_index``, in ascending node order (entry order carries no
         semantics; sorting keeps the serialized form canonical)."""
-        if not (0 <= count <= self.num_routers):
-            raise ValueError(
-                f"count must be in [0, {self.num_routers}], got {count}"
-            )
-        return tuple(sorted(self._draw(sample_index, count), key=lambda e: e.node))
+        return self.sample_levels(sample_index, (count,))[count]
+
+    def sample_levels(
+        self, sample_index: int, counts: Iterable[int]
+    ) -> Dict[int, Tuple[FaultMapEntry, ...]]:
+        """The fault maps of one sample at several levels, from one draw.
+
+        The ordering is drawn once, up to the largest count; every level
+        takes its prefix.  Each map equals :meth:`sample` at that count,
+        because a router's fault comes from its own stream and does not
+        depend on how many routers were drawn.
+        """
+        counts = tuple(counts)
+        for count in counts:
+            if not (0 <= count <= self.num_routers):
+                raise ValueError(
+                    f"count must be in [0, {self.num_routers}], got {count}"
+                )
+        top = max(counts, default=0)
+        drawn = self._draw(sample_index, top) if top else ()
+        return {
+            count: tuple(sorted(drawn[:count], key=lambda e: e.node))
+            for count in counts
+        }

@@ -31,6 +31,11 @@ MANIFEST_PHASES = ("warmup", "measure")
 #: these would silently fight the grid expansion, so it is rejected.
 _RESERVED_SIM_KEYS = ("design", "offered_load", "k", "pattern", "faults")
 
+#: Expanded job tuples by campaign hash, oldest first (see
+#: :meth:`CampaignSpec.jobs`); a few campaigns per process at most.
+_EXPANSIONS: Dict[str, Tuple["CampaignJob", ...]] = {}
+_EXPANSIONS_KEPT = 4
+
 
 @dataclass(frozen=True)
 class CampaignJob:
@@ -179,16 +184,37 @@ class CampaignSpec:
         routers) collapse onto sample 0: their configs would be identical
         across samples anyway, and one explicit baseline per (design,
         load) keeps the job list honest about what actually runs.
+
+        The expansion is computed once per process and campaign: it is
+        memoised under :meth:`campaign_hash`, the campaign's content, not
+        under this object (``sim`` is a mutable dict, and a re-opened
+        directory builds a new spec from its manifest).  Each call returns
+        a new list of the shared, frozen jobs.
         """
+        key = self.campaign_hash()
+        expanded = _EXPANSIONS.pop(key, None)
+        if expanded is None:
+            expanded = self._expand()
+        _EXPANSIONS[key] = expanded
+        while len(_EXPANSIONS) > _EXPANSIONS_KEPT:
+            del _EXPANSIONS[next(iter(_EXPANSIONS))]
+        return list(expanded)
+
+    def _expand(self) -> Tuple[CampaignJob, ...]:
         sampler = self.sampler()
         base = self.base_config()
         no_faults = FaultConfig(
             detection_cycles=self.detection_cycles, granularity=self.granularity
         )
+        counts = {p: fault_count(p, self.num_routers) for p in self.percents}
         out: List[CampaignJob] = []
         for sample in range(self.samples):
+            # One ordering per sample; every fault level takes its prefix.
+            maps = sampler.sample_levels(
+                sample, (c for c in counts.values() if c > 0)
+            )
             for percent in self.percents:
-                count = fault_count(percent, self.num_routers)
+                count = counts[percent]
                 if count == 0 and sample > 0:
                     continue
                 if count == 0:
@@ -197,7 +223,7 @@ class CampaignSpec:
                     faults = FaultConfig(
                         detection_cycles=self.detection_cycles,
                         granularity=self.granularity,
-                        entries=sampler.sample(sample, count),
+                        entries=maps[count],
                     )
                 for design in self.designs:
                     for load in self.loads:
@@ -217,7 +243,7 @@ class CampaignSpec:
                                 ),
                             )
                         )
-        return out
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # serialization

@@ -83,7 +83,10 @@ def draw_fault_map(
     the ordering's prefix, so maps drawn under one key nest as ``count``
     grows.  Each failing router's fault (crossbar coin, manifest cycle in
     ``[manifest_lo, manifest_hi]``, crosspoint ports) comes from its own
-    stream keyed ``key + (node,)``, so it does not depend on ``count``.
+    stream keyed ``key + (node,)``, so it does not depend on ``count``:
+    the first ``n`` entries of a larger draw are the draw of ``n``, which
+    is how the campaign sampler serves every fault level of one sample
+    from a single call.
     """
     rng = np.random.default_rng(key)
     if weights is None:

@@ -33,7 +33,7 @@ from .routers.afc import AFCRouter
 from .routers.bless import BlessRouter
 from .routers.buffered import Buffered4Router, Buffered8Router
 from .routers.scarab import ScarabRouter
-from .routing.base import RoutingFunction
+from .routing.base import RoutingFunction, shared_routing
 from .sim.config import SimConfig
 from .sim.topology import Mesh
 
@@ -107,10 +107,12 @@ DESIGN_LABELS: Mapping[str, str] = _LabelView()
 
 
 def build_routing(config: SimConfig, mesh: Mesh) -> RoutingFunction:
-    """Instantiate the routing function for ``config`` over ``mesh``."""
+    """The routing function for ``config`` over ``mesh``: the shared
+    per-process table of its class and radix (see
+    :func:`~repro.routing.base.shared_routing`)."""
     from .registry import ROUTING
 
-    return ROUTING.get(config.routing)(mesh)
+    return shared_routing(ROUTING.get(config.routing), mesh.k)
 
 
 def build_router(config, node, mesh, routing, energy) -> BaseRouter:

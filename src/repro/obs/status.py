@@ -228,6 +228,9 @@ class CampaignStatus:
             job.attempts = max(job.attempts, record.get("attempt", job.attempts + 1))
             job.state = "running"
             job.cycle = record.get("cycle", job.cycle)
+            # A new attempt has reported no phase or rate yet; the previous
+            # attempt's last heartbeat does not describe it.
+            job.phase, job.cps, job.eta_s = "", None, None
         elif event == EV_BACKEND_RESOLVED:
             job.backend = record.get("resolved", job.backend)
         elif event == EV_HEARTBEAT:

@@ -9,12 +9,16 @@ direction" (Section II.B).
 
 All functions precompute a dense ``(N x N)`` candidate table at
 construction: the mesh is small (64 nodes) and the hot loop then costs a
-single list index.
+single list index.  A table is a pure function of its class and the mesh
+radix, so :func:`shared_routing` builds each one once per process and
+every network of that radix shares it; a routing function must therefore
+keep no per-network state.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Tuple
 
 from ..sim.ports import Port
@@ -64,3 +68,14 @@ class RoutingFunction(ABC):
     def first(self, cur: int, dst: int) -> Port:
         """The most-preferred port (what a deterministic router would use)."""
         return self._table[cur * self.mesh.num_nodes + dst][0]
+
+
+@lru_cache(maxsize=32)
+def shared_routing(routing_cls: type, k: int) -> RoutingFunction:
+    """The process-wide ``routing_cls`` table over a ``k x k`` mesh.
+
+    Keyed by class rather than by registered name, so a plugin that
+    re-registers a name gets its own table.  The instance holds only a
+    mesh and an immutable table; treat it as read-only.
+    """
+    return routing_cls(Mesh(k))

@@ -10,11 +10,13 @@ load and is used by tests to sanity-check simulated saturation points.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from ..sim.ports import Port
 from ..sim.topology import Mesh
-from .base import RoutingFunction
+from ..traffic.patterns import make_pattern
+from .base import RoutingFunction, shared_routing
 from .dor import DORRouting
 
 Channel = Tuple[int, Port]  # (source node, output port)
@@ -64,6 +66,20 @@ def channel_capacity(
     if lmax == 0.0:
         return 1.0
     return min(1.0, 1.0 / lmax)
+
+
+@lru_cache(maxsize=64)
+def mesh_capacity(k: int, pattern: str, routing_cls: type) -> float:
+    """:func:`channel_capacity` of the named pattern on a ``k x k`` mesh
+    under ``routing_cls``, walked once per process.
+
+    The walk visits every (src, dst) pair, so a saturation search that is
+    re-opened, or that has several designs on one routing function, pays
+    for it once.  The routing table is the shared one of
+    :func:`~repro.routing.base.shared_routing`.
+    """
+    routing = shared_routing(routing_cls, k)
+    return channel_capacity(make_pattern(pattern, routing.mesh), routing.mesh, routing)
 
 
 def average_hops(pattern, mesh: Mesh) -> float:

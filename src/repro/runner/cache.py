@@ -51,12 +51,6 @@ class ResultCache:
         assert self.root is not None
         return self.root / f"{job_id}.json"
 
-    @staticmethod
-    def _identity(spec: RunSpec) -> Dict[str, Any]:
-        ident = spec.describe()
-        ident.pop("tag", None)  # tags are bookkeeping, not identity
-        return ident
-
     def _load(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         job_id = spec.job_id()
         payload = self._mem.get(job_id)
@@ -83,7 +77,7 @@ class ResultCache:
             self._mem[job_id] = payload
         if payload is None:
             return None
-        if payload.get("identity") != self._identity(spec):
+        if payload.get("identity") != spec.identity():
             # Hash collision or stale schema: treat as a miss.
             self._reject(job_id, "identity_mismatch")
             return None
@@ -144,7 +138,7 @@ class ResultCache:
         job_id = spec.job_id()
         payload = {
             "job_id": job_id,
-            "identity": self._identity(spec),
+            "identity": spec.identity(),
             "result": result,
         }
         self._mem[job_id] = payload

@@ -54,8 +54,16 @@ def run_paths(root: Union[str, Path]) -> RunPaths:
 
 
 def write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Atomically write ``payload`` as indented, key-sorted JSON."""
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Atomically write ``payload`` as indented, key-sorted JSON, unless
+    ``path`` already holds exactly those bytes: a re-run that reproduces a
+    report leaves the file (inode and mtime) alone."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        if path.read_bytes() == text.encode("utf-8"):
+            return
+    except OSError:
+        pass  # absent or unreadable: write it
+    atomic_write_text(path, text)
 
 
 @dataclass(frozen=True)

@@ -43,17 +43,16 @@ of converging on noise.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..registry import DESIGNS, ROUTING
-from ..routing.capacity import channel_capacity
+from ..routing.capacity import mesh_capacity
 from ..sim.config import SimConfig, check_fields, content_hash
 from ..sim.stats import SimResult
-from ..sim.topology import Mesh
-from ..traffic.patterns import make_pattern
 from .cache import ResultCache
 from .executor import results_of, run_specs
 from .rundir import RunDir, run_paths, write_json
@@ -198,16 +197,6 @@ write_manifest = _RUN_DIR.write_manifest
 load_manifest = _RUN_DIR.load_manifest
 
 
-def _channel_capacity(spec: SaturationSpec, routing: str) -> float:
-    """The analytic channel capacity of ``spec``'s mesh and pattern under
-    the routing function named ``routing``: every (src, dst) path is
-    walked, so compute it once per routing function, not per design."""
-    mesh = Mesh(spec.k)
-    return channel_capacity(
-        make_pattern(spec.pattern, mesh), mesh, ROUTING.get(routing)(mesh)
-    )
-
-
 # ----------------------------------------------------------------------
 # per-design search state machine
 # ----------------------------------------------------------------------
@@ -224,7 +213,7 @@ class _Search:
     def __init__(self, spec: SaturationSpec, design: str, capacity: float) -> None:
         self.spec = spec
         self.design = design
-        self.capacity = capacity  # see _channel_capacity
+        self.capacity = capacity  # the analytic channel capacity
         self.generation = 0
         self.status = "pending"
         self.error: Optional[str] = None
@@ -465,6 +454,16 @@ def _report_payload(
     }
 
 
+def _done_designs(path: Path) -> Set[str]:
+    """The designs whose search the report at ``path`` has finished (none
+    when there is no readable report)."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        return {e["design"] for e in payload["designs"] if e["status"] != "pending"}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+
+
 # ----------------------------------------------------------------------
 # driver entry points
 # ----------------------------------------------------------------------
@@ -497,8 +496,11 @@ def run_saturation(
 
     Writes ``saturation.json`` incrementally after every round — a killed
     search leaves a valid partial report, and re-running the directory
-    finishes it byte-identically.  Probe-job failures raise
-    :class:`SaturationError`; per-design *search* failures (persistent
+    finishes it byte-identically.  A round's report replaces the file only
+    when it has finished every design the file already shows finished,
+    and only when its bytes differ: a re-run of a finished search leaves
+    the report untouched, even when it is interrupted.  Probe-job
+    failures raise :class:`SaturationError`; per-design *search* failures (persistent
     non-monotone measurements) are recorded in the report instead, so one
     noisy design cannot discard the others' results.
     """
@@ -511,12 +513,23 @@ def run_saturation(
     # Probes run on the fastest bit-exact backend unless ``spec.sim``
     # names one (``sim={"backend": "object"}`` forces the reference walk).
     stamp = "backend" not in spec.sim
-    # Designs sharing a routing function share a capacity: one path walk each.
-    routings = {d: DESIGNS.get(d).routing for d in spec.designs}
-    capacity = {r: _channel_capacity(spec, r) for r in set(routings.values())}
-    searches = [_Search(spec, d, capacity[routings[d]]) for d in spec.designs]
+    # Designs sharing a routing function share a capacity, and
+    # mesh_capacity walks each (k, pattern, routing) once per process.
+    searches = [
+        _Search(
+            spec,
+            d,
+            mesh_capacity(spec.k, spec.pattern, ROUTING.get(DESIGNS.get(d).routing)),
+        )
+        for d in spec.designs
+    ]
     rounds = probes_total = probes_executed = 0
-    write_json(root / REPORT_NAME, _report_payload(spec, searches))
+    report_path = root / REPORT_NAME
+    # A re-run replays the finished rounds from the cache: their partial
+    # reports must not replace a more advanced one on disk.
+    on_disk = _done_designs(report_path)
+    if not report_path.exists():
+        write_json(report_path, _report_payload(spec, searches))
     while any(not s.done for s in searches):
         rounds += 1
         if rounds > _MAX_ROUNDS:
@@ -562,7 +575,10 @@ def run_saturation(
                 probes_executed += 1
         for s in searches:
             s.integrate()
-        write_json(root / REPORT_NAME, _report_payload(spec, searches))
+        done = {s.design for s in searches if s.done}
+        if done >= on_disk:
+            write_json(report_path, _report_payload(spec, searches))
+            on_disk = done
     payload = _report_payload(spec, searches)
     return SaturationRun(
         root=root,

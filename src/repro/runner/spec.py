@@ -66,7 +66,7 @@ class RunSpec:
         """Content hash identifying this job in the result cache."""
         if self.workload is None:
             return self.config.config_hash()
-        return content_hash({"config": self.config.to_dict(), "workload": self.workload})
+        return content_hash(self.identity())
 
     def checkpoint_dir(self, root: Union[str, Path]) -> Path:
         """The per-job checkpoint directory under a campaign-wide root:
@@ -83,6 +83,19 @@ class RunSpec:
             "workload": dict(self.workload) if self.workload else None,
             "tag": self.tag,
         }
+
+    def identity(self) -> Dict[str, Any]:
+        """:meth:`describe` without the tag: what a cached result's stored
+        identity must equal.  Computed once per instance, like
+        ``SimConfig.config_hash`` (the spec and its config are frozen);
+        the shared dict is read-only."""
+        cached = self.__dict__.get("_identity")
+        if cached is None:
+            cached = self.__dict__["_identity"] = {
+                "config": self.config.to_dict(),
+                "workload": dict(self.workload) if self.workload else None,
+            }
+        return cached
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":

@@ -9,8 +9,9 @@ invariant checks such as flit conservation).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Optional
 
 from .flit import Flit
@@ -326,6 +327,29 @@ class StatsCollector:
         )
 
 
+#: Leaf types that ``_json_copy`` hands back as they are.
+_ATOMIC = (int, float, str, bool, type(None))
+
+
+def _json_copy(obj):
+    """A deep copy of JSON-like data: what ``dataclasses.asdict`` makes of
+    dicts, lists and tuples of plain values, without its per-leaf
+    ``copy.deepcopy`` (most of its cost on a result's per-router
+    counters).  Any other object falls back to ``copy.deepcopy``."""
+    t = type(obj)
+    if t in _ATOMIC:
+        return obj
+    if t is dict:
+        return {
+            k: v if type(v) in _ATOMIC else _json_copy(v) for k, v in obj.items()
+        }
+    if t is list:
+        return [v if type(v) in _ATOMIC else _json_copy(v) for v in obj]
+    if t is tuple:
+        return tuple(_json_copy(v) for v in obj)
+    return copy.deepcopy(obj)
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Immutable summary of one simulation run.
@@ -405,9 +429,11 @@ class SimResult:
         """Machine-readable form: every field plus the derived metrics.
 
         The returned dict is JSON-serialisable as-is; CI harnesses consume
-        it through the CLI's ``--json`` flag.
+        it through the CLI's ``--json`` flag.  It equals ``asdict(self)``
+        plus the derived keys, in the same key order, and shares no mutable
+        part with the result.
         """
-        d = asdict(self)
+        d = {name: _json_copy(getattr(self, name)) for name in _RESULT_FIELDS}
         d["total_energy_nj"] = self.total_energy_nj
         d["energy_per_packet_nj"] = self.energy_per_packet_nj
         d["energy_per_flit_pj"] = self.energy_per_flit_pj
@@ -416,7 +442,7 @@ class SimResult:
         # keeps --json consumers from digging through extra).
         profile = self.extra.get("profile") if isinstance(self.extra, dict) else None
         if profile:
-            d["profile"] = profile
+            d["profile"] = _json_copy(profile)
         return d
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -439,3 +465,7 @@ class SimResult:
             f"lat={self.avg_flit_latency:.1f}cy "
             f"E/pkt={self.energy_per_packet_nj:.2f}nJ"
         )
+
+
+#: :class:`SimResult` field names in declaration order.
+_RESULT_FIELDS = tuple(f.name for f in dataclass_fields(SimResult))

@@ -156,6 +156,43 @@ class TestFaultMapSampler:
         with pytest.raises(ValueError, match="unknown weighting"):
             resolve_weights("corners", 4)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"weights": resolve_weights("center", 4)},
+            {"weights": [1.0, 2.0, 3.0] + [0.5] * 5 + [0.0] * 8},
+            {"granularity": "crosspoint"},
+        ],
+        ids=["uniform", "weighted", "zero-weight-tail", "crosspoint"],
+    )
+    def test_sample_is_the_sorted_prefix_of_the_full_ordering(self, kw):
+        """Each level's map is the node-sorted prefix of the sample's full
+        draw, and one multi-level draw gives the same maps."""
+        s = FaultMapSampler(16, seed=21, **kw)
+        for i in range(4):
+            full = s._draw(i, 16)
+            assert tuple(e.node for e in full) == s.order(i)
+            counts = range(17)
+            levels = s.sample_levels(i, counts)
+            for count in counts:
+                prefix = tuple(sorted(full[:count], key=lambda e: e.node))
+                assert s.sample(i, count) == prefix
+                assert levels[count] == prefix
+
+    def test_levels_draw_once(self, monkeypatch):
+        import repro.campaign.sampler as sampler
+
+        draws = []
+        real = sampler.draw_fault_map
+        monkeypatch.setattr(
+            sampler, "draw_fault_map", lambda *a: draws.append(a[1]) or real(*a)
+        )
+        s = FaultMapSampler(16, seed=2)
+        s.sample_levels(0, (4, 8, 16))
+        s.sample_levels(1, (0,))
+        assert draws == [16]
+
 
 # ----------------------------------------------------------------------
 # spec
@@ -190,6 +227,38 @@ class TestCampaignSpec:
         at50 = [j for j in jobs if j.percent == 50.0]
         hashes = {j.spec.config.config_hash() for j in at50}
         assert len(hashes) == len(at50)
+
+    def test_cold_expansion_draws_once_per_faulty_sample(self, monkeypatch):
+        import repro.campaign.sampler as sampler
+        import repro.campaign.spec as spec_module
+
+        monkeypatch.setattr(spec_module, "_EXPANSIONS", {})  # a cold process
+        draws = []
+        real = sampler.draw_fault_map
+        monkeypatch.setattr(
+            sampler, "draw_fault_map", lambda *a: draws.append(a[0]) or real(*a)
+        )
+        spec = small_spec(samples=5, seed=90210, percents=(0.0, 25.0, 50.0, 100.0))
+        jobs = spec.jobs()
+        assert sorted(draws) == [(90210, i) for i in range(5)]
+        assert spec.jobs() == jobs
+        assert len(draws) == 5  # the second call is memoised
+
+    def test_mutating_sim_between_calls_gives_the_new_jobs(self):
+        spec = small_spec(seed=31337)
+        before = spec.jobs()
+        spec.sim["measure_cycles"] = 70
+        after = spec.jobs()
+        assert [j.spec.config.measure_cycles for j in before] == [60] * len(before)
+        assert [j.spec.config.measure_cycles for j in after] == [70] * len(after)
+        fresh = small_spec(seed=31337, sim={**FAST_SIM, "measure_cycles": 70})
+        assert after == fresh.jobs()
+
+    def test_jobs_returns_a_new_list_each_call(self):
+        spec = small_spec()
+        jobs = spec.jobs()
+        jobs.clear()
+        assert spec.jobs()
 
     def test_round_trip_and_hash(self):
         spec = small_spec(weighting="center", granularity="crosspoint")
@@ -271,6 +340,27 @@ class TestCampaignDriver:
         res = run_campaign(root)  # spec reloaded from the manifest
         assert all(o.cached for o in res.outcomes)
         assert (root / "report.json").read_bytes() == first
+
+    def test_rerun_redraws_nothing_and_leaves_the_report(self, tmp_path, monkeypatch):
+        """A same-process re-run of a finished campaign draws no fault map
+        and does not replace ``report.json`` (same inode and mtime)."""
+        import repro.campaign.sampler as sampler
+
+        root = tmp_path / "c"
+        run_campaign(root, small_spec())
+        report = root / "report.json"
+        first, before = report.read_bytes(), report.stat()
+        draws = []
+        real = sampler.draw_fault_map
+        monkeypatch.setattr(
+            sampler, "draw_fault_map", lambda *a: draws.append(a) or real(*a)
+        )
+        res = run_campaign(root)  # spec reloaded from the manifest
+        assert all(o.cached for o in res.outcomes)
+        assert draws == []
+        after = report.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert report.read_bytes() == first
 
     def test_serial_parallel_bit_identical(self, tmp_path):
         spec = small_spec()

@@ -2,16 +2,19 @@
 
 import pytest
 
+from repro.registry import ROUTING
+from repro.routing.base import shared_routing
 from repro.routing.capacity import (
     average_hops,
     channel_capacity,
     channel_loads,
     max_channel_load,
+    mesh_capacity,
 )
 from repro.routing.dor import DORRouting
 from repro.sim.ports import Port
 from repro.sim.topology import Mesh
-from repro.traffic.patterns import make_pattern
+from repro.traffic.patterns import make_pattern, pattern_names
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +89,38 @@ class TestAverageHops:
     def test_complement_long(self, mesh):
         cp = make_pattern("CP", mesh)
         assert average_hops(cp, mesh) > average_hops(make_pattern("UR", mesh), mesh)
+
+
+class TestMemoisedCapacity:
+    @pytest.mark.parametrize("k", [3, 4, 5, 8])
+    @pytest.mark.parametrize("routing", ROUTING.names())
+    def test_equals_the_reference_walk(self, routing, k):
+        """Every registered routing x pattern: the memoised capacity on the
+        shared table is the walk on a freshly built one, bit for bit."""
+        cls = ROUTING.get(routing)
+        mesh = Mesh(k)
+        for name in pattern_names():
+            try:
+                pattern = make_pattern(name, mesh)
+            except ValueError:
+                # e.g. a power-of-two pattern on 3x3: the memo refuses too
+                with pytest.raises(ValueError):
+                    mesh_capacity(k, name, cls)
+                continue
+            want = channel_capacity(pattern, mesh, cls(mesh))
+            assert mesh_capacity(k, name, cls) == want
+            assert mesh_capacity(k, name, cls) == want  # memoised
+
+    def test_tables_are_shared_per_class_and_radix(self):
+        dor = shared_routing(DORRouting, 4)
+        assert shared_routing(DORRouting, 4) is dor
+        assert shared_routing(DORRouting, 5) is not dor
+        fresh = DORRouting(Mesh(4))
+        assert dor._table == fresh._table
+
+    def test_a_new_class_under_an_old_name_gets_its_own_table(self):
+        class OtherDOR(DORRouting):
+            pass
+
+        assert shared_routing(OtherDOR, 4) is not shared_routing(DORRouting, 4)
+        assert type(shared_routing(OtherDOR, 4)) is OtherDOR

@@ -239,6 +239,26 @@ class TestCampaignStatus:
         row = render_status(st).splitlines()[-1].split()
         assert row == ["a", "a", "completed", "1", "1217", "cyc", "-", "-"]
 
+    def test_retried_row_drops_the_failed_attempts_phase_and_rate(self):
+        """A new attempt's row shows no phase, rate or eta until its own
+        first heartbeat: the failed attempt's last ones described another
+        process."""
+        events = [
+            {"event": "job_submitted", "job": "a", "tag": "a"},
+            {"event": "job_started", "job": "a", "attempt": 1, "cycle": 0},
+            {"event": "heartbeat", "job": "a", "cycle": 40, "horizon": 100,
+             "phase": "warmup", "cps": 500.0, "eta_s": 0.2},
+            {"event": "retry", "job": "a", "attempt": 1, "error": "boom"},
+            {"event": "job_started", "job": "a", "attempt": 2, "cycle": 0},
+        ]
+        job = CampaignStatus.from_events(events).jobs["a"]
+        assert (job.state, job.attempts) == ("running", 2)
+        assert (job.phase, job.cps, job.eta_s) == ("", None, None)
+        beat = {"event": "heartbeat", "job": "a", "cycle": 10, "horizon": 100,
+                "phase": "warmup", "cps": 250.0, "eta_s": 0.4}
+        job = CampaignStatus.from_events(events + [beat]).jobs["a"]
+        assert (job.phase, job.cps, job.eta_s) == ("warmup", 250.0, 0.4)
+
     def test_rerun_of_a_finished_batch_reports_completed(self, tmp_path):
         batch = [RunSpec(tiny()), RunSpec(tiny(seed=4))]
         for _ in range(2):
@@ -268,7 +288,7 @@ GOLDEN_STATUS = {
             {**GOLDEN_JOB, "job": "b", "design": "buffered4", "pattern": "TR",
              "load": 0.4, "tag": "b", "state": "running", "attempts": 2,
              "retries": 1, "heartbeats": 1, "checkpoints": 1, "horizon": 100,
-             "phase": "warmup", "cps": 500.0, "error": "RuntimeError: boom"},
+             "error": "RuntimeError: boom"},
             {**GOLDEN_JOB, "job": "c", "state": "cached"},
             {**GOLDEN_JOB, "job": "d", "state": "failed", "attempts": 3,
              "error": "ValueError: nope"},
@@ -299,7 +319,7 @@ cycles/sec: p50 500  p90 1,000  mean 750 (2 heartbeats)
 
 job  label  state      att  progress    c/s  eta  detail            
 ---  -----  ---------  ---  ----------  ---  ---  ------------------
-b    b      running    2    0/100 (0%)  500  -    RuntimeError: boom
+b    b      running    2    0/100 (0%)  -    -    RuntimeError: boom
 a    a      completed  1    120 cyc     -    -                      
 c    -      cached     0    cache       -    -                      
 d    -      failed     3    100%        -    -    ValueError: nope  
@@ -307,7 +327,7 @@ d    -      failed     3    100%        -    -    ValueError: nope
 
 GOLDEN_TAIL = """\
 4 jobs: 1 running, 1 completed, 1 cached, 1 failed | elapsed 15.0s
-  b  b                running  0/100 (0%) @ 500 c/s (8s ago)
+  b  b                running  0/100 (0%) (8s ago)
 recent events:
   cache_hit       c
   job_submitted   d

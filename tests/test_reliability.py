@@ -3,9 +3,13 @@ distributions, criticality/hotspot heatmaps) over synthetic records."""
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.reliability import (
+    PERCENTILES,
     DistStats,
     ReliabilityRecord,
     build_report,
@@ -78,6 +82,81 @@ class TestDistStats:
     def test_single_value(self):
         d = DistStats.from_values([7.0])
         assert d.p5 == d.p50 == d.p95 == 7.0
+
+
+def one_metric_at_a_time(values):
+    """The summary as it was computed before the cells were batched: one
+    sort, one ``np.percentile`` call and one mean per metric."""
+    arr = np.asarray(sorted(values), dtype=float)
+    ps = np.percentile(arr, PERCENTILES)
+    return {
+        "n": len(arr), "mean": float(arr.mean()), "min": float(arr[0]),
+        "p5": float(ps[0]), "p25": float(ps[1]), "p50": float(ps[2]),
+        "p75": float(ps[3]), "p95": float(ps[4]), "max": float(arr[-1]),
+    }
+
+
+def one_group_at_a_time(rep, design, load, percent):
+    """A cell's ``to_dict`` computed metric by metric, as before."""
+    rs = [r for r in rep.records if (r.design, r.load, r.percent) == (design, load, percent)]
+    tput = [r.result.accepted_load for r in rs]
+    lat = [r.result.avg_flit_latency for r in rs]
+    energy = [r.result.energy_per_packet_nj for r in rs]
+    base = rep.baseline(design, load)
+    ratios = {"throughput_ratio": None, "latency_ratio": None, "energy_ratio": None}
+    yield_fraction = None
+    if base is not None and base["throughput"] > 0:
+        tr = [v / base["throughput"] for v in tput]
+        ratios["throughput_ratio"] = one_metric_at_a_time(tr)
+        yield_fraction = sum(v >= rep.threshold for v in tr) / len(tr)
+        if base["latency"] > 0:
+            ratios["latency_ratio"] = one_metric_at_a_time([v / base["latency"] for v in lat])
+        if base["energy"] > 0:
+            ratios["energy_ratio"] = one_metric_at_a_time([v / base["energy"] for v in energy])
+    return {
+        "design": design, "load": load, "percent": percent, "maps": len(rs),
+        "throughput": one_metric_at_a_time(tput),
+        "latency": one_metric_at_a_time(lat),
+        "energy": one_metric_at_a_time(energy),
+        **ratios, "yield": yield_fraction,
+    }
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+positive = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+
+
+class TestBatchedSummaryIsExact:
+    """Batching a cell's metrics into one ``np.percentile`` call changes no
+    bit of any summary."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=130))
+    def test_dist_stats(self, values):
+        got = DistStats.from_values(values).to_dict()
+        assert json.dumps(got) == json.dumps(one_metric_at_a_time(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(positive, positive, positive), min_size=1, max_size=130),
+        st.tuples(positive, positive, positive),
+    )
+    def test_report_groups(self, cells, base):
+        recs = [record(0, 0.0, base[0], latency=base[1], energy=base[2])]
+        recs += [
+            record(i, 50.0, a, latency=lat, energy=e)
+            for i, (a, lat, e) in enumerate(cells)
+        ]
+        rep = report(recs)
+        got = rep.to_dict()["groups"]
+        want = [one_group_at_a_time(rep, *cell) for cell in rep.cells]
+        # repr round-trips floats, and NaN (an infinite ratio's
+        # percentiles) prints as itself, so equal text is equal bits.
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_group_is_computed_once(self):
+        rep = report([record(0, 0.0, 0.8), record(0, 50.0, 0.4)])
+        assert rep.group("dxbar_dor", 0.5, 50.0) is rep.group("dxbar_dor", 0.5, 50.0)
 
 
 class TestYieldAndRatios:

@@ -152,6 +152,22 @@ class TestResultCache:
         fresh = ResultCache(tmp_path)
         assert fresh.get(spec) is None
 
+    def test_identity_is_described_once_per_spec(self, monkeypatch):
+        """The identity a lookup compares is ``describe()`` without the
+        tag, serialised once per (frozen) spec, not on every lookup."""
+        spec = RunSpec(tiny(offered_load=0.1), tag="t")
+        want = spec.describe()
+        del want["tag"]
+        assert spec.identity() == want
+        cache = ResultCache(None)
+        cache.put(spec, {"x": 1})
+        monkeypatch.setattr(
+            type(spec.config), "to_dict",
+            lambda self: pytest.fail("identity re-serialised the config"),
+        )
+        assert cache.get(spec) == {"x": 1}
+        assert spec.identity() is spec.identity()
+
     def test_corrupt_json_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = RunSpec(tiny(offered_load=0.1))

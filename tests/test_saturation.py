@@ -202,15 +202,16 @@ class TestConvergence:
     def test_capacity_is_computed_once_per_routing_function(self, tmp_path, monkeypatch):
         """Designs that share a routing function share one path walk, and
         each still reports its own routing function's capacity."""
-        import repro.runner.saturation as sat
+        import repro.routing.capacity as capacity
 
-        walks = []
-        real = sat.channel_capacity
-        monkeypatch.setattr(
-            sat, "channel_capacity", lambda *a: walks.append(a) or real(*a)
-        )
         designs = ("dxbar_dor", "dxbar_wf", "unified_dor", "flit_bless", "unified_wf")
         cliffs = {d: 0.7 * analytic_capacity(d, 4) for d in designs}
+        capacity.mesh_capacity.cache_clear()  # count this search's walks
+        walks = []
+        real = capacity.channel_loads
+        monkeypatch.setattr(
+            capacity, "channel_loads", lambda *a: walks.append(a) or real(*a)
+        )
         spec = SaturationSpec(designs=designs, k=4, tolerance=0.05, seed=3)
         res = run_saturation(tmp_path / "s", spec, runner=cliff_runner(cliffs))
         assert len(walks) == 3  # dor, wf, adaptive
@@ -295,6 +296,65 @@ class TestResume:
         assert res.probes_total > 0
         assert (root / "saturation.json").read_bytes() == report
         assert (root / "manifest.json").read_bytes() == manifest
+
+    def test_finished_rerun_walks_nothing_and_leaves_the_report(
+        self, tmp_path, monkeypatch
+    ):
+        """A same-process re-run of a finished search walks no channel
+        loads, executes no probe and does not replace ``saturation.json``
+        (same inode and mtime)."""
+        import repro.routing.capacity as capacity
+
+        root = tmp_path / "s"
+        designs = ("buffered4", "flit_bless", "dxbar_dor")
+        cliffs = {d: 0.7 * analytic_capacity(d, 8) for d in designs}
+        spec = SaturationSpec(designs=designs, k=8, tolerance=0.05, seed=5)
+        run_saturation(root, spec, runner=cliff_runner(cliffs))
+        report = root / "saturation.json"
+        first, before = report.read_bytes(), report.stat()
+        walks = []
+        real = capacity.channel_loads
+        monkeypatch.setattr(
+            capacity, "channel_loads", lambda *a: walks.append(a) or real(*a)
+        )
+        res = run_saturation(root, runner=cliff_runner(cliffs))
+        assert walks == []
+        assert res.probes_executed == 0 and res.probes_total > 0
+        after = report.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert report.read_bytes() == first
+
+    @pytest.mark.parametrize("interrupt_at", [1, 2, 3])
+    def test_interrupted_warm_rerun_keeps_the_finished_report(
+        self, tmp_path, interrupt_at
+    ):
+        """A re-run of a finished search replays its rounds from the cache;
+        stopped after any of them, it must not have replaced the finished
+        report with its own partial (all ``pending``) one."""
+
+        class Stop(Exception):
+            pass
+
+        root = tmp_path / "s"
+        designs = ("buffered4", "flit_bless", "dxbar_dor")
+        cliffs = {d: 0.7 * analytic_capacity(d, 8) for d in designs}
+        spec = SaturationSpec(designs=designs, k=8, tolerance=0.05, seed=5)
+        done = run_saturation(root, spec, runner=cliff_runner(cliffs))
+        assert done.rounds > interrupt_at
+        first = (root / "saturation.json").read_bytes()
+        replay = cliff_runner(cliffs)
+        calls = []
+
+        def interrupted(specs, **kw):
+            calls.append(len(specs))
+            if len(calls) == interrupt_at:
+                raise Stop()
+            return replay(specs, **kw)
+
+        with pytest.raises(Stop):
+            run_saturation(root, runner=interrupted)
+        assert (root / "saturation.json").read_bytes() == first
+        assert all(e["status"] == "converged" for e in load_report(root)["designs"])
 
     def test_partial_cache_resume_executes_only_the_missing(self, tmp_path):
         """A killed search = a directory whose cache holds a strict subset

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, TelemetryConfig
 from repro.sim.engine import Simulator
 from repro.sim.flit import Flit
 from repro.sim.stats import StatsCollector
@@ -178,6 +178,54 @@ class TestDrops:
         assert s.measured_pending == 0
         assert s.drops == 0  # unmeasured: raw total only
         assert s.total_dropped_flits == 1
+
+
+def _asdict_form(r):
+    """``SimResult.to_dict`` as it was built on ``dataclasses.asdict``."""
+    from dataclasses import asdict
+
+    d = asdict(r)
+    d["total_energy_nj"] = r.total_energy_nj
+    d["energy_per_packet_nj"] = r.energy_per_packet_nj
+    d["energy_per_flit_pj"] = r.energy_per_flit_pj
+    profile = r.extra.get("profile")
+    if profile:
+        d["profile"] = profile
+    return d
+
+
+class TestResultDict:
+    @pytest.fixture(scope="class")
+    def result(self):
+        cfg = SimConfig(design="dxbar_dor", k=4, offered_load=0.3, warmup_cycles=20,
+                        measure_cycles=60, drain_cycles=40,
+                        telemetry=TelemetryConfig(profile=True))
+        return Simulator(cfg).run()
+
+    def test_same_json_as_asdict(self, result):
+        import json
+
+        assert result.extra.get("profile")  # the nested section is covered
+        want = _asdict_form(result)
+        got = result.to_dict()
+        assert list(got) == list(want)
+        assert json.dumps(got) == json.dumps(want)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_mutating_the_dict_leaves_the_result(self, result):
+        import json
+
+        before = json.dumps(result.to_dict())
+        d = result.to_dict()
+        d["per_router"][0]["deflections"] = -1
+        d["per_router"].append({})
+        d["per_node"]["injected"][0] = -1
+        d["per_node"]["new"] = []
+        d["extra"]["router_counter_totals"]["x"] = 1
+        d["extra"]["fault_nodes"].append(99)
+        d["extra"]["profile"].clear()
+        d["profile"].clear()
+        assert json.dumps(result.to_dict()) == before
 
 
 class TestResult:
