@@ -41,7 +41,6 @@ from ..energy.area import design_area
 from ..energy.constants import DESIGN_ENERGY
 from ..runner import RunSpec, run_specs
 from ..runner.executor import results_of
-from ..runner.rundir import run_paths
 from ..runner.spec import materialize_workload
 from ..sim.config import FaultConfig, SimConfig
 from ..sim.stats import SimResult
@@ -122,16 +121,7 @@ def _run_grid(grid: Grid, jobs: Optional[int], root: Root, progress=None) -> Cel
         )))
         for s in grid.values()
     ]
-    cache = journal = None
-    if root is not None:
-        cache, journal = run_paths(root)
-    outcomes = run_specs(
-        specs,
-        jobs=_resolve_jobs(jobs),
-        cache=cache,
-        journal=journal,
-        progress=progress,
-    )
+    outcomes = run_specs(specs, jobs=_resolve_jobs(jobs), root=root, progress=progress)
     return dict(zip(grid, results_of(outcomes, "experiment jobs")))
 
 

@@ -3,8 +3,8 @@
 These helpers expand grids of :class:`~repro.sim.config.SimConfig` into
 :class:`~repro.runner.RunSpec` jobs and execute them through
 :func:`repro.runner.run_specs`, so every sweep accepts ``jobs`` (process
-parallelism), ``cache`` (a :class:`~repro.runner.ResultCache`, a directory
-path, or None) and ``progress`` callbacks.
+parallelism), ``root`` (a run directory keeping the cells' cache, journal
+and checkpoints, or None to keep nothing) and ``progress`` callbacks.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..runner import ResultCache, RunSpec, run_specs
+from ..runner import RunSpec, run_specs
 from ..runner.executor import results_of
 from ..sim.config import SimConfig
 from ..sim.stats import SimResult
-
-CacheLike = Optional[Union[ResultCache, str, Path]]
 
 
 @dataclass
@@ -59,13 +57,10 @@ def sweep_designs(
     base: Optional[SimConfig] = None,
     *,
     jobs: int = 1,
-    cache: CacheLike = None,
+    root: Optional[Union[str, Path]] = None,
     progress=None,
     checkpoint_every: int = 0,
-    checkpoint_root: Optional[Union[str, Path]] = None,
     audit=False,
-    journal=None,
-    heartbeat_interval: float = 1.0,
     **overrides,
 ) -> Dict[str, SweepResult]:
     """Run every design across the same load grid.
@@ -84,13 +79,10 @@ def sweep_designs(
     outcomes = run_specs(
         specs,
         jobs=jobs,
-        cache=cache,
+        root=root,
         progress=progress,
         checkpoint_every=checkpoint_every,
-        checkpoint_root=checkpoint_root,
         audit=audit,
-        journal=journal,
-        heartbeat_interval=heartbeat_interval,
     )
     results = results_of(outcomes, "sweep jobs")
     n = len(loads)

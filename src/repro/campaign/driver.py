@@ -135,7 +135,6 @@ def run_campaign(
     job_timeout: Optional[float] = None,
     checkpoint_every: int = 0,
     audit: Any = False,
-    journal: bool = True,
     progress: Optional[ProgressFn] = None,
     plugins: Iterable[str] = (),
 ) -> CampaignResult:
@@ -156,16 +155,14 @@ def run_campaign(
     outcomes = run_specs(
         [j.spec for j in campaign_jobs],
         jobs=jobs,
-        cache=run_paths(root).cache,
+        root=root,
         progress=progress,
         plugins=plugins,
         retries=retries,
         retry_backoff=retry_backoff,
         job_timeout=job_timeout,
         checkpoint_every=checkpoint_every,
-        checkpoint_root=(root / "checkpoints") if checkpoint_every > 0 else None,
         audit=audit,
-        journal=run_paths(root).journal if journal else None,
     )
     records = _to_records(campaign_jobs, outcomes)
     report = build_report(records, k=spec.k, threshold=threshold)

@@ -19,11 +19,11 @@ Layering:
   ``Simulator.state_dict``;
 * :meth:`repro.sim.engine.Simulator.save_checkpoint` /
   :meth:`repro.sim.engine.Simulator.resume_from` — the user-facing API;
-* :func:`repro.runner.run_specs` — per-job checkpoint directories and
-  crash-retry-from-checkpoint for campaigns;
-* the CLI's ``--checkpoint-every`` / ``--checkpoint-dir`` flags (plus the
-  ``REPRO_CHECKPOINT_DIR`` variable); re-running a killed command with
-  the same flags resumes it.
+* :func:`repro.runner.run_specs` — per-job checkpoint directories
+  (``<root>/checkpoints/<job_id>``) and crash-retry-from-checkpoint for
+  campaigns;
+* the CLI's ``--checkpoint-every N`` flag with ``--root DIR``;
+  re-running a killed command with the same flags resumes it.
 
 See the "Checkpoint & resume" section of docs/architecture.md.
 """

@@ -12,18 +12,19 @@ Run as ``python -m repro <command>``:
   ``status`` also prints the manifest's completion line;
 * ``designs`` / ``patterns`` — list what's available.
 
-Every command that simulates goes through :func:`repro.runner.run_specs`.
-``run`` and ``sweep`` accept ``--jobs N`` (process-parallel execution),
-``--cache-dir DIR`` (an on-disk result cache giving skip-completed/resume
-semantics) and ``--checkpoint-every N`` / ``--checkpoint-dir DIR``
-(periodic mid-run snapshots through :mod:`repro.checkpoint`; the
-directory defaults to ``REPRO_CHECKPOINT_DIR``).  A killed run resumes
-bit-exactly from its latest snapshot when the same command is run again.
-Both commands accept ``--audit`` (per-cycle invariant auditing through
+Every command that simulates goes through :func:`repro.runner.run_specs`,
+and each keeps its state in one run directory, ``--root DIR``
+(:func:`repro.runner.rundir.run_paths`): results are cached under
+``DIR/cache`` (completed runs are skipped), events are journaled under
+``DIR/journal`` (``repro status DIR``) and, with ``--checkpoint-every N``,
+``run`` and ``sweep`` snapshot each job under ``DIR/checkpoints`` through
+:mod:`repro.checkpoint`.  A killed run resumes bit-exactly from its
+latest snapshot when the same command is run again.  Without ``--root``,
+``run``, ``sweep`` and ``figure`` keep nothing.  ``sweep`` and ``figure``
+accept ``--jobs N`` (process-parallel execution); ``run`` and ``sweep``
+accept ``--audit`` (per-cycle invariant auditing through
 :mod:`repro.audit`; ``--audit-report DIR`` writes any violation as a JSON
-report).  ``figure`` accepts ``--jobs N`` and ``--root DIR``, a figure run
-directory holding the cells' cache and journal (``repro status DIR``).
-Design and pattern choices come from the plugin registries; set
+report).  Design and pattern choices come from the plugin registries; set
 ``REPRO_PLUGINS`` to a comma-separated list of importable modules to load
 out-of-tree designs or patterns before the parser is built::
 
@@ -34,15 +35,15 @@ Examples::
     python -m repro run --design dxbar_dor --pattern UR --load 0.3
     python -m repro run --design dxbar_dor --load 0.1 --json
     python -m repro run --trace events.jsonl --metrics-out metrics.json --profile
-    python -m repro run --checkpoint-every 500 --checkpoint-dir ckpts --json
+    python -m repro run --checkpoint-every 500 --root runs --json
     python -m repro run --design unified_wf --faults 100 --audit
     python -m repro sweep --designs dxbar_dor buffered8 --loads 0.1 0.3 0.5 --jobs 4
-    python -m repro sweep --jobs 4 --journal runs/journal
+    python -m repro sweep --jobs 4 --root runs
     python -m repro saturate --design dxbar_dor --pattern UR -k 8
     python -m repro saturate --root sat-all --design dxbar_dor unified_dor \
         --jobs 4 --speculation 3
-    python -m repro status runs/journal
-    python -m repro tail runs/journal --follow
+    python -m repro status runs
+    python -m repro tail runs --follow
     python -m repro figure fig5 --scale quick --jobs 4 --root figures
     python -m repro status figures
 """
@@ -78,9 +79,7 @@ def load_plugins(spec: Optional[str] = None) -> None:
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--design", default="dxbar_dor", choices=design_names())
     p.add_argument("--pattern", default="UR", choices=pattern_names())
-    p.add_argument("--load", type=float, default=0.3, help="offered load (flits/node/cycle)")
     p.add_argument("--k", type=int, default=8, help="mesh radix")
     p.add_argument("--warmup", type=int, default=500)
     p.add_argument("--measure", type=int, default=2000)
@@ -96,44 +95,19 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_runner_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("orchestration (repro.runner)")
+def _add_root_args(p: argparse.ArgumentParser) -> None:
+    g = p.add_argument_group("run directory (repro.runner)")
     g.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the simulation grid (1 = serial)",
+        "--root", metavar="DIR", default=None,
+        help="keep the run's state in DIR: results cached under DIR/cache "
+             "(completed runs are skipped), events journaled under "
+             "DIR/journal ('repro status DIR' / 'repro tail DIR --follow'); "
+             "without it nothing is kept",
     )
-    g.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="config-hash-keyed result cache; completed runs are skipped",
-    )
-
-
-def _add_journal_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("fleet telemetry (repro.obs; off by default)")
-    g.add_argument(
-        "--journal", metavar="DIR",
-        default=os.environ.get("REPRO_JOURNAL_DIR") or None,
-        help="append lifecycle + heartbeat events to a sharded run journal "
-             "under DIR (default: $REPRO_JOURNAL_DIR); inspect with "
-             "'repro status DIR' / 'repro tail DIR --follow'",
-    )
-    g.add_argument(
-        "--heartbeat-interval", type=float, default=1.0, metavar="SEC",
-        help="wall-clock seconds between journal heartbeats (default 1.0)",
-    )
-
-
-def _add_checkpoint_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("checkpointing (repro.checkpoint)")
     g.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
-        help="snapshot full simulator state every N cycles (0 = off)",
-    )
-    g.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        default=os.environ.get("REPRO_CHECKPOINT_DIR") or None,
-        help="where snapshots go (default: $REPRO_CHECKPOINT_DIR); each "
-             "job gets a subdirectory keyed by its job id, and re-running "
+        help="snapshot full simulator state every N cycles under "
+             "DIR/checkpoints/<job id> (0 = off; needs --root); re-running "
              "a killed command resumes from its newest snapshot",
     )
 
@@ -202,11 +176,9 @@ def _telemetry_from(args) -> TelemetryConfig:
     )
 
 
-def _config_from(args) -> SimConfig:
+def _config_from(args, **fields) -> SimConfig:
     return SimConfig(
-        design=args.design,
         pattern=args.pattern,
-        offered_load=args.load,
         k=args.k,
         warmup_cycles=args.warmup,
         measure_cycles=args.measure,
@@ -216,19 +188,29 @@ def _config_from(args) -> SimConfig:
         faults=FaultConfig(percent=args.faults),
         telemetry=_telemetry_from(args),
         backend=getattr(args, "backend", "object"),
+        **fields,
     )
 
 
+def _checkpoints_need_root(args) -> bool:
+    """Report ``--checkpoint-every`` without ``--root`` (the snapshots
+    would have nowhere to go); True when the command must stop."""
+    if args.checkpoint_every > 0 and args.root is None:
+        print(f"repro {args.command}: --checkpoint-every needs --root DIR",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_run(args) -> int:
-    config = _config_from(args)
+    if _checkpoints_need_root(args):
+        return 2
+    config = _config_from(args, design=args.design, offered_load=args.load)
     outcome = run_specs(
         [RunSpec(config)],
-        cache=args.cache_dir,
+        root=args.root,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_root=args.checkpoint_dir,
         audit=_audit_from(args),
-        journal=args.journal,
-        heartbeat_interval=args.heartbeat_interval,
     )[0]
     if not outcome.ok:
         print(f"repro run: job failed: {outcome.error}", file=sys.stderr)
@@ -265,18 +247,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _config_from(args)
+    if _checkpoints_need_root(args):
+        return 2
     out = sweep_designs(
         args.designs,
         args.loads,
-        base=base,
+        base=_config_from(args, design=args.designs[0]),
         jobs=args.jobs,
-        cache=args.cache_dir,
+        root=args.root,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_root=args.checkpoint_dir,
         audit=_audit_from(args),
-        journal=args.journal,
-        heartbeat_interval=args.heartbeat_interval,
     )
     if args.json:
         payload = {
@@ -432,7 +412,6 @@ def cmd_saturate(args) -> int:
             retries=args.retries,
             job_timeout=args.job_timeout,
             audit=_audit_from(args),
-            journal=not args.no_journal,
             progress=progress,
         )
     except SaturationError as exc:
@@ -502,7 +481,6 @@ def cmd_campaign_run(args) -> int:
             job_timeout=args.job_timeout,
             checkpoint_every=args.checkpoint_every,
             audit=_audit_from(args),
-            journal=not args.no_journal,
             progress=progress,
         )
     except CampaignError as exc:
@@ -559,26 +537,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one simulation")
+    # No abbreviated flags on run and sweep: ``sweep --design``/``--load``
+    # would otherwise still parse, as prefixes of ``--designs``/``--loads``.
+    p = sub.add_parser("run", help="run one simulation", allow_abbrev=False)
+    p.add_argument("--design", default="dxbar_dor", choices=design_names())
+    p.add_argument("--load", type=float, default=0.3,
+                   help="offered load (flits/node/cycle)")
     _add_sim_args(p)
-    _add_runner_args(p)
-    _add_journal_args(p)
-    _add_checkpoint_args(p)
+    _add_root_args(p)
     _add_telemetry_args(p)
     _add_audit_args(p)
     p.add_argument("--json", action="store_true",
                    help="print the SimResult as one JSON object")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="offered-load sweep")
-    _add_sim_args(p)
-    _add_runner_args(p)
-    _add_journal_args(p)
-    _add_checkpoint_args(p)
-    _add_audit_args(p)
+    p = sub.add_parser("sweep", help="offered-load sweep", allow_abbrev=False)
     p.add_argument("--designs", nargs="+", default=["dxbar_dor", "buffered4"],
                    choices=design_names())
     p.add_argument("--loads", nargs="+", type=float, default=[0.1, 0.3, 0.5])
+    _add_sim_args(p)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes for the simulation grid (1 = serial)")
+    _add_root_args(p)
+    _add_audit_args(p)
     p.add_argument("--json", action="store_true",
                    help="print all SimResults as one JSON object")
     p.set_defaults(func=cmd_sweep)
@@ -666,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "changing the result (default 0)")
     g.add_argument("--retries", type=int, default=2, metavar="N")
     g.add_argument("--job-timeout", type=float, default=None, metavar="SEC")
-    g.add_argument("--no-journal", action="store_true",
-                   help="skip the run journal under <root>/journal")
     g.add_argument("--quiet", action="store_true",
                    help="suppress progress lines on stderr")
     _add_audit_args(p)
@@ -728,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--job-timeout", type=float, default=None, metavar="SEC")
     g.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="snapshot each job every N cycles (0 = off)")
-    g.add_argument("--no-journal", action="store_true",
-                   help="skip the run journal under <root>/journal")
     g.add_argument("--quiet", action="store_true",
                    help="suppress progress lines on stderr")
     _add_audit_args(c)

@@ -53,7 +53,6 @@ from .journal import (
     JobJournal,
     Journal,
     JournalWriter,
-    as_journal,
     merge_journal,
     read_journal_shard,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "JournalWriter",
     "JobJournal",
     "HeartbeatEmitter",
-    "as_journal",
     "merge_journal",
     "read_journal_shard",
     "JOURNAL_EVENTS",

@@ -157,14 +157,6 @@ class Journal:
         return f"Journal({str(self.root)!r})"
 
 
-def as_journal(journal: Optional[Union[str, Path, Journal]]) -> Optional[Journal]:
-    """Coerce a journal argument: Journal passes through, a path becomes a
-    directory-backed journal, None stays None."""
-    if journal is None or isinstance(journal, Journal):
-        return journal
-    return Journal(journal)
-
-
 # ----------------------------------------------------------------------
 # readers
 # ----------------------------------------------------------------------

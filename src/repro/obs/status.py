@@ -77,7 +77,9 @@ class JobStatus:
     design: str = ""
     pattern: str = ""
     load: Optional[float] = None
-    tag: str = ""
+    #: every distinct tag the job was submitted under, first seen first
+    #: (figures sharing a cell in one root each submit it under their own).
+    tags: List[str] = field(default_factory=list)
     state: str = "queued"
     attempts: int = 0
     retries: int = 0
@@ -97,6 +99,10 @@ class JobStatus:
     @property
     def done(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    @property
+    def tag(self) -> str:
+        return ", ".join(self.tags)
 
     @property
     def progress(self) -> Optional[float]:
@@ -223,7 +229,9 @@ class CampaignStatus:
             job.design = record.get("design", job.design)
             job.pattern = record.get("pattern", job.pattern)
             job.load = record.get("load", job.load)
-            job.tag = record.get("tag", job.tag)
+            tag = record.get("tag")
+            if tag and tag not in job.tags:
+                job.tags.append(tag)
         elif event == EV_JOB_STARTED:
             job.attempts = max(job.attempts, record.get("attempt", job.attempts + 1))
             job.state = "running"
@@ -414,7 +422,7 @@ def render_status(status: CampaignStatus, max_rows: int = 40) -> str:
         rows.append(
             [
                 job.job_id[:12],
-                label[:16],
+                label,
                 job.state,
                 str(job.attempts),
                 _fmt_progress(job),

@@ -4,11 +4,9 @@ One JSON file per job under the cache root, named ``<job_id>.json`` and
 holding the job's identity (config + workload spec) next to the result, so
 a lookup verifies the stored identity before trusting the hash — a
 collision or a stale schema reads as a miss, never as a wrong result.
-
-``ResultCache(None)`` is a pure in-memory store with the same interface
-(the experiment drivers use it as their default shared-run cache);
-``ResultCache(path)`` persists to disk, which is what gives sweeps
-resume/skip-completed semantics across interrupted campaigns.
+The store is what gives every run directory (``<root>/cache``, see
+:func:`repro.runner.rundir.run_paths`) its resume/skip-completed
+semantics across interrupted runs.
 
 An existing entry that still reads as a miss is never silent while a
 journal is attached: a corrupt one is quarantined (``cache_quarantine``),
@@ -31,30 +29,28 @@ from .spec import RunSpec
 class ResultCache:
     """Maps :class:`~repro.runner.spec.RunSpec` job ids to result dicts."""
 
-    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root) if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self._mem: Dict[str, Dict[str, Any]] = {}
+    def __init__(self, root: Union[str, Path], journal=None) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._mem: Dict[str, Dict[str, Any]] = {}  # entries read or written
         self.hits = 0
         self.misses = 0
         self._warned_corrupt = False
-        # Optional JournalWriter: when a campaign driver attaches one,
+        # Optional JournalWriter (the executor's driver shard): with one,
         # quarantines become ``cache_quarantine`` journal events instead
-        # of (or in addition to) the one-shot RuntimeWarning, and rejected
-        # entries ``cache_rejected`` events.
-        self.journal = None
+        # of the one-shot RuntimeWarning, and rejected entries
+        # ``cache_rejected`` events.
+        self.journal = journal
         self._rejected: set = set()  # job ids already journaled as rejected
 
     # ------------------------------------------------------------------
     def _path(self, job_id: str) -> Path:
-        assert self.root is not None
         return self.root / f"{job_id}.json"
 
     def _load(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         job_id = spec.job_id()
         payload = self._mem.get(job_id)
-        if payload is None and self.root is not None:
+        if payload is None:
             path = self._path(job_id)
             if not path.exists():
                 return None
@@ -75,8 +71,6 @@ class ResultCache:
                 self._quarantine(path)
                 return None
             self._mem[job_id] = payload
-        if payload is None:
-            return None
         if payload.get("identity") != spec.identity():
             # Hash collision or stale schema: treat as a miss.
             self._reject(job_id, "identity_mismatch")
@@ -142,22 +136,8 @@ class ResultCache:
             "result": result,
         }
         self._mem[job_id] = payload
-        if self.root is not None:
-            # Atomic write: concurrent executors may race on the same key.
-            atomic_write_text(self._path(job_id), json.dumps(payload))
-
-    def clear(self) -> None:
-        """Drop every entry (memory and disk)."""
-        self._mem.clear()
-        self.hits = 0
-        self.misses = 0
-        if self.root is not None:
-            # An entry a concurrent process already removed is gone as
-            # asked; any other failure to delete propagates.
-            for path in self.root.glob("*.json"):
-                path.unlink(missing_ok=True)
+        # Atomic write: concurrent executors may race on the same key.
+        atomic_write_text(self._path(job_id), json.dumps(payload))
 
     def __len__(self) -> int:
-        if self.root is not None:
-            return len(list(self.root.glob("*.json")))
-        return len(self._mem)
+        return len(list(self.root.glob("*.json")))

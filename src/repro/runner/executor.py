@@ -1,7 +1,11 @@
 """Serial and process-parallel execution of :class:`RunSpec` grids.
 
 :func:`run_specs` is the single entry point used by the sweep helpers, the
-per-figure experiment drivers and the CLI.  Guarantees:
+per-figure experiment drivers, campaigns, saturation searches and the CLI.
+Without a ``root`` nothing is kept.  With one,
+:func:`~repro.runner.rundir.run_paths` names where the run's state lives:
+``<root>/cache``, ``<root>/journal`` and, when checkpointing is on,
+``<root>/checkpoints/<job_id>``.  Guarantees:
 
 * **Determinism** — each job's RNG seed lives in its config, so the same
   spec produces the same :class:`~repro.sim.stats.SimResult` regardless of
@@ -9,27 +13,26 @@ per-figure experiment drivers and the CLI.  Guarantees:
   serial output dict-for-dict.
 * **Ordering** — results come back in spec order, whatever order the
   workers finish in.
-* **Resume** — with a :class:`~repro.runner.cache.ResultCache`, completed
-  jobs are skipped (a cache hit never re-simulates) and fresh results are
-  written back, so an interrupted campaign continues where it stopped.
+* **Resume** — completed jobs are read back from the root's
+  :class:`~repro.runner.cache.ResultCache` (a cache hit never
+  re-simulates) and fresh results are written back, so an interrupted
+  campaign continues where it stopped.
 * **Fault tolerance** — a job that raises, times out or loses its worker
   process is retried up to ``retries`` times (exponential backoff between
-  rounds) instead of aborting the campaign; with a ``checkpoint_root``
-  each attempt snapshots every ``checkpoint_every`` cycles into the job's
-  own directory and a retry resumes from the last snapshot rather than
-  from cycle zero.  A job that exhausts its retries surfaces as a
+  rounds) instead of aborting the campaign; with a root and
+  ``checkpoint_every`` each attempt snapshots into the job's own
+  directory and a retry resumes from the last snapshot rather than from
+  cycle zero.  A job that exhausts its retries surfaces as a
   :class:`RunOutcome` with ``error`` set (and ``result`` None); other jobs
   complete normally.
-
-* **Telemetry** — with a ``journal`` (a directory path or
-  :class:`~repro.obs.journal.Journal`), the driver and every worker
+* **Telemetry** — in a root's journal the driver and every worker
   append structured lifecycle events (``job_submitted`` / ``job_started``
   / ``backend_resolved`` / ``heartbeat`` / ``checkpointed`` /
   ``checkpoint_skipped`` / ``retry`` / ``cache_hit`` / ``completed`` /
   ``failed`` / ``audit_violation``) to their own JSONL shard, so a
   campaign is observable while running (``repro tail``) and explainable
   after a crash (``repro status``).  The journal is a pure observer:
-  journal-enabled runs are bit-exact with journal-disabled ones.
+  runs with a root are bit-exact with runs without one.
 
 Workers receive jobs as plain dicts (``RunSpec.describe()`` wrapped with
 the execution options), which keeps the process boundary free of pickling
@@ -72,12 +75,12 @@ from ..obs.journal import (
     Journal,
     JobJournal,
     JournalWriter,
-    as_journal,
 )
 from ..sim.config import SimConfig, content_hash
 from ..sim.engine import Simulator
 from ..sim.stats import SimResult
 from .cache import ResultCache
+from .rundir import run_paths
 from .spec import RunSpec, materialize_workload
 
 #: Progress callback signature: ``progress(done, total, outcome)``.
@@ -116,7 +119,6 @@ class RunOutcome:
 
 def execute_spec(
     spec: RunSpec,
-    check_invariants: bool = False,
     *,
     checkpoint_every: int = 0,
     checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -187,7 +189,7 @@ def execute_spec(
             reason=reason,
         )
     try:
-        return sim.run(check_invariants=check_invariants)
+        return sim.run()
     except AuditViolation as exc:
         if journal is not None:
             journal.event(
@@ -252,7 +254,6 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         )
     return execute_spec(
         spec,
-        check_invariants=payload.get("check_invariants", False),
         checkpoint_every=payload.get("checkpoint_every", 0),
         checkpoint_dir=payload.get("checkpoint_dir"),
         # Crosses the process boundary as False/True/dict; execute_spec's
@@ -321,25 +322,23 @@ def run_specs(
     specs: Sequence[RunSpec],
     *,
     jobs: int = 1,
-    cache: Optional[Union[ResultCache, str, Path]] = None,
+    root: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressFn] = None,
     plugins: Iterable[str] = (),
-    check_invariants: bool = False,
     retries: int = 2,
     retry_backoff: float = 0.5,
     job_timeout: Optional[float] = None,
     checkpoint_every: int = 0,
-    checkpoint_root: Optional[Union[str, Path]] = None,
     audit=False,
-    journal: Optional[Union[str, Path, Journal]] = None,
     heartbeat_interval: float = 1.0,
 ) -> List[RunOutcome]:
     """Execute ``specs`` and return their outcomes in spec order.
 
     ``jobs`` <= 1 runs serially in this process; ``jobs`` > 1 fans the
     non-cached specs out over a :class:`ProcessPoolExecutor` with ``jobs``
-    workers.  ``cache`` (a :class:`ResultCache` or a directory path)
-    enables skip-completed/resume semantics.
+    workers.  ``root`` is the run directory: its ``cache/`` gives
+    skip-completed/resume semantics and its ``journal/`` records the run
+    (see below); without a root nothing is kept.
     ``progress`` is called after every job (cached ones included) with the
     running completion count.
 
@@ -348,9 +347,11 @@ def run_specs(
     rounds.  ``job_timeout`` (seconds) preempts a stuck attempt by
     killing the worker pool; the victim is charged an attempt, innocent
     in-flight jobs are not.  An in-process attempt cannot be preempted, so
-    with a timeout set every job runs in a pool, even at ``jobs`` <= 1.  With ``checkpoint_root``, each job
-    checkpoints every ``checkpoint_every`` cycles under
-    ``<root>/<job_id>/`` and retries resume from the last snapshot.
+    with a timeout set every job runs in a pool, even at ``jobs`` <= 1.
+    With a root and ``checkpoint_every`` > 0, each job checkpoints every
+    ``checkpoint_every`` cycles under ``<root>/checkpoints/<job_id>/``,
+    and retries (and re-runs of a killed run) resume from the last
+    snapshot.
     Terminal failures come back as outcomes with ``error`` set; they are
     never written to the cache.
 
@@ -359,13 +360,12 @@ def run_specs(
     job failure like any other, except it is never retried — the
     simulation is deterministic, so a violation would simply repeat.
 
-    ``journal`` (a directory path or :class:`~repro.obs.journal.Journal`)
-    enables the fleet run journal: the driver appends campaign/submit/
-    cache-hit/retry/terminal events to its own shard, executing processes
-    append start/heartbeat/checkpoint events to theirs, and
-    ``heartbeat_interval`` sets the wall-clock seconds between in-run
-    heartbeats.  Purely observational — results are bit-identical with
-    and without it.
+    The root's journal is the fleet run journal: the driver appends
+    campaign/submit/cache-hit/retry/terminal events to its own shard,
+    executing processes append start/heartbeat/checkpoint events to
+    theirs, and ``heartbeat_interval`` sets the wall-clock seconds between
+    in-run heartbeats.  Purely observational — results are bit-identical
+    with and without a root.
     """
     specs = list(specs)
     if jobs < 0:
@@ -373,15 +373,20 @@ def run_specs(
     if retries < 0:
         raise ValueError("retries must be >= 0")
     plugins = tuple(plugins)
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
     total = len(specs)
     job_ids = [spec.job_id() for spec in specs]
     outcomes: List[Optional[RunOutcome]] = [None] * total
     done = 0
 
-    jr = as_journal(journal)
-    writer = jr.writer(f"driver-{os.getpid()}") if jr is not None else None
+    cache = writer = journal_dir = ckpt_root = None
+    if root is not None:
+        paths = run_paths(root)
+        journal = Journal(paths.journal)
+        journal_dir = str(journal.root)
+        writer = journal.writer(f"driver-{os.getpid()}")
+        cache = ResultCache(paths.cache, journal=writer)
+        if checkpoint_every > 0:
+            ckpt_root = paths.checkpoints
 
     def _report(outcome: RunOutcome) -> None:
         nonlocal done
@@ -390,9 +395,9 @@ def run_specs(
             progress(done, total, outcome)
 
     def _ckpt_dir(key: str) -> Optional[str]:
-        if checkpoint_root is None:
-            return None
-        return str(specs[pending[key][0]].checkpoint_dir(checkpoint_root))
+        # Keyed by job id: retried and resumed executions of one job find
+        # each other's snapshots, and distinct jobs never collide.
+        return None if ckpt_root is None else str(ckpt_root / key)
 
     def _finish(indexes: List[int], result: SimResult, attempts: int) -> None:
         if cache is not None:
@@ -436,12 +441,6 @@ def run_specs(
                 tag=spec.tag,
                 workload=wl,
             )
-
-    # While this campaign runs, cache self-check quarantines are routed
-    # into the journal as well (restored afterwards).
-    prev_cache_journal = getattr(cache, "journal", None)
-    if cache is not None and writer is not None:
-        cache.journal = writer
 
     try:
         if writer is not None:
@@ -489,7 +488,6 @@ def run_specs(
                     try:
                         result = execute_spec(
                             specs[indexes[0]],
-                            check_invariants=check_invariants,
                             checkpoint_every=checkpoint_every,
                             checkpoint_dir=_ckpt_dir(key),
                             audit=audit,
@@ -512,7 +510,6 @@ def run_specs(
                 pending,
                 jobs=max(jobs, 1),
                 plugins=plugins,
-                check_invariants=check_invariants,
                 retries=retries,
                 retry_backoff=retry_backoff,
                 job_timeout=job_timeout,
@@ -522,12 +519,10 @@ def run_specs(
                 finish=_finish,
                 fail=_fail,
                 writer=writer,
-                journal_root=jr,
+                journal_dir=journal_dir,
                 heartbeat_interval=heartbeat_interval,
             )
     finally:
-        if cache is not None and writer is not None:
-            cache.journal = prev_cache_journal
         if writer is not None:
             writer.close()
 
@@ -540,7 +535,6 @@ def _run_parallel(
     *,
     jobs: int,
     plugins: Tuple[str, ...],
-    check_invariants: bool,
     retries: int,
     retry_backoff: float,
     job_timeout: Optional[float],
@@ -550,7 +544,7 @@ def _run_parallel(
     finish: Callable[[List[int], SimResult, int], None],
     fail: Callable[[List[int], str, int], None],
     writer: Optional[JournalWriter] = None,
-    journal_root: Optional[Journal] = None,
+    journal_dir: Optional[str] = None,
     heartbeat_interval: float = 1.0,
 ) -> None:
     """Round-based fault-tolerant fan-out.
@@ -581,13 +575,10 @@ def _run_parallel(
                 attempts[key] += 1
                 payload = {
                     "spec": specs[indexes[0]].describe(),
-                    "check_invariants": check_invariants,
                     "checkpoint_every": checkpoint_every,
                     "checkpoint_dir": ckpt_dir(key),
                     "audit": audit,
-                    "journal_dir": (
-                        str(journal_root.root) if journal_root is not None else None
-                    ),
+                    "journal_dir": journal_dir,
                     "heartbeat_interval": heartbeat_interval,
                     "attempt": attempts[key],
                 }

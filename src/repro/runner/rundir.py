@@ -6,6 +6,7 @@ A fault campaign (:mod:`repro.campaign`) and a saturation search
     <root>/manifest.json     what the run *is* (spec + content hash)
     <root>/cache/            ResultCache, one JSON per completed job
     <root>/journal/          run journal shards (``repro status``/``tail``)
+    <root>/checkpoints/      per-job snapshots (when checkpointing is on)
     <root>/<report>.json     the service's deterministic report
 
 The manifest is written once, atomically and without timestamps, before
@@ -13,10 +14,11 @@ the first job runs; it is the run's identity.  Re-opening a directory
 re-reads it, so a crashed run resumes the same spec, and a directory
 never silently switches to a different one.
 
-A figure run (``repro figure NAME --root DIR``) uses the same ``cache/``
-and ``journal/`` pair, without a manifest: its cache is content-addressed,
-so one root may be shared by every figure.  :func:`run_paths` is the one
-place that spells this layout.
+Every other entry point (``repro figure``, ``repro run`` and ``repro
+sweep`` with ``--root DIR``, :func:`~repro.runner.executor.run_specs` with
+``root=``) uses the same three subdirectories, without a manifest: the
+cache is content-addressed, so one root may be shared by every run.
+:func:`run_paths` is the one place that spells this layout.
 
 A :class:`RunDir` carries what differs between services as data — the
 spec class, the manifest's id key, the error class and the nouns used in
@@ -41,16 +43,18 @@ SCHEMA_VERSION = 1
 
 
 class RunPaths(NamedTuple):
-    """Where a run directory keeps its result cache and its journal."""
+    """Where a run directory keeps its result cache, its journal and its
+    jobs' checkpoints (one subdirectory per job id)."""
 
     cache: Path
     journal: Path
+    checkpoints: Path
 
 
 def run_paths(root: Union[str, Path]) -> RunPaths:
-    """``<root>/cache`` and ``<root>/journal``."""
+    """``<root>/cache``, ``<root>/journal`` and ``<root>/checkpoints``."""
     root = Path(root)
-    return RunPaths(root / "cache", root / "journal")
+    return RunPaths(root / "cache", root / "journal", root / "checkpoints")
 
 
 def write_json(path: Path, payload: Dict[str, Any]) -> None:

@@ -53,9 +53,8 @@ from ..registry import DESIGNS, ROUTING
 from ..routing.capacity import mesh_capacity
 from ..sim.config import SimConfig, check_fields, content_hash
 from ..sim.stats import SimResult
-from .cache import ResultCache
 from .executor import results_of, run_specs
-from .rundir import RunDir, run_paths, write_json
+from .rundir import RunDir, write_json
 from .spec import RunSpec, derived_seed
 
 REPORT_NAME = "saturation.json"
@@ -479,7 +478,6 @@ def run_saturation(
     job_timeout: Optional[float] = None,
     plugins=(),
     audit: Any = False,
-    journal: bool = True,
     runner=None,
 ) -> SaturationRun:
     """Run (or resume) the saturation search living in ``root``.
@@ -507,8 +505,6 @@ def run_saturation(
     root = Path(root)
     spec = _RUN_DIR.resolve(root, spec)
     execute = runner if runner is not None else run_specs
-    paths = run_paths(root)
-    cache = ResultCache(paths.cache)
     base = spec.base_config()
     # Probes run on the fastest bit-exact backend unless ``spec.sim``
     # names one (``sim={"backend": "object"}`` forces the reference walk).
@@ -558,14 +554,13 @@ def run_saturation(
         outcomes = execute(
             batch,
             jobs=jobs,
-            cache=cache,
+            root=root,
             progress=progress,
             plugins=plugins,
             retries=retries,
             retry_backoff=retry_backoff,
             job_timeout=job_timeout,
             audit=audit,
-            journal=paths.journal if journal else None,
         )
         results = results_of(outcomes, "saturation probes", SaturationError)
         for (s, load), outcome, result in zip(owners, outcomes, results):

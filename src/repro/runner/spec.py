@@ -18,8 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..registry import WORKLOADS, register_workload
 from ..sim.config import SimConfig, content_hash
@@ -67,12 +66,6 @@ class RunSpec:
         if self.workload is None:
             return self.config.config_hash()
         return content_hash(self.identity())
-
-    def checkpoint_dir(self, root: Union[str, Path]) -> Path:
-        """The per-job checkpoint directory under a campaign-wide root:
-        keyed by job id, so retried/resumed executions of the same job find
-        each other's snapshots and distinct jobs never collide."""
-        return Path(root) / self.job_id()
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able identity of the job (stored alongside cached results

@@ -133,9 +133,9 @@ class TestSimulatorResolvesOnTheWorkload:
                         warmup_cycles=0, measure_cycles=1, drain_cycles=0)
         rate = materialize_workload(workload, cfg).flits_per_cycle()
         assert rate < 10
-        [out] = run_specs([RunSpec(cfg, workload=workload)], journal=tmp_path / "j")
+        [out] = run_specs([RunSpec(cfg, workload=workload)], root=tmp_path)
         assert out.ok
-        [event] = [e for e in merge_journal(tmp_path / "j")
+        [event] = [e for e in merge_journal(tmp_path / "journal")
                    if e["event"] == "backend_resolved"]
         assert event["requested"] == "auto"
         assert event["resolved"] == "object"

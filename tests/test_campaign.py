@@ -460,11 +460,6 @@ class TestCampaignDriver:
         assert "campaign" in kinds
         assert "completed" in kinds
 
-    def test_no_journal_flag(self, tmp_path):
-        root = tmp_path / "c"
-        run_campaign(root, small_spec(samples=1), journal=False)
-        assert not (root / "journal").exists()
-
     def test_every_cell_runs_through_the_executor(self, tmp_path):
         """A fresh campaign executes each job in the executor (one
         ``completed`` journal event apiece); its re-run is all cache hits."""

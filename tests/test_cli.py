@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.analysis.experiments import SCALES, ExperimentScale
+from repro.checkpoint import list_checkpoints
 from repro.cli import build_parser, main
 from repro.obs import merge_journal
 
@@ -26,6 +28,23 @@ class TestParser:
     def test_figure_names_constrained(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
+
+    @pytest.mark.parametrize("argv", [
+        # run never read --jobs; sweep's --design/--load lost to --designs/--loads
+        ["run", "--jobs", "7"],
+        ["sweep", "--design", "scarab"],
+        ["sweep", "--load", "1.5"],
+        # one --root replaces the separate cache, journal and checkpoint flags
+        *([cmd, *flag] for cmd in ("run", "sweep") for flag in (
+            ["--cache-dir", "c"], ["--journal", "j"], ["--checkpoint-dir", "k"],
+            ["--heartbeat-interval", "2"],
+        )),
+        ["campaign", "run", "c", "--no-journal"],
+        ["saturate", "--no-journal"],
+    ])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -110,16 +129,49 @@ class TestCheckpointResume:
     ]
 
     def test_rerun_resumes_from_the_newest_checkpoint(self, tmp_path, capsys):
-        """Re-running the same command over its checkpoint directory
-        resumes instead of restarting, and ends where the first run did."""
-        argv = self.ARGS + ["--checkpoint-dir", str(tmp_path / "ckpts")]
+        """Re-running the same command in its root resumes from the
+        newest snapshot instead of restarting, and ends where the first
+        run did.  The cache entry is removed first: a run killed before
+        it finished leaves none."""
+        argv = self.ARGS + ["--root", str(tmp_path)]
         assert main(argv) == 0
         straight = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--journal", str(tmp_path / "j")]) == 0
+        shutil.rmtree(tmp_path / "cache")
+        assert main(argv) == 0
         resumed = json.loads(capsys.readouterr().out)
         assert resumed == straight
-        started = [e for e in merge_journal(tmp_path / "j") if e["event"] == "job_started"]
-        assert len(started) == 1 and started[0]["cycle"] > 0
+        events = merge_journal(tmp_path / "journal")
+        started = [e for e in events if e["event"] == "job_started"]
+        assert [s["cycle"] > 0 for s in started] == [False, True]
+
+    def test_snapshots_live_under_the_roots_checkpoints(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--root", str(tmp_path)]) == 0
+        [job_dir] = (tmp_path / "checkpoints").iterdir()
+        [done] = [e for e in merge_journal(tmp_path / "journal")
+                  if e["event"] == "completed"]
+        assert job_dir.name == done["job"]
+        assert list_checkpoints(job_dir)
+
+    def test_checkpoints_need_a_root(self, capsys):
+        assert main(self.ARGS) == 2
+        assert "--checkpoint-every needs --root" in capsys.readouterr().err
+
+
+class TestRunRoot:
+    RUN = ["run", "--design", "dxbar_dor", "--load", "0.1", "--k", "4",
+           "--warmup", "20", "--measure", "60", "--drain", "200"]
+
+    def test_second_run_is_cached_and_status_counts_it(self, tmp_path, capsys):
+        root = str(tmp_path)
+        assert main(self.RUN + ["--root", root]) == 0
+        assert "(cached)" not in capsys.readouterr().out
+        assert main(self.RUN + ["--root", root]) == 0
+        assert "(cached)" in capsys.readouterr().out.splitlines()[0]
+        assert main(["status", root, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["campaign"]["counts"]["completed"] == 1
+        assert sum(payload["campaign"]["counts"].values()) == 1
+        assert payload["metrics"]["counters"]["cache_hits"] == 1
 
 
 class TestCampaignCLI:

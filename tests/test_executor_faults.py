@@ -21,6 +21,7 @@ import tests.exec_plugins  # noqa: F401  (registers the misbehaving kinds)
 from repro.checkpoint import latest_checkpoint, list_checkpoints
 from repro.runner import ResultCache, RunSpec, execute_spec, run_specs
 from repro.runner.executor import _kill_pool_processes
+from repro.runner.rundir import run_paths
 from repro.sim.config import SimConfig
 
 PLUGINS = ("tests.exec_plugins",)
@@ -92,10 +93,10 @@ class TestRetries:
         assert not out.ok and out.attempts == 1
 
     def test_failures_never_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
         spec = crashy("crash_always", tmp_path / "f")
-        out = run_specs([spec], cache=cache, retries=0, retry_backoff=0)[0]
+        out = run_specs([spec], root=tmp_path, retries=0, retry_backoff=0)[0]
         assert not out.ok
+        cache = ResultCache(run_paths(tmp_path).cache)
         assert not cache.contains(spec)
         assert len(cache) == 0
 
@@ -120,18 +121,17 @@ class TestCheckpointedRetries:
     def test_retry_resumes_and_matches_clean(self, tmp_path):
         clean = execute_spec(RunSpec(tiny())).to_dict()
         spec = crashy("crash_mid_run", tmp_path / "f", crash_cycle=150)
-        root = tmp_path / "ckpts"
         out = run_specs(
             [spec],
+            root=tmp_path,
             retries=1,
             retry_backoff=0,
             checkpoint_every=20,
-            checkpoint_root=root,
         )[0]
         assert out.ok and out.attempts == 2
         assert out.result.to_dict() == clean
         # The crashed attempt left snapshots in the job's own directory.
-        assert list_checkpoints(spec.checkpoint_dir(root))
+        assert list_checkpoints(run_paths(tmp_path).checkpoints / spec.job_id())
 
     def test_retry_actually_resumes(self, tmp_path):
         """Marker-dye proof that the retry continued from the snapshot
@@ -308,12 +308,12 @@ class TestCacheQuarantine:
         """After quarantine the job re-runs and the fresh result is
         cached normally."""
         spec = RunSpec(tiny())
-        (tmp_path / f"{spec.job_id()}.json").write_text("not even json")
-        cache = ResultCache(tmp_path)
-        with pytest.warns(RuntimeWarning):
-            out = run_specs([spec], cache=cache)[0]
+        cache_dir = run_paths(tmp_path).cache
+        cache_dir.mkdir()
+        (cache_dir / f"{spec.job_id()}.json").write_text("not even json")
+        out = run_specs([spec], root=tmp_path)[0]
         assert out.ok and not out.cached
-        fresh = ResultCache(tmp_path)
+        fresh = ResultCache(cache_dir)
         assert fresh.get(spec) == out.result.to_dict()
 
     def test_non_dict_payload_quarantined(self, tmp_path):
@@ -322,15 +322,6 @@ class TestCacheQuarantine:
         cache = ResultCache(tmp_path)
         with pytest.warns(RuntimeWarning):
             assert cache.get(spec) is None
-
-    def test_clear_leaves_quarantine_files(self, tmp_path):
-        spec = RunSpec(tiny())
-        (tmp_path / f"{spec.job_id()}.json").write_text("{torn")
-        cache = ResultCache(tmp_path)
-        with pytest.warns(RuntimeWarning):
-            cache.get(spec)
-        cache.clear()
-        assert list(tmp_path.glob("*.corrupt"))  # evidence survives clear()
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.obs import (
     render_tail,
 )
 from repro.obs.status import _percentile, _summary
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunSpec, run_specs
+from repro.runner.rundir import run_paths
 from repro.sim.config import SimConfig, TelemetryConfig
 from repro.sim.engine import Simulator
 
@@ -189,8 +190,8 @@ class TestCampaignStatus:
         a = [RunSpec(tiny()), RunSpec(tiny(seed=4))]
         b = [RunSpec(tiny(seed=5))]
         for batch in (a, b, a):
-            run_specs(batch, cache=tmp_path / "c", journal=tmp_path / "j")
-        st = campaign_status(tmp_path / "j")
+            run_specs(batch, root=tmp_path)
+        st = campaign_status(run_paths(tmp_path).journal)
         assert st.total_specs == len(st.jobs) == 3
         assert "(3 specs)" not in render_status(st)
 
@@ -223,6 +224,19 @@ class TestCampaignStatus:
         assert st.tallies["cache_hits"] == 3
         assert st.jobs["a"].attempts == 1
         assert st.finished
+
+    def test_shared_cell_keeps_every_submitters_tag(self, tmp_path, capsys):
+        """One spec submitted under two tags into one root (a cell two
+        figures share) lists both tags, first seen first, untruncated."""
+        cfg = tiny()
+        for tag in ("design=unified_dor", "threshold=4", "design=unified_dor"):
+            run_specs([RunSpec(cfg, tag=tag)], root=tmp_path)
+        (job,) = campaign_status(run_paths(tmp_path).journal).jobs.values()
+        assert job.tags == ["design=unified_dor", "threshold=4"]
+        assert job.to_dict()["tag"] == "design=unified_dor, threshold=4"
+        assert main(["status", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert "design=unified_dor, threshold=4  completed" in row
 
     def test_completed_row_drops_the_last_heartbeats_phase_and_rate(self):
         """A finished job's row shows its cycle count, not the phase, rate
@@ -262,8 +276,8 @@ class TestCampaignStatus:
     def test_rerun_of_a_finished_batch_reports_completed(self, tmp_path):
         batch = [RunSpec(tiny()), RunSpec(tiny(seed=4))]
         for _ in range(2):
-            run_specs(batch, cache=tmp_path / "c", journal=tmp_path / "j")
-        st = campaign_status(tmp_path / "j")
+            run_specs(batch, root=tmp_path)
+        st = campaign_status(run_paths(tmp_path).journal)
         assert st.counts()["completed"] == 2
         assert st.counts()["cached"] == 0
         assert st.tallies["cache_hits"] == 2
@@ -407,26 +421,26 @@ class TestCli:
            "--measure", "60", "--drain", "200", "--load", "0.15"]
 
     def test_run_journal_then_status(self, tmp_path, capsys):
-        assert main(["run", *self.RUN, "--journal", str(tmp_path / "j")]) == 0
+        assert main(["run", *self.RUN, "--root", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert main(["status", str(tmp_path / "j")]) == 0
+        assert main(["status", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "1 completed" in out
         assert "dxbar_dor" in out
 
     def test_status_json(self, tmp_path, capsys):
-        main(["run", *self.RUN, "--journal", str(tmp_path / "j")])
+        main(["run", *self.RUN, "--root", str(tmp_path)])
         capsys.readouterr()
-        assert main(["status", str(tmp_path / "j"), "--json"]) == 0
+        assert main(["status", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["campaign"]["counts"]["completed"] == 1
         assert payload["metrics"]["counters"]["heartbeats"] >= 1
         assert payload["campaign"]["finished"] is True
 
     def test_tail_one_shot(self, tmp_path, capsys):
-        main(["run", *self.RUN, "--journal", str(tmp_path / "j")])
+        main(["run", *self.RUN, "--root", str(tmp_path)])
         capsys.readouterr()
-        assert main(["tail", str(tmp_path / "j")]) == 0
+        assert main(["tail", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "recent events:" in out and "completed" in out
 
@@ -441,10 +455,10 @@ class TestCli:
         assert main([
             "sweep", "--k", "4", "--warmup", "20", "--measure", "60",
             "--drain", "200", "--designs", "dxbar_dor", "--loads", "0.1",
-            "0.2", "--journal", str(tmp_path / "j"), "--json",
+            "0.2", "--root", str(tmp_path), "--json",
         ]) == 0
         capsys.readouterr()
-        assert main(["status", str(tmp_path / "j")]) == 0
+        assert main(["status", str(tmp_path)]) == 0
         assert "2 completed" in capsys.readouterr().out
 
 
@@ -547,15 +561,13 @@ class TestCacheQuarantineEvent:
         from repro.obs.journal import EV_CACHE_QUARANTINE, merge_journal
 
         spec = RunSpec(tiny())
-        cache = ResultCache(tmp_path / "cache")
-        run_specs([spec], cache=cache)
-        # Corrupt the entry on disk, then re-run with a journal attached.
-        entry = tmp_path / "cache" / f"{spec.job_id()}.json"
+        run_specs([spec], root=tmp_path)
+        # Corrupt the entry on disk, then re-run in the same root.
+        entry = run_paths(tmp_path).cache / f"{spec.job_id()}.json"
         entry.write_text('{"truncated')
-        fresh = ResultCache(tmp_path / "cache")
-        out = run_specs([spec], cache=fresh, journal=tmp_path / "j")[0]
+        out = run_specs([spec], root=tmp_path)[0]
         assert out.ok and not out.cached
-        quarantines = [e for e in merge_journal(tmp_path / "j")
+        quarantines = [e for e in merge_journal(run_paths(tmp_path).journal)
                        if e["event"] == EV_CACHE_QUARANTINE]
         assert len(quarantines) == 1
         assert quarantines[0]["file"] == entry.name
@@ -570,13 +582,12 @@ class TestCacheRejectedEvent:
         from repro.obs.journal import EV_CACHE_REJECTED, merge_journal
 
         spec = RunSpec(tiny())
-        run_specs([spec], cache=ResultCache(tmp_path / "cache"))
-        entry = tmp_path / "cache" / f"{spec.job_id()}.json"
+        run_specs([spec], root=tmp_path)
+        entry = run_paths(tmp_path).cache / f"{spec.job_id()}.json"
         spoil(entry)
-        fresh = ResultCache(tmp_path / "cache")
-        out = run_specs([spec], cache=fresh, journal=tmp_path / "j")[0]
+        out = run_specs([spec], root=tmp_path)[0]
         assert out.ok and not out.cached
-        events = merge_journal(tmp_path / "j")
+        events = merge_journal(run_paths(tmp_path).journal)
         rejects = [e for e in events if e["event"] == EV_CACHE_REJECTED]
         return entry, events, rejects
 
@@ -617,13 +628,6 @@ class TestCacheRejectedEvent:
     def test_absent_entry_leaves_no_record(self, tmp_path):
         from repro.obs.journal import EV_CACHE_REJECTED, merge_journal
 
-        run_specs([RunSpec(tiny())], cache=ResultCache(tmp_path / "cache"),
-                  journal=tmp_path / "j")
-        assert not [e for e in merge_journal(tmp_path / "j")
+        run_specs([RunSpec(tiny())], root=tmp_path)
+        assert not [e for e in merge_journal(run_paths(tmp_path).journal)
                     if e["event"] == EV_CACHE_REJECTED]
-
-    def test_clear_propagates_unlink_failure(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        (tmp_path / "cache" / "stuck.json").mkdir()  # unlink() cannot remove it
-        with pytest.raises(OSError):
-            cache.clear()

@@ -7,6 +7,7 @@ are covered in test_fleet_status.py.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -26,12 +27,12 @@ from repro.obs.journal import (
     JobJournal,
     Journal,
     JournalWriter,
-    as_journal,
     journal_shards,
     merge_journal,
     read_journal_shard,
 )
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunSpec, run_specs
+from repro.runner.rundir import run_paths
 from repro.sim.config import SimConfig
 
 PLUGINS = ("tests.exec_plugins",)
@@ -152,14 +153,11 @@ class TestShards:
         events, _ = read_journal_shard(tmp_path / "w.jsonl")
         assert len(events) == 2
 
-    def test_as_journal_coercions(self, tmp_path):
-        assert as_journal(None) is None
+    def test_journal_handle_creates_its_directory(self, tmp_path):
         j = Journal(tmp_path / "j")
-        assert as_journal(j) is j
-        j2 = as_journal(tmp_path / "j2")
-        assert isinstance(j2, Journal) and j2.root.is_dir()
+        assert j.root.is_dir()
         # Journal is fspath-able, so it nests into path APIs directly.
-        assert str(j2.root) == str(j2.__fspath__())
+        assert str(j.root) == str(j.__fspath__())
 
 
 # ----------------------------------------------------------------------
@@ -215,36 +213,37 @@ class TestHeartbeat:
 class TestRunSpecsLifecycle:
     def test_serial_clean_lifecycle(self, tmp_path):
         spec = RunSpec(tiny())
-        out = run_specs([spec], journal=tmp_path / "j")[0]
+        out = run_specs([spec], root=tmp_path)[0]
         assert out.ok
-        events = events_of(tmp_path / "j")
-        camp = events_of(tmp_path / "j", EV_CAMPAIGN)
+        events = events_of(run_paths(tmp_path).journal)
+        camp = events_of(run_paths(tmp_path).journal, EV_CAMPAIGN)
         assert camp and camp[0]["total_specs"] == 1
         assert_lifecycle(events, spec.job_id())
-        done = events_of(tmp_path / "j", EV_COMPLETED)[0]
+        done = events_of(run_paths(tmp_path).journal, EV_COMPLETED)[0]
         assert done["cycles"] == out.result.final_cycle
         assert done["attempts"] == 1
 
     def test_cache_hit_event_on_rerun(self, tmp_path):
         spec = RunSpec(tiny())
-        cache = ResultCache(tmp_path / "cache")
-        run_specs([spec], cache=cache, journal=tmp_path / "j1")
-        out = run_specs([spec], cache=cache, journal=tmp_path / "j2")[0]
+        run_specs([spec], root=tmp_path)
+        journal = run_paths(tmp_path).journal
+        shutil.rmtree(journal)  # keep only the re-run's events
+        out = run_specs([spec], root=tmp_path)[0]
         assert out.cached
-        seq = job_events(events_of(tmp_path / "j2"), spec.job_id())
+        seq = job_events(events_of(journal), spec.job_id())
         assert seq == [EV_JOB_SUBMITTED, EV_CACHE_HIT]
-        assert not events_of(tmp_path / "j2", EV_JOB_STARTED)
+        assert not events_of(journal, EV_JOB_STARTED)
 
     def test_serial_retry_events(self, tmp_path):
         spec = RunSpec(
             tiny(), workload={"kind": "crash_once", "flag": str(tmp_path / "f")}
         )
         out = run_specs(
-            [spec], retries=2, retry_backoff=0, journal=tmp_path / "j"
+            [spec], retries=2, retry_backoff=0, root=tmp_path
         )[0]
         assert out.ok and out.attempts == 2
-        events = events_of(tmp_path / "j")
-        retry = events_of(tmp_path / "j", EV_RETRY)
+        events = events_of(run_paths(tmp_path).journal)
+        retry = events_of(run_paths(tmp_path).journal, EV_RETRY)
         assert len(retry) == 1
         assert retry[0]["job"] == spec.job_id() and retry[0]["attempt"] == 1
         assert "RuntimeError: injected crash" in retry[0]["error"]
@@ -257,15 +256,15 @@ class TestRunSpecsLifecycle:
             tiny(), workload={"kind": "crash_always", "flag": str(tmp_path / "f")}
         )
         out = run_specs(
-            [spec], retries=1, retry_backoff=0, journal=tmp_path / "j"
+            [spec], retries=1, retry_backoff=0, root=tmp_path
         )[0]
         assert not out.ok
-        failed = events_of(tmp_path / "j", EV_FAILED)
+        failed = events_of(run_paths(tmp_path).journal, EV_FAILED)
         assert len(failed) == 1
         assert failed[0]["job"] == spec.job_id()
         assert failed[0]["attempts"] == 2
         assert "RuntimeError: injected crash" in failed[0]["error"]
-        assert not events_of(tmp_path / "j", EV_COMPLETED)
+        assert not events_of(run_paths(tmp_path).journal, EV_COMPLETED)
 
     def test_retry_warns_without_journal(self, tmp_path):
         spec = RunSpec(
@@ -277,12 +276,12 @@ class TestRunSpecsLifecycle:
 
     def test_parallel_lifecycle_and_worker_shards(self, tmp_path):
         specs = [RunSpec(tiny(seed=s)) for s in (1, 2, 3)]
-        out = run_specs(specs, jobs=2, journal=tmp_path / "j", plugins=PLUGINS)
+        out = run_specs(specs, jobs=2, root=tmp_path, plugins=PLUGINS)
         assert all(o.ok for o in out)
-        shard_names = [p.name for p in journal_shards(tmp_path / "j")]
+        shard_names = [p.name for p in journal_shards(run_paths(tmp_path).journal)]
         assert any(n.startswith("driver-") for n in shard_names)
         assert any(n.startswith("worker-") for n in shard_names)
-        events = events_of(tmp_path / "j")
+        events = events_of(run_paths(tmp_path).journal)
         for spec in specs:
             assert_lifecycle(events, spec.job_id())
         # submit/terminal events come from the driver shard, start/beat
@@ -303,13 +302,13 @@ class TestRunSpecsLifecycle:
         clean = RunSpec(tiny(seed=9))
         out = run_specs(
             [spec, clean], jobs=2, plugins=PLUGINS, retries=2,
-            retry_backoff=0, journal=tmp_path / "j",
+            retry_backoff=0, root=tmp_path,
         )
         assert all(o.ok for o in out)
-        events = events_of(tmp_path / "j")
+        events = events_of(run_paths(tmp_path).journal)
         assert_lifecycle(events, spec.job_id())
         assert_lifecycle(events, clean.job_id())
-        assert events_of(tmp_path / "j", EV_RETRY)
+        assert events_of(run_paths(tmp_path).journal, EV_RETRY)
 
 
 # ----------------------------------------------------------------------
@@ -317,22 +316,23 @@ class TestRunSpecsLifecycle:
 # ----------------------------------------------------------------------
 class TestBitExactness:
     def test_journal_does_not_perturb_results(self, tmp_path):
-        """Differential: the same grid with and without a journal must be
-        bit-identical — the journal only observes."""
+        """Differential: the same grid with and without a root (whose
+        journal records it) must be bit-identical — the journal only
+        observes."""
         specs = [RunSpec(tiny(seed=s)) for s in (1, 2)]
         plain = [o.result.to_dict() for o in run_specs(specs)]
         journaled = [
             o.result.to_dict()
-            for o in run_specs(specs, journal=tmp_path / "j",
+            for o in run_specs(specs, root=tmp_path,
                                heartbeat_interval=0.0)
         ]
         assert plain == journaled
 
     def test_journal_not_part_of_job_identity(self, tmp_path):
-        """The journal must stay out of the cache key: a journal-enabled
-        campaign hits the cache entries of a journal-less one."""
+        """The journal must stay out of the cache key: a root whose
+        journal was removed still hits the cache entries written with it."""
         spec = RunSpec(tiny())
-        cache = ResultCache(tmp_path / "cache")
-        run_specs([spec], cache=cache)
-        out = run_specs([spec], cache=cache, journal=tmp_path / "j")[0]
+        run_specs([spec], root=tmp_path)
+        shutil.rmtree(run_paths(tmp_path).journal)
+        out = run_specs([spec], root=tmp_path)[0]
         assert out.cached

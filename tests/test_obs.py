@@ -370,10 +370,8 @@ class TestProfiler:
 # CLI --json
 # ----------------------------------------------------------------------
 class TestCliJson:
-    ARGS = [
-        "--k", "4", "--load", "0.1", "--warmup", "20",
-        "--measure", "60", "--drain", "50",
-    ]
+    SIM = ["--k", "4", "--warmup", "20", "--measure", "60", "--drain", "50"]
+    ARGS = [*SIM, "--load", "0.1"]  # sweep takes its loads from --loads
 
     def test_run_json(self, capsys):
         assert main(["run", *self.ARGS, "--json"]) == 0
@@ -388,7 +386,7 @@ class TestCliJson:
         assert (
             main(
                 [
-                    "sweep", *self.ARGS, "--json",
+                    "sweep", *self.SIM, "--json",
                     "--designs", "dxbar_dor", "buffered4",
                     "--loads", "0.05", "0.1",
                 ]

@@ -13,6 +13,7 @@ from repro.runner import (
     run_specs,
 )
 from repro.runner.executor import results_of
+from repro.runner.rundir import run_paths
 from repro.sim.config import SimConfig
 from repro.sim.engine import run_simulation
 
@@ -132,14 +133,6 @@ class TestResultCache:
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
 
-    def test_in_memory_mode(self):
-        cache = ResultCache(None)
-        spec = RunSpec(tiny(offered_load=0.1))
-        cache.put(spec, {"design": "dxbar_dor"})
-        assert cache.get(spec) == {"design": "dxbar_dor"}
-        cache.clear()
-        assert cache.get(spec) is None
-
     def test_identity_mismatch_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = RunSpec(tiny(offered_load=0.1))
@@ -152,14 +145,14 @@ class TestResultCache:
         fresh = ResultCache(tmp_path)
         assert fresh.get(spec) is None
 
-    def test_identity_is_described_once_per_spec(self, monkeypatch):
+    def test_identity_is_described_once_per_spec(self, tmp_path, monkeypatch):
         """The identity a lookup compares is ``describe()`` without the
         tag, serialised once per (frozen) spec, not on every lookup."""
         spec = RunSpec(tiny(offered_load=0.1), tag="t")
         want = spec.describe()
         del want["tag"]
         assert spec.identity() == want
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path)
         cache.put(spec, {"x": 1})
         monkeypatch.setattr(
             type(spec.config), "to_dict",
@@ -176,12 +169,11 @@ class TestResultCache:
 
     def test_resume_skips_completed(self, tmp_path):
         specs = grid()
-        cache = ResultCache(tmp_path)
-        first = run_specs(specs, cache=cache)
+        first = run_specs(specs, root=tmp_path)
         assert not any(o.cached for o in first)
-        assert cache.misses == len(specs)
+        assert len(ResultCache(run_paths(tmp_path).cache)) == len(specs)
 
-        resumed = run_specs(specs, cache=ResultCache(tmp_path))
+        resumed = run_specs(specs, root=tmp_path)
         assert all(o.cached for o in resumed)
         assert [o.result.to_dict() for o in first] == [
             o.result.to_dict() for o in resumed
@@ -189,13 +181,12 @@ class TestResultCache:
 
     def test_partial_resume_runs_only_missing(self, tmp_path):
         specs = grid()
-        cache = ResultCache(tmp_path)
-        run_specs(specs[:2], cache=cache)
+        run_specs(specs[:2], root=tmp_path)
 
         fresh_runs = []
         out = run_specs(
             specs,
-            cache=ResultCache(tmp_path),
+            root=tmp_path,
             progress=lambda d, t, o: fresh_runs.append(o) if not o.cached else None,
         )
         assert len(out) == 4
@@ -205,10 +196,9 @@ class TestResultCache:
         }
 
     def test_parallel_populates_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_specs(grid(), jobs=2, cache=cache)
-        assert len(cache) == 4
-        again = run_specs(grid(), jobs=2, cache=ResultCache(tmp_path))
+        run_specs(grid(), jobs=2, root=tmp_path)
+        assert len(ResultCache(run_paths(tmp_path).cache)) == 4
+        again = run_specs(grid(), jobs=2, root=tmp_path)
         assert all(o.cached for o in again)
 
 

@@ -8,8 +8,9 @@ import pytest
 from repro.analysis.saturation import render_saturation, saturation_summary
 from repro.registry import DESIGNS, ROUTING
 from repro.routing.capacity import channel_capacity
-from repro.runner import SaturationError, SaturationSpec, run_saturation
+from repro.runner import ResultCache, SaturationError, SaturationSpec, run_saturation
 from repro.runner.executor import RunOutcome
+from repro.runner.rundir import run_paths
 from repro.runner.saturation import _Search, load_manifest, load_report
 from repro.sim.stats import SimResult
 from repro.sim.topology import Mesh
@@ -63,9 +64,9 @@ def make_runner(measure, calls=None):
     """A run_specs stand-in: same keyword surface, same cache protocol,
     but measurements come from ``measure(config) -> SimResult``."""
 
-    def runner(specs, *, jobs=1, cache=None, progress=None, plugins=(),
-               retries=2, retry_backoff=0.5, job_timeout=None, audit=False,
-               journal=None):
+    def runner(specs, *, jobs=1, root=None, progress=None, plugins=(),
+               retries=2, retry_backoff=0.5, job_timeout=None, audit=False):
+        cache = ResultCache(run_paths(root).cache) if root is not None else None
         outcomes = []
         for spec in specs:
             hit = cache.get(spec) if cache is not None else None
