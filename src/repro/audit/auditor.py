@@ -151,25 +151,25 @@ class Auditor:
         never grants one output twice, and in particular never to the two
         lanes of one input."""
         used_outputs: Dict[int, tuple] = {}
-        for grant in grants:
-            req, out = grant.request, grant.output
+        # Grants are ((input_index, lane, flit, wants), output) tuples.
+        for (i, lane, flit, _wants), out in grants:
             prior = used_outputs.get(int(out))
             if prior is not None:
                 pin, plane = prior
                 kind = (
                     "two lanes of input "
-                    f"{pin}" if pin == req.input_index else f"inputs {pin} and {req.input_index}"
+                    f"{pin}" if pin == i else f"inputs {pin} and {i}"
                 )
                 self._fail(
                     "allocation",
                     cycle,
                     node,
                     f"allocator granted output {out.name} twice ({kind}; "
-                    f"lanes {plane}/{req.lane})",
-                    flit=req.flit,
+                    f"lanes {plane}/{lane})",
+                    flit=flit,
                     details={"output": out.name},
                 )
-            used_outputs[int(out)] = (req.input_index, req.lane)
+            used_outputs[int(out)] = (i, lane)
 
     # ------------------------------------------------------------------
     # the per-cycle walk

@@ -237,9 +237,13 @@ def cmd_run(args) -> int:
     print(render_table(["metric", "value"], rows))
     profile = result.extra.get("profile")
     if profile:
+        named = list(profile.items()) + [
+            (f"{ph}/{part}", p) for ph, d in profile.items()
+            for part, p in d.get("parts", {}).items()
+        ]
         prows = [
-            [phase, f"{d['seconds']:.3f}", d["calls"], f"{d['share']:.1%}"]
-            for phase, d in profile.items()
+            [name, f"{d['seconds']:.3f}", d["calls"], f"{d['share']:.1%}"]
+            for name, d in named
         ]
         print("\nprofile")
         print(render_table(["phase", "seconds", "calls", "share"], prows))

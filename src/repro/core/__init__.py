@@ -4,8 +4,6 @@ single-crossbar routers, with their allocators, fairness and fault logic."""
 from .allocator import (
     BUFFERED,
     BUFFERLESS,
-    Grant,
-    Request,
     SeparableDualAllocator,
     requires_swap,
 )
@@ -17,8 +15,6 @@ from .faults import PRIMARY, SECONDARY, FaultPlan, RouterFault
 from .unified import UnifiedRouter
 
 __all__ = [
-    "Grant",
-    "Request",
     "SeparableDualAllocator",
     "RoundRobinArbiter",
     "age_key",

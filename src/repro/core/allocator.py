@@ -17,14 +17,18 @@ standard separable allocator is augmented:
   wrong physical order for the segmented crossbar rows, the detection logic
   fires and the packets swap lanes (Fig 4(c)); both still traverse.  The
   allocator reports the swap count.
+
+A request is a plain ``(input_index, lane, flit, wants)`` tuple (``lane``
+is :data:`BUFFERLESS` or :data:`BUFFERED`, ``wants`` the preference-ordered
+feasible output ports) and a grant is a ``(request, output)`` tuple: one
+of each is built per requester per cycle, and a tuple costs a fraction of
+a slotted dataclass instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.flit import Flit
 from ..sim.ports import NUM_PORTS, Port
 from .arbiters import RoundRobinArbiter, round_robin_table
 
@@ -48,28 +52,6 @@ def requires_swap(out_bufferless: int, out_buffered: int) -> bool:
     return out_bufferless > out_buffered
 
 
-@dataclass(slots=True)
-class Request:
-    """One lane of one input port asking for outputs this cycle.
-
-    Allocated per requester per cycle in the hot loop — slotted so the
-    thousands created per simulated second skip the instance ``__dict__``.
-    """
-
-    input_index: int
-    lane: str  # BUFFERLESS or BUFFERED
-    flit: Flit
-    wants: Tuple[Port, ...]  # preference-ordered feasible outputs
-
-
-@dataclass(slots=True)
-class Grant:
-    """A (request, output) pairing produced by the allocator."""
-
-    request: Request
-    output: Port
-
-
 class SeparableDualAllocator:
     """Output-first separable allocator with dual serial V:1 input stage.
 
@@ -87,8 +69,8 @@ class SeparableDualAllocator:
         self.swaps_total = 0
 
     def allocate(
-        self, requests: Sequence[Request], waiters_first: bool = False
-    ) -> Tuple[List[Grant], int]:
+        self, requests: Sequence[tuple], waiters_first: bool = False
+    ) -> Tuple[List[Tuple[tuple, Port]], int]:
         """Run both allocation stages.
 
         ``waiters_first`` implements the fairness flip: the buffered lane is
@@ -102,26 +84,26 @@ class SeparableDualAllocator:
             # A lone request wins every output it wants (each of those
             # arbiters sees one requester) and its lane takes the first.
             req = requests[0]
-            wants = req.wants
-            nxt = _NEXT_PTR[req.input_index]
+            wants = req[3]
+            nxt = _NEXT_PTR[req[0]]
             for port in wants:
                 arbs[port]._ptr = nxt
-            return ([Grant(req, wants[0])] if wants else []), 0
+            return ([(req, wants[0])] if wants else []), 0
 
         # ---- stage 1: per-output P:1 arbitration over OR-ed requests ----
         # lanes[i] = [bufferless request, buffered request] of input i;
         # out_masks[o] = mask of the inputs requesting output o, holding
         # only the outputs somebody wants.
-        lanes: Dict[int, List[Optional[Request]]] = {}
+        lanes: Dict[int, List[Optional[tuple]]] = {}
         out_masks: Dict[Port, int] = {}
         for req in requests:
-            i = req.input_index
+            i, lane, _flit, wants = req
             pair = lanes.get(i)
             if pair is None:
                 pair = lanes[i] = [None, None]
-            pair[req.lane != BUFFERLESS] = req
+            pair[lane != BUFFERLESS] = req
             bit = 1 << i
-            for port in req.wants:
+            for port in wants:
                 out_masks[port] = out_masks.get(port, 0) | bit
 
         # Each requested output's arbiter grants through the shared table
@@ -136,7 +118,7 @@ class SeparableDualAllocator:
             granted[winner] |= 1 << o
 
         # ---- stage 2: two serial V:1 arbiters per input ----
-        grants: List[Grant] = []
+        grants: List[Tuple[tuple, Port]] = []
         swaps = 0
         first, second = (1, 0) if waiters_first else (0, 1)
         for i, pair in lanes.items():
@@ -146,17 +128,17 @@ class SeparableDualAllocator:
             chosen = None  # the first V:1 arbiter's output
             req = pair[first]
             if req is not None:
-                for port in req.wants:
+                for port in req[3]:
                     if (available >> port) & 1:
                         available ^= 1 << port
                         chosen = port
-                        grants.append(Grant(req, port))
+                        grants.append((req, port))
                         break
             req = pair[second]
             if req is not None and available:
-                for port in req.wants:
+                for port in req[3]:
                     if (available >> port) & 1:
-                        grants.append(Grant(req, port))
+                        grants.append((req, port))
                         if chosen is not None and (
                             requires_swap(port, chosen)
                             if waiters_first

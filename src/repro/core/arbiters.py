@@ -16,6 +16,7 @@ Two flavours are provided:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ..sim.flit import Flit
@@ -75,12 +76,14 @@ class RoundRobinArbiter:
 
 def age_key(flit: Flit) -> Tuple[int, int, int, int]:
     """Arbitration key: lexicographically smaller wins — oldest packet
-    first, then lower packet id, then lower flit index.  In a simulation
-    ``(packet_id, flit_index)`` names one flit, so the trailing flit id
-    never decides; it keeps the order total for hand-built flits too."""
-    return (flit.injected_cycle, flit.packet_id, flit.flit_index, flit.fid)
+    first, then lower packet id, then lower flit index (``Flit.age``,
+    built once per flit)."""
+    return flit.age
+
+
+_AGE = attrgetter("age")
 
 
 def oldest_first(flits: Sequence[Flit]) -> List[Flit]:
     """Sort flits by age priority (:func:`age_key`)."""
-    return sorted(flits, key=age_key)
+    return sorted(flits, key=_AGE)

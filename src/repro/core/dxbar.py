@@ -53,7 +53,6 @@ from ..obs.trace import (
 from ..routers.base import BaseRouter
 from ..sim.flit import Flit
 from ..sim.ports import Port
-from .arbiters import age_key
 from .buffers import FlitFIFO
 from .fairness import FairnessCounter
 from .faults import RouterFault
@@ -63,14 +62,10 @@ from .faults import RouterFault
 _LOCAL = Port.LOCAL
 
 
-def _incoming_age(pair: Tuple[Port, Flit]) -> Tuple[int, int, int, int]:
-    """Age key of an ``(in_port, flit)`` arrival."""
-    return age_key(pair[1])
-
-
-def _waiter_age(waiter: Tuple[str, Port, Flit]) -> Tuple[int, int, int, int]:
-    """Age key of a ``(kind, in_port, flit)`` waiter."""
-    return age_key(waiter[2])
+def _flit_age(item: tuple) -> Tuple[int, int, int, int]:
+    """Age key of an ``(in_port, flit)`` arrival or ``(kind, in_port,
+    flit)`` waiter: the flit comes last in both."""
+    return item[-1].age
 
 
 class DXbarRouter(BaseRouter):
@@ -85,17 +80,19 @@ class DXbarRouter(BaseRouter):
         # (port, queue) per FIFO for the hot scans; FlitFIFO keeps its deque
         # for life (a checkpoint load refills it in place).
         self._fifo_queues = tuple((port, fifo._q) for port, fifo in self.fifos.items())
+        # The queue a served waiter pops, by input port.
+        self._queues = {**dict(self._fifo_queues), _LOCAL: self.inj_queue}
         self.fairness = FairnessCounter(config.fairness_threshold)
         self._routes = routing.row(node)  # candidates per destination
-        # Fault state, assigned by the network from the FaultPlan.
-        self.fault: Optional[RouterFault] = None
-        self.reconfigured = False
-        self._current_cycle = 0
         # With crosspoint-granularity faults, strict deterministic routing
         # can render a destination unreachable from one approach direction;
         # a flit that keeps bouncing escalates to minimal-adaptive
         # candidates (the paper: packets "try to adapt to the topology").
         self._escalate_on_deflections = config.faults.granularity == "crosspoint"
+        # Fault state, assigned by the network from the FaultPlan.
+        self.fault = None
+        self.reconfigured = False
+        self._current_cycle = 0
 
     def enable_trace(self, tracer) -> None:
         """Wire the tracer, including the fairness counter's flip hook
@@ -108,13 +105,32 @@ class DXbarRouter(BaseRouter):
 
         self.fairness.on_flip = _on_flip
 
+    @property
+    def fault(self) -> Optional[RouterFault]:
+        """The router's fault (None when healthy); the per-cycle paths read
+        ``_fault``."""
+        return self._fault
+
+    @fault.setter
+    def fault(self, fault: Optional[RouterFault]) -> None:
+        self._fault = fault
+        # ``_plain``: every output pick is the first free entry of the
+        # routing row ``self._routes[flit.dst]``, taken inline, unless a
+        # crosspoint fault must be masked or attempted (:meth:`_pick_output`)
+        # or flits may escalate to adaptive candidates.  A reconfigured
+        # router always qualifies: escalation exists only under crosspoint
+        # granularity, where no fault is whole-crossbar.
+        self._plain = not self._escalate_on_deflections and (
+            fault is None or not fault.is_crosspoint
+        )
+
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
         self._current_cycle = cycle
         if self.reconfigured:
             self._step_degraded(cycle)
             return
-        fault = self.fault
+        fault = self._fault
         if fault is None:
             self._step_normal(cycle, True, True)
             return
@@ -134,19 +150,6 @@ class DXbarRouter(BaseRouter):
     # ------------------------------------------------------------------
     # building blocks
     # ------------------------------------------------------------------
-    def _plain_picks(self) -> bool:
-        """True when every output pick is simply the first free entry of the
-        routing row ``self._routes[flit.dst]``: no crosspoint fault to mask
-        or attempt, and no escalation to adaptive candidates.  The serve
-        loops then pick inline; :meth:`_pick_output` is the crosspoint
-        path.  A reconfigured router always qualifies: it holds a
-        whole-crossbar fault, and escalation exists only under crosspoint
-        granularity, where no fault is whole-crossbar."""
-        fault = self.fault
-        return not self._escalate_on_deflections and (
-            fault is None or not fault.is_crosspoint
-        )
-
     def _pick_output(
         self,
         flit: Flit,
@@ -165,7 +168,7 @@ class DXbarRouter(BaseRouter):
         buffered/stalls for the cycle (the paper's BIST detects exactly
         these failed connections).
         """
-        fault = self.fault
+        fault = self._fault
         for cand in self._candidates(flit):
             if cand in outputs_used:
                 continue
@@ -210,21 +213,19 @@ class DXbarRouter(BaseRouter):
             outputs_used.add(cand)
             flit.deflections += 1
             self.counters.deflections += 1
-            self.energy.charge_xbar(flit)
             if self.trace is not None:
                 self.trace.emit(cycle, EV_DEFLECT, self.node, flit, out_port=cand.name)
-            self.send(flit, cand, cycle)
+            self.traverse(flit, cand, cycle)
             return
         if fallback is not None:
             outputs_used.add(fallback)
             flit.deflections += 1
             self.counters.deflections += 1
-            self.energy.charge_xbar(flit)
             if self.trace is not None:
                 self.trace.emit(
                     cycle, EV_DEFLECT, self.node, flit, out_port=fallback.name, uturn=True
                 )
-            self.send(flit, fallback, cycle)
+            self.traverse(flit, fallback, cycle)
             return
         raise AssertionError(
             f"router {self.node}: no deflection port free for an "
@@ -238,8 +239,8 @@ class DXbarRouter(BaseRouter):
             return incoming
         if n == 2:  # the common pair: one comparison, no sort machinery
             a, b = incoming
-            return [b, a] if age_key(b[1]) < age_key(a[1]) else incoming
-        return sorted(incoming, key=_incoming_age)
+            return [b, a] if b[1].age < a[1].age else incoming
+        return sorted(incoming, key=_flit_age)
 
     def _collect_waiters(self) -> List[Tuple[str, Port, Flit]]:
         """Snapshot the secondary-crossbar requesters: FIFO heads and the
@@ -249,14 +250,15 @@ class DXbarRouter(BaseRouter):
         for port, q in self._fifo_queues:
             if q:
                 waiters.append(("fifo", port, q[0]))
-        if self.inj_queue:
-            waiters.append(("inj", _LOCAL, self.inj_queue[0]))
+        inj = self.inj_queue
+        if inj:
+            waiters.append(("inj", _LOCAL, inj[0]))
         n = len(waiters)
         if n == 2:  # the common pair: one comparison, no sort machinery
-            if age_key(waiters[1][2]) < age_key(waiters[0][2]):
+            if waiters[1][2].age < waiters[0][2].age:
                 waiters.reverse()
         elif n > 2:
-            waiters.sort(key=_waiter_age)
+            waiters.sort(key=_flit_age)
         return waiters
 
     def _serve_waiters(
@@ -267,9 +269,10 @@ class DXbarRouter(BaseRouter):
     ) -> bool:
         """Secondary-crossbar phase: move eligible buffered/injection flits."""
         won = False
-        fault = self.fault
-        plain = self._plain_picks()
+        fault = self._fault
+        plain = self._plain
         routes = self._routes
+        queues = self._queues
         counters = self.counters
         trace = self.trace
         for kind, in_port, flit in waiters:
@@ -299,13 +302,10 @@ class DXbarRouter(BaseRouter):
                 if out is None:
                     continue
             outputs_used.add(out)
-            if kind == "fifo":
-                popped = self.fifos[in_port].pop()
-                assert popped is flit, "waiter snapshot desynchronised"
-            else:
-                self.inj_queue.popleft()
+            popped = queues[in_port].popleft()
+            assert popped is flit, "waiter snapshot desynchronised"
+            if kind == "inj":
                 self.mark_network_entry(flit, cycle)
-            self.energy.charge_xbar(flit)
             counters.secondary_traversals += 1
             if trace is not None:
                 trace.emit(
@@ -317,7 +317,7 @@ class DXbarRouter(BaseRouter):
                     out_port=out.name,
                     kind=kind,
                 )
-            self.send(flit, out, cycle)
+            self.traverse(flit, out, cycle)
             won = True
         return won
 
@@ -331,10 +331,9 @@ class DXbarRouter(BaseRouter):
         """Primary-crossbar phase: switch incoming flits; losers are demuxed
         into their input FIFO (or deflected if the FIFO is full)."""
         won = False
-        plain = primary_ok and self._plain_picks()
+        plain = primary_ok and self._plain
         routes = self._routes
         fifos = self.fifos
-        energy = self.energy
         counters = self.counters
         trace = self.trace
         for in_port, flit in incoming:
@@ -350,7 +349,6 @@ class DXbarRouter(BaseRouter):
                 out = None
             if out is not None:
                 outputs_used.add(out)
-                energy.charge_xbar(flit)
                 counters.primary_traversals += 1
                 if trace is not None:
                     trace.emit(
@@ -364,27 +362,12 @@ class DXbarRouter(BaseRouter):
                         in_port=in_port.name,
                         out_port=out.name,
                     )
-                self.send(flit, out, cycle)
+                self.traverse(flit, out, cycle)
                 won = True
                 continue
             fifo = fifos[in_port]
             if len(fifo._q) < fifo.depth:  # not full
-                flit.buffered_events += 1
-                counters.buffered_events += 1
-                energy.charge_buffer(flit)
-                fifo.push(flit)
-                if trace is not None:
-                    trace.emit(
-                        cycle, EV_ARB_LOSE, self.node, flit, in_port=in_port.name
-                    )
-                    trace.emit(
-                        cycle,
-                        EV_BUFFER,
-                        self.node,
-                        flit,
-                        in_port=in_port.name,
-                        occupancy=len(fifo),
-                    )
+                self._buffer(flit, in_port, cycle, lost=True)
             elif primary_ok:
                 if trace is not None:
                     trace.emit(
@@ -402,21 +385,34 @@ class DXbarRouter(BaseRouter):
                 # forced into the buffer anyway — physically this is the
                 # input latch holding; modelled as a one-slot overfill that
                 # the degraded mode drains after detection.
-                flit.buffered_events += 1
-                counters.buffered_events += 1
-                energy.charge_buffer(flit)
-                fifo.force_push(flit)
-                if trace is not None:
-                    trace.emit(
-                        cycle,
-                        EV_BUFFER,
-                        self.node,
-                        flit,
-                        in_port=in_port.name,
-                        occupancy=len(fifo),
-                        overfill=True,
-                    )
+                self._buffer(flit, in_port, cycle, overfill=True)
         return won
+
+    def _buffer(
+        self, flit: Flit, in_port: Port, cycle: int, lost: bool = False,
+        overfill: bool = False,
+    ) -> None:
+        """Demux ``flit`` into its input FIFO: the buffer charge, the append
+        (with :meth:`FlitFIFO.push`'s overflow check unless ``overfill``,
+        the :meth:`FlitFIFO.force_push` latch hold) and the trace records,
+        led by an arbitration loss when ``lost``."""
+        fifo = self.fifos[in_port]
+        q = fifo._q
+        if not overfill and len(q) >= fifo.depth:
+            raise RuntimeError("FIFO overflow: flow-control protocol violated")
+        flit.buffered_events += 1
+        self.counters.buffered_events += 1
+        self.energy.charge_buffer(flit)
+        q.append(flit)
+        trace = self.trace
+        if trace is not None:
+            if lost:
+                trace.emit(cycle, EV_ARB_LOSE, self.node, flit, in_port=in_port.name)
+            extra = {"overfill": True} if overfill else {}
+            trace.emit(
+                cycle, EV_BUFFER, self.node, flit, in_port=in_port.name,
+                occupancy=len(q), **extra,
+            )
 
     def _split_must_place(
         self, incoming: List[Tuple[Port, Flit]]
@@ -485,15 +481,14 @@ class DXbarRouter(BaseRouter):
            start of the cycle take the outputs still free;
         3. every other incoming flit is buffered in its input FIFO.
 
-        Picks are inline first-free entries of the routing row (see
-        :meth:`_plain_picks`).
+        Picks are inline first-free entries of the routing row (a
+        reconfigured router always has ``_plain`` picks).
         """
         waiters = self._collect_waiters()
         incoming = self._ordered_incoming()
         outputs_used: set = set()
         routes = self._routes
         fifos = self.fifos
-        energy = self.energy
         counters = self.counters
         trace = self.trace
         placed = 0  # mask of the must-place inputs
@@ -509,7 +504,6 @@ class DXbarRouter(BaseRouter):
                 self._deflect(flit, outputs_used, cycle, in_port)
                 continue
             outputs_used.add(out)
-            energy.charge_xbar(flit)
             counters.secondary_traversals += 1
             if trace is not None:
                 trace.emit(
@@ -521,26 +515,12 @@ class DXbarRouter(BaseRouter):
                     out_port=out.name,
                     kind="degraded",
                 )
-            self.send(flit, out, cycle)
+            self.traverse(flit, out, cycle)
         if waiters:
             self._serve_waiters(waiters, outputs_used, cycle)
         for in_port, flit in incoming:
-            if (placed >> in_port) & 1:
-                continue
-            fifo = fifos[in_port]
-            flit.buffered_events += 1
-            counters.buffered_events += 1
-            energy.charge_buffer(flit)
-            fifo.push(flit)
-            if trace is not None:
-                trace.emit(
-                    cycle,
-                    EV_BUFFER,
-                    self.node,
-                    flit,
-                    in_port=in_port.name,
-                    occupancy=len(fifo),
-                )
+            if not (placed >> in_port) & 1:
+                self._buffer(flit, in_port, cycle)
 
     @property
     def _any_buffered(self) -> bool:
@@ -573,7 +553,7 @@ class DXbarRouter(BaseRouter):
             )
         # FIFO overfill is legal only as the undetected-non-crosspoint-fault
         # input-latch hold (drained by the degraded mode after detection).
-        overfill_ok = self.fault is not None and not self.fault.is_crosspoint
+        overfill_ok = self._fault is not None and not self._fault.is_crosspoint
         for port, fifo in self.fifos.items():
             if len(fifo) > fifo.depth and not overfill_ok:
                 yield (
@@ -598,7 +578,7 @@ class DXbarRouter(BaseRouter):
         """
         if self.inj_queue or self._any_buffered:
             return False
-        fault = self.fault
+        fault = self._fault
         if fault is not None and not fault.is_crosspoint and not self.reconfigured:
             return False
         return self.reconfigured or self.fairness.count == 0

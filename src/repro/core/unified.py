@@ -26,16 +26,14 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..obs.trace import (
-    EV_ARB_LOSE,
     EV_ARB_WIN,
-    EV_BUFFER,
     EV_DEFLECT,
     EV_TRAVERSE_PRIMARY,
     EV_TRAVERSE_SECONDARY,
 )
 from ..sim.flit import Flit
 from ..sim.ports import Port
-from .allocator import BUFFERED, BUFFERLESS, Request, SeparableDualAllocator
+from .allocator import BUFFERED, BUFFERLESS, SeparableDualAllocator
 from .dxbar import DXbarRouter
 
 _PORTS = tuple(Port)  # request input index -> Port
@@ -63,20 +61,7 @@ class UnifiedRouter(DXbarRouter):
         # the BIST detects it (then step() routes us to degraded mode).
         if not (primary_ok and secondary_ok):
             for in_port, flit in self.incoming:
-                flit.buffered_events += 1
-                self.counters.buffered_events += 1
-                self.energy.charge_buffer(flit)
-                self.fifos[in_port].force_push(flit)
-                if self.trace is not None:
-                    self.trace.emit(
-                        cycle,
-                        EV_BUFFER,
-                        self.node,
-                        flit,
-                        in_port=in_port.name,
-                        occupancy=len(self.fifos[in_port]),
-                        overfill=True,
-                    )
+                self._buffer(flit, in_port, cycle, overfill=True)
             return
 
         inj = self.inj_queue
@@ -105,15 +90,16 @@ class UnifiedRouter(DXbarRouter):
         # With every output still free and plain picks (no crosspoint fault
         # to mask, no escalation to adaptive candidates), a flit's wants are
         # its routing table row.
-        direct = not outputs_used and self._plain_picks()
+        direct = not outputs_used and self._plain
         routes = self._routes
-        requests: List[Request] = []
+        # Requests are (input index, lane, flit, wants) tuples.
+        requests: List[tuple] = []
         for in_port, flit in rest:
             wants = (
                 routes[flit.dst] if direct else self._wants(flit, outputs_used, in_port)
             )
             if wants:
-                requests.append(Request(_INDEX[in_port], BUFFERLESS, flit, wants))
+                requests.append((_INDEX[in_port], BUFFERLESS, flit, wants))
         # A waiter's request index is its input port: FIFOs sit on the
         # direction inputs and the injection queue on LOCAL.
         for _kind, in_port, flit in waiters:
@@ -129,7 +115,7 @@ class UnifiedRouter(DXbarRouter):
                     # router.
                     wants = self._misroute_wants(outputs_used, in_port)
             if wants:
-                requests.append(Request(_INDEX[in_port], BUFFERED, flit, wants))
+                requests.append((_INDEX[in_port], BUFFERED, flit, wants))
 
         grants, swaps = self.allocator.allocate(requests, waiters_first=flip)
         if self.audit is not None:
@@ -144,41 +130,38 @@ class UnifiedRouter(DXbarRouter):
         waiter_won = False
         trace = self.trace
         counters = self.counters
-        charge_xbar = self.energy.charge_xbar
-        send = self.send
-        for grant in grants:
-            req, out = grant.request, grant.output
-            flit = req.flit
+        queues = self._queues
+        traverse = self.traverse
+        for (i, lane, flit, _wants), out in grants:
             if not direct and out not in routes[flit.dst]:
                 flit.deflections += 1  # crosspoint-forced misroute
                 counters.deflections += 1
                 if trace is not None:
                     trace.emit(cycle, EV_DEFLECT, self.node, flit, out_port=out.name)
-            if req.lane == BUFFERLESS:
-                won_inputs |= 1 << req.input_index
+            if lane == BUFFERLESS:
+                won_inputs |= 1 << i
                 counters.primary_traversals += 1
                 if trace is not None:
                     trace.emit(
-                        cycle, EV_ARB_WIN, self.node, flit, in_port=_PORTS[req.input_index].name
+                        cycle, EV_ARB_WIN, self.node, flit, in_port=_PORTS[i].name
                     )
                     trace.emit(
                         cycle,
                         EV_TRAVERSE_PRIMARY,
                         self.node,
                         flit,
-                        in_port=_PORTS[req.input_index].name,
+                        in_port=_PORTS[i].name,
                         out_port=out.name,
                     )
             else:
-                in_port = _PORTS[req.input_index]
+                in_port = _PORTS[i]
+                popped = queues[i].popleft()
+                assert popped is flit, "waiter snapshot desynchronised"
                 if in_port is _LOCAL:
                     kind = "inj"
-                    inj.popleft()
                     self.mark_network_entry(flit, cycle)
                 else:
                     kind = "fifo"
-                    popped = self.fifos[in_port].pop()
-                    assert popped is flit, "waiter snapshot desynchronised"
                 waiter_won = True
                 counters.secondary_traversals += 1
                 if trace is not None:
@@ -191,29 +174,13 @@ class UnifiedRouter(DXbarRouter):
                         out_port=out.name,
                         kind=kind,
                     )
-            charge_xbar(flit)
-            send(flit, out, cycle)
+            traverse(flit, out, cycle)
 
         # Incoming losers are demuxed into their FIFO, exactly as in DXbar
         # (their FIFO has space — full inputs went through the pre-pass).
         for in_port, flit in rest:
             if not (won_inputs >> in_port) & 1:
-                flit.buffered_events += 1
-                counters.buffered_events += 1
-                self.energy.charge_buffer(flit)
-                self.fifos[in_port].push(flit)
-                if trace is not None:
-                    trace.emit(
-                        cycle, EV_ARB_LOSE, self.node, flit, in_port=in_port.name
-                    )
-                    trace.emit(
-                        cycle,
-                        EV_BUFFER,
-                        self.node,
-                        flit,
-                        in_port=in_port.name,
-                        occupancy=len(self.fifos[in_port]),
-                    )
+                self._buffer(flit, in_port, cycle, lost=True)
 
         self.fairness.update(
             waiters_present=bool(waiters),
@@ -231,7 +198,7 @@ class UnifiedRouter(DXbarRouter):
         one row per input, so both lanes lose that crosspoint (the fault's
         nominal primary/secondary attribute does not matter here).
         """
-        fault = self.fault
+        fault = self._fault
         wants = []
         for cand in self._candidates(flit):
             if cand in outputs_used:
@@ -250,7 +217,7 @@ class UnifiedRouter(DXbarRouter):
     def _crosspoint_blocked_all(self, flit: Flit, in_port: Port) -> bool:
         """True when every productive output of ``flit`` from ``in_port``
         sits behind a manifested crosspoint fault."""
-        fault = self.fault
+        fault = self._fault
         if fault is None or not fault.is_crosspoint:
             return False
         if self._current_cycle < fault.manifest_cycle or fault.input_port != in_port:
@@ -277,7 +244,7 @@ class UnifiedRouter(DXbarRouter):
         last, so a blocked flit re-approaches its destination from varying
         inputs instead of settling into a stable orbit.
         """
-        fault = self.fault
+        fault = self._fault
         ports = list(self.fifos)
         start = (self._current_cycle + self.node) % len(ports)
         out = []

@@ -114,8 +114,7 @@ class AFCRouter(BaseRouter):
         for flit in oldest_first(flits):
             if flit.dst == self.node and ejected < self.config.ejection_ports:
                 ejected += 1
-                self.energy.charge_xbar(flit)
-                self.send(flit, Port.LOCAL, cycle)
+                self.traverse(flit, Port.LOCAL, cycle)
             else:
                 survivors.append(flit)
         free = [p for p in self._link_ports if not self.out_links[p].busy_next]
@@ -135,8 +134,7 @@ class AFCRouter(BaseRouter):
                         cycle, EV_DEFLECT, self.node, flit, out_port=port.name
                     )
             free.remove(port)
-            self.energy.charge_xbar(flit)
-            self.send(flit, port, cycle)
+            self.traverse(flit, port, cycle)
 
     # ------------------------------------------------------------------
     def _step_buffered(self, cycle: int) -> None:
@@ -185,8 +183,7 @@ class AFCRouter(BaseRouter):
                         cycle, EV_DEFLECT, self.node, flit, out_port=out.name, uturn=True
                     )
             outputs_used.add(out)
-            self.energy.charge_xbar(flit)
-            self.send(flit, out, cycle)
+            self.traverse(flit, out, cycle)
 
         waiters: List[Tuple[Optional[Port], Flit]] = []
         for port, fifo in self.fifos.items():
@@ -211,8 +208,7 @@ class AFCRouter(BaseRouter):
             else:
                 popped = self.fifos[port].pop()
                 assert popped is flit
-            self.energy.charge_xbar(flit)
-            self.send(flit, out, cycle)
+            self.traverse(flit, out, cycle)
 
         for in_port, flit in rest:
             flit.buffered_events += 1

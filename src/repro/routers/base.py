@@ -1,12 +1,15 @@
 """Abstract router.
 
-The engine drives every router through two phases per cycle:
+The network drives every router through two phases per cycle:
 
-1. :meth:`BaseRouter.latch` — collect returned credits and take the flits
-   that finished traversing the incident links (the downstream end of the
-   LT stage);
-2. :meth:`BaseRouter.step` — the design-specific SA/ST logic, which may
-   push flits onto output links (starting a new LT) and return credits.
+1. latch — collect returned credits and take the flits that finished
+   traversing the incident links (the downstream end of the LT stage).
+   The network runs this itself, in one loop over the routers' ``(port,
+   link)`` pairs (:func:`repro.sim.link.latch_inputs`);
+   :meth:`BaseRouter.latch` is the same rule for one router;
+2. :meth:`BaseRouter.step` — the design-specific SA/ST logic, which sends
+   each switched flit through :meth:`BaseRouter.traverse` (ejection, or a
+   new LT on an output link) and returns credits.
 
 Routers never touch each other's state directly; links and credit channels
 are the only communication, which makes the synchronous update independent
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..energy.model import EnergyModel
 from ..obs.counters import RouterCounters
@@ -25,7 +28,7 @@ from ..obs.trace import EV_EJECT, EV_INJECT, EV_ROUTE
 from ..routing.base import RoutingFunction
 from ..sim.config import SimConfig
 from ..sim.flit import Flit
-from ..sim.link import CreditChannel, Link
+from ..sim.link import CreditChannel, Link, latch_inputs
 from ..sim.ports import Port
 from ..sim.topology import Mesh
 
@@ -33,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.network import Network
 
 # Module constant: an IntEnum class-attribute lookup costs several times a
-# global read, and ``send`` runs once per flit hop.
+# global read, and ``traverse`` runs once per flit hop.
 _LOCAL = Port.LOCAL
 
 
@@ -68,6 +71,10 @@ class BaseRouter(ABC):
         self.credits: Dict[Port, int] = {}
         self.credit_in: Dict[Port, CreditChannel] = {}  # returns to us
         self.credit_out: Dict[Port, CreditChannel] = {}  # we return upstream
+        # The (port, link) and (port, channel) pairs the latch loop walks,
+        # in port order; the network builds them once wiring is done.
+        self.latch_ports: Tuple[Tuple[Port, Link], ...] = ()
+        self.credit_ports: Tuple[Tuple[Port, CreditChannel], ...] = ()
 
         # Source queue (infinite, inside the PE).
         self.inj_queue: deque = deque()
@@ -110,24 +117,9 @@ class BaseRouter(ABC):
     # per-cycle protocol
     # ------------------------------------------------------------------
     def latch(self, cycle: int) -> None:
-        """Phase 1: absorb credits and arriving flits."""
-        if self.uses_credits:
-            for port, chan in self.credit_in.items():
-                got = chan.collect()
-                if got:
-                    self.credits[port] += got
-
-        incoming = self.incoming
-        incoming.clear()
-        for port, link in self.in_links.items():
-            # Link.take inlined (this runs per input link per active
-            # router-cycle): consume the downstream-visible register.
-            regs = link._regs
-            flit = regs[-1]
-            if flit is not None:
-                regs[-1] = None
-                link._count -= 1
-                incoming.append((port, flit))
+        """Phase 1: absorb credits and arriving flits (the network's latch
+        loop, :func:`~repro.sim.link.latch_inputs`, on this router)."""
+        latch_inputs((self,))
 
     @abstractmethod
     def step(self, cycle: int) -> None:
@@ -138,13 +130,22 @@ class BaseRouter(ABC):
     # ------------------------------------------------------------------
     def enqueue_flit(self, flit: Flit) -> None:
         """Append a flit to the PE source queue."""
-        self.inj_queue.append(flit)
-        self.counters.injected += 1
-        self.stats.record_flit_injection(flit)
+        self.enqueue_packet((flit,))
+
+    def enqueue_packet(self, flits: Sequence[Flit]) -> None:
+        """Append one packet's flits to the PE source queue, in order, with
+        the counter, stat, wake and trace effects of :meth:`enqueue_flit`
+        on each."""
+        self.inj_queue.extend(flits)
+        self.counters.injected += len(flits)
+        record = self.stats.record_flit_injection
+        for flit in flits:
+            record(flit)
         if self.network is not None:
             self.network.wake_router(self.node)
         if self.trace is not None:
-            self.trace.emit(flit.injected_cycle, EV_INJECT, self.node, flit)
+            for flit in flits:
+                self.trace.emit(flit.injected_cycle, EV_INJECT, self.node, flit)
 
     @property
     def source_queue_len(self) -> int:
@@ -153,20 +154,38 @@ class BaseRouter(ABC):
     # ------------------------------------------------------------------
     # helpers for subclasses
     # ------------------------------------------------------------------
-    def send(self, flit: Flit, port: Port, cycle: int) -> None:
-        """Drive ``flit`` through output ``port``: ejection for LOCAL, link
-        traversal otherwise.  Crossbar energy is charged by the caller
-        (designs differ in which crossbar the flit crossed)."""
+    def traverse(self, flit: Flit, port: Port, cycle: int) -> None:
+        """Switch ``flit`` through the crossbar to output ``port``: charge the
+        crossbar, then eject (LOCAL) or hop onto the port's link, charging
+        it.  ``EnergyModel.charge_xbar``/``charge_link`` and
+        :meth:`Link.push` are inlined: this runs once per flit hop."""
+        c = self.energy.constants
+        stats = self.stats
+        stats.xbar_traversals += 1
+        flit.energy_pj += c.xbar_pj
+        if flit.measured:
+            stats.energy_xbar_pj += c.xbar_pj
         if port == _LOCAL:
             assert flit.dst == self.node, "ejecting a flit at a foreign node"
             self.counters.ejected += 1
             if self.trace is not None:
                 self.trace.emit(cycle, EV_EJECT, self.node, flit, hops=flit.hops)
             self.network.eject(flit, cycle)
-        else:
-            flit.hops += 1
-            self.energy.charge_link(flit)
-            self.out_links[port].push(flit)
+            return
+        flit.hops += 1
+        stats.link_traversals += 1
+        flit.energy_pj += c.link_pj
+        if flit.measured:
+            stats.energy_link_pj += c.link_pj
+        link = self.out_links[port]
+        if link._next is not None:
+            raise RuntimeError(
+                f"link {link.src}->{link.dst} double-driven in one cycle"
+            )
+        link._next = flit
+        link._count += 1
+        if link._count == 1 and link.on_activate is not None:
+            link.on_activate()
 
     def has_credit(self, port: Port) -> bool:
         """True when a flit may be sent toward ``port`` (LOCAL always may;

@@ -76,8 +76,7 @@ class BlessRouter(BaseRouter):
         for flit in ranked:
             if flit.dst == self.node and ejected < self.config.ejection_ports:
                 ejected += 1
-                self.energy.charge_xbar(flit)
-                self.send(flit, Port.LOCAL, cycle)
+                self.traverse(flit, Port.LOCAL, cycle)
             else:
                 survivors.append(flit)
 
@@ -105,5 +104,4 @@ class BlessRouter(BaseRouter):
                         cycle, EV_DEFLECT, self.node, flit, out_port=port.name
                     )
             free.remove(port)
-            self.energy.charge_xbar(flit)
-            self.send(flit, port, cycle)
+            self.traverse(flit, port, cycle)

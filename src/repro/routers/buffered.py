@@ -151,7 +151,6 @@ class BufferedRouter(BaseRouter):
                 self.inj_queue.popleft()
                 self.mark_network_entry(flit, cycle)
             self.consume_credit(out)
-            self.energy.charge_xbar(flit)
             self.counters.primary_traversals += 1
             if self.trace is not None:
                 self.trace.emit(
@@ -165,7 +164,7 @@ class BufferedRouter(BaseRouter):
                     in_port=in_port.name,
                     out_port=out.name,
                 )
-            self.send(flit, out, cycle)
+            self.traverse(flit, out, cycle)
 
     def _any_occupancy(self) -> bool:
         for banks in self.fifos.values():

@@ -84,8 +84,7 @@ class ScarabRouter(BaseRouter):
             if flit.dst == self.node:
                 if ejected < self.config.ejection_ports:
                     ejected += 1
-                    self.energy.charge_xbar(flit)
-                    self.send(flit, Port.LOCAL, cycle)
+                    self.traverse(flit, Port.LOCAL, cycle)
                 else:
                     # Ejection port busy: SCARAB has nowhere to hold the
                     # flit, so it is dropped and retransmitted.
@@ -100,8 +99,7 @@ class ScarabRouter(BaseRouter):
                 self._drop(flit, cycle)
             else:
                 free.remove(port)
-                self.energy.charge_xbar(flit)
-                self.send(flit, port, cycle)
+                self.traverse(flit, port, cycle)
 
         # Opportunistic injection: retransmissions first, then new flits.
         self._inject(free, cycle)
@@ -134,8 +132,7 @@ class ScarabRouter(BaseRouter):
             self.inj_queue.popleft()
             self.mark_network_entry(candidate, cycle)
         free.remove(port)
-        self.energy.charge_xbar(candidate)
-        self.send(candidate, port, cycle)
+        self.traverse(candidate, port, cycle)
 
     # ------------------------------------------------------------------
     # checkpointing

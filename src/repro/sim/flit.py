@@ -31,8 +31,7 @@ class Flit:
         Source and destination node ids.
     injected_cycle:
         Cycle at which the *packet* entered the source queue.  This leads
-        the age-priority key (:func:`repro.core.arbiters.age_key`): older
-        (smaller) wins arbitration.
+        the age-priority key :attr:`age`: older (smaller) wins arbitration.
     flit_index, num_flits:
         Position within the packet and total packet length, used by the
         destination-side reassembly bookkeeping.
@@ -58,6 +57,8 @@ class Flit:
         "ready_cycle",
         "reply_tag",
         "energy_pj",
+        # Derived, last and never serialised: see _STATE_SLOTS.
+        "age",
     )
 
     def __init__(
@@ -99,6 +100,13 @@ class Flit:
         # energies at delivery so the "average energy per packet" metric is
         # exact even when other packets are still in flight.
         self.energy_pj = 0.0
+        # Arbitration key, built once: lexicographically smaller wins --
+        # oldest packet first, then lower packet id, then lower flit index.
+        # In a simulation ``(packet_id, flit_index)`` names one flit, so the
+        # trailing flit id never decides; it keeps the order total for
+        # hand-built flits too.  None of these four fields changes after
+        # construction.
+        self.age = (injected_cycle, packet_id, flit_index, fid)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -107,7 +115,7 @@ class Flit:
         """Every slot, JSON-ready (checkpoint serialisation).  Ints and
         floats round-trip exactly through JSON; the reply_tag tuple becomes
         a list and is re-tupled by :meth:`from_dict`."""
-        d = {name: getattr(self, name) for name in self.__slots__}
+        d = {name: getattr(self, name) for name in _STATE_SLOTS}
         if d["reply_tag"] is not None:
             d["reply_tag"] = list(d["reply_tag"])
         return d
@@ -116,10 +124,11 @@ class Flit:
     def from_dict(cls, data: dict) -> "Flit":
         """Rebuild a flit from :meth:`to_dict` output."""
         flit = cls.__new__(cls)
-        for name in cls.__slots__:
+        for name in _STATE_SLOTS:
             setattr(flit, name, data[name])
         if flit.reply_tag is not None:
             flit.reply_tag = tuple(flit.reply_tag)
+        flit.age = (flit.injected_cycle, flit.packet_id, flit.flit_index, flit.fid)
         return flit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -127,6 +136,11 @@ class Flit:
             f"Flit(fid={self.fid}, pkt={self.packet_id}, {self.src}->{self.dst}, "
             f"t0={self.injected_cycle}, hops={self.hops})"
         )
+
+
+#: The serialised slots: everything but the derived ``age`` key, so
+#: checkpoint and cache bytes do not depend on it.
+_STATE_SLOTS = Flit.__slots__[:-1]
 
 
 def make_packet(
@@ -141,16 +155,6 @@ def make_packet(
 ) -> list:
     """Create the ``num_flits`` independent head flits of one packet."""
     return [
-        Flit(
-            fid=first_fid + i,
-            packet_id=packet_id,
-            src=src,
-            dst=dst,
-            injected_cycle=cycle,
-            flit_index=i,
-            num_flits=num_flits,
-            measured=measured,
-            reply_tag=reply_tag,
-        )
+        Flit(first_fid + i, packet_id, src, dst, cycle, i, num_flits, measured, reply_tag)
         for i in range(num_flits)
     ]

@@ -15,7 +15,7 @@ cycle regardless of latency (the LT stage is pipelined).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .flit import Flit
 
@@ -83,20 +83,7 @@ class Link:
 
     def step(self) -> None:
         """Shift the pipeline by one cycle."""
-        regs = self._regs
-        if regs[-1] is not None:
-            # Consumers must drain their inputs every cycle; both the
-            # bufferless contract and the credit protocol guarantee it.
-            raise RuntimeError(
-                f"flit stranded on link {self.src}->{self.dst}: "
-                "downstream failed to latch its input"
-            )
-        # Drop the drained downstream register and shift the staged flit in
-        # at the upstream end (two list operations instead of a Python
-        # loop over the registers).
-        regs.pop()
-        regs.insert(0, self._next)
-        self._next = None
+        shift_links((self,), [], [])
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -174,8 +161,7 @@ class CreditChannel:
 
     def step(self) -> None:
         """Shift the credit pipeline by one cycle."""
-        self._now += self._next
-        self._next = 0
+        shift_channels((self,), [], [])
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -189,3 +175,70 @@ class CreditChannel:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CreditChannel(now={self._now}, next={self._next})"
+
+
+# The network's per-cycle loops, the one copy of each rule: the network
+# runs them over all or over its active routers, links and channels, and
+# ``BaseRouter.latch``, ``Link.step`` and ``CreditChannel.step`` over one.
+def latch_inputs(routers: Iterable) -> None:
+    """Phase 1 of a cycle for each router: collect the credits visible on
+    its ``credit_ports``, then take the flit at the head of each of its
+    ``latch_ports`` links into ``incoming``, in port order (both are
+    ``(port, link or channel)`` pairs, built by the network's wiring)."""
+    for router in routers:
+        if router.credit_ports:
+            credits = router.credits
+            for port, chan in router.credit_ports:
+                got = chan._now
+                if got:
+                    chan._now = 0
+                    credits[port] += got
+        incoming = router.incoming
+        incoming.clear()
+        for port, link in router.latch_ports:
+            regs = link._regs
+            flit = regs[-1]
+            if flit is not None:
+                regs[-1] = None
+                link._count -= 1
+                incoming.append((port, flit))
+
+
+def shift_links(links: Iterable[Link], heads: list, drained: list) -> None:
+    """Shift each link's pipeline one cycle.  An empty link's ``index``
+    goes to ``drained`` instead; the destination of each link whose head
+    is occupied after the shift goes to ``heads`` (it latches next cycle)."""
+    for link in links:
+        if not link._count:
+            drained.append(link.index)
+            continue
+        regs = link._regs
+        if regs[-1] is not None:
+            # Consumers must drain their inputs every cycle; both the
+            # bufferless contract and the credit protocol guarantee it.
+            raise RuntimeError(
+                f"flit stranded on link {link.src}->{link.dst}: "
+                "downstream failed to latch its input"
+            )
+        # Drop the drained downstream register and shift the staged flit in
+        # at the upstream end (two list operations instead of a Python
+        # loop over the registers).
+        regs.pop()
+        regs.insert(0, link._next)
+        link._next = None
+        if regs[-1] is not None:
+            heads.append(link.dst)
+
+
+def shift_channels(channels: Iterable[CreditChannel], ups: list, drained: list) -> None:
+    """Shift each credit channel one cycle: an empty channel's ``index``
+    goes to ``drained``, and every other channel's upstream router, which
+    now has credits to collect, to ``ups``."""
+    for chan in channels:
+        now = chan._now + chan._next
+        if not now:
+            drained.append(chan.index)
+            continue
+        chan._now = now
+        chan._next = 0
+        ups.append(chan.upstream)

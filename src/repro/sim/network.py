@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from functools import partial
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..core.faults import FaultPlan
@@ -17,7 +18,7 @@ from ..energy.model import EnergyModel
 from ..obs.facade import Telemetry
 from .config import SimConfig
 from .flit import make_packet
-from .link import CreditChannel, Link
+from .link import CreditChannel, Link, latch_inputs, shift_channels, shift_links
 from .ports import OPPOSITE
 from .stats import StatsCollector
 from .topology import Mesh
@@ -97,6 +98,7 @@ class Network:
         self._wire()
         self._apply_faults()
         self._rebuild_active_sets()
+        self._profiler = self.telemetry.profiler  # times step's parts
 
         self.workload = None  # set by the Simulator
         self.cycle = 0
@@ -145,6 +147,8 @@ class Network:
                 up.credits[out_port] = down.credit_budget()
                 down.credit_out[in_port] = chan
         for router in self.routers:
+            router.latch_ports = tuple(router.in_links.items())
+            router.credit_ports = tuple(router.credit_in.items())
             router.attach_network(self)
             router.finalize_wiring()
         if self.telemetry.trace is not None:
@@ -205,18 +209,30 @@ class Network:
         )
         self._next_flit_id += n
         self.stats.record_packet_injection(pid, cycle, n, m)
-        router = self.routers[src]
-        for flit in flits:
-            router.enqueue_flit(flit)
+        self.routers[src].enqueue_packet(flits)
         self._active_flits += n
         return pid
+
+    @property
+    def workload(self):
+        """The workload driving this network (set by the Simulator)."""
+        return self._workload
+
+    @workload.setter
+    def workload(self, workload) -> None:
+        from ..traffic.generator import Workload
+
+        self._workload = workload
+        # Most workloads keep the base class's no-op: then nothing is called.
+        hook = getattr(type(workload), "on_eject", Workload.on_eject)
+        self._on_eject = None if hook is Workload.on_eject else workload.on_eject
 
     def eject(self, flit, cycle: int) -> None:
         """A flit reached its destination PE (called by routers)."""
         self.stats.record_ejection(flit, cycle)
         self._active_flits -= 1
-        if self.workload is not None:
-            self.workload.on_eject(flit, cycle, self)
+        if self._on_eject is not None:
+            self._on_eject(flit, cycle, self)
 
     # ------------------------------------------------------------------
     # simulation
@@ -233,39 +249,67 @@ class Network:
         walk does not maintain the active sets, so every hand-back to the
         active walk goes through :meth:`_rebuild_active_sets` — call it
         too when flipping ``dense_step`` back to False mid-run.
+
+        Either walk is three parts, in order: latch (phase 1 of every
+        router that has inputs or credits to take), routers (phase 2,
+        :meth:`BaseRouter.step`) and links (shift every link and credit
+        channel).  A profiled run times each part into the profiler's
+        ``network.step`` parts.
         """
         if self.dense_step:
-            self._step_dense()
+            walk = _FULL_WALK
         elif self._busy_walk:
             if self._active_flits < self._busy_exit:
                 self._rebuild_active_sets()
-                self._step_active()
+                walk = _ACTIVE_WALK
             else:
                 self.busy_cycles += 1
-                self._step_dense()
+                walk = _FULL_WALK
         elif self._active_flits >= self._busy_enter:
             self._busy_walk = True
             self.busy_cycles += 1
-            self._step_dense()
+            walk = _FULL_WALK
         else:
-            self._step_active()
+            walk = _ACTIVE_WALK
+        prof = self._profiler
+        if prof is None:
+            for part in walk:
+                part(self)
+        else:
+            for name, part in zip(("latch", "routers", "links"), walk):
+                t0 = perf_counter()
+                part(self)
+                prof.add_part("network.step", name, perf_counter() - t0)
+        self.cycle += 1
 
-    def _step_dense(self) -> None:
-        """Reference walk: every router, link and channel, every cycle."""
+    # The full walk (the dense reference): every router, link and channel.
+    def _latch_all(self) -> None:
+        latch_inputs(self.routers)
+
+    def _step_all(self) -> None:
         cycle = self.cycle
-        routers = self.routers
-        for router in routers:
-            router.latch(cycle)
-        for router in routers:
+        for router in self.routers:
             router.step(cycle)
-        for link in self.links:
-            link.step()
-        for chan in self.credit_channels:
-            chan.step()
-        self.cycle = cycle + 1
+
+    def _shift_all(self) -> None:
+        scratch: list = []
+        shift_links(self.links, scratch, scratch)
+        shift_channels(self.credit_channels, scratch, scratch)
+
+    # The activity-scheduled walk: only components with work.
+    def _latch_active(self) -> None:
+        """Only routers with an occupied incident link head or a pending
+        credit channel have anything to latch; for the rest the latch is a
+        provable no-op (``incoming`` is already clear, every channel
+        collect returns zero), so it is skipped.  Latches touch disjoint
+        per-router state, making their order irrelevant."""
+        latch_pending = self._latch_pending
+        if latch_pending:
+            latch_inputs(map(self.routers.__getitem__, latch_pending))
+            latch_pending.clear()
 
     def _step_active(self) -> None:
-        """Activity-scheduled walk: only components with work.
+        """Step the active routers.
 
         Bit-exactness with the dense walk rests on three invariants:
 
@@ -287,18 +331,7 @@ class Network:
         if self._pending_wakes:
             active |= self._pending_wakes
             self._pending_wakes.clear()
-
         order = sorted(active)
-        # Only routers with an occupied incident link head or a pending
-        # credit channel have anything to latch; for the rest ``latch`` is a
-        # provable no-op (``incoming`` is already clear, every channel
-        # collect returns zero), so it is skipped.  Latches touch disjoint
-        # per-router state, making their order irrelevant.
-        latch_pending = self._latch_pending
-        if latch_pending:
-            for node in latch_pending:
-                routers[node].latch(cycle)
-            latch_pending.clear()
 
         # Common case: no mid-step wakes — a plain index walk over the
         # sorted worklist.  A wake for a node the walk has not reached yet
@@ -345,51 +378,32 @@ class Network:
         if self._pending_wakes:
             new_active |= self._pending_wakes
             self._pending_wakes.clear()
+        self._active_routers = new_active
 
-        # Link/channel steps touch no shared state, so set iteration order
-        # is irrelevant (and a per-cycle sort would buy nothing).  An empty
-        # component's shift is a pure no-op: it is dropped without stepping.
-        # The hot loops read the pipeline slots directly (``_count``,
-        # ``_regs``, ``_now``/``_next``) — the Network owns these objects
-        # and the method-call overhead is measurable here.
-        links = self.links
+    def _shift_active(self) -> None:
+        """Shift the active links and channels (they touch no shared state,
+        so set order is irrelevant); an empty one leaves its set.  The
+        router at an occupied link head or above a channel holding credits
+        latches next cycle."""
+        woken: List[int] = []
+        drained: List[int] = []
         active_links = self._active_links
         if active_links:
-            drained = []
-            for idx in active_links:
-                link = links[idx]
-                if not link._count:
-                    drained.append(idx)
-                    continue
-                link.step()
-                if link._regs[-1] is not None:
-                    # Occupied head: the destination latches it next cycle.
-                    dst = link.dst
-                    new_active.add(dst)
-                    latch_pending.add(dst)
+            shift_links(map(self.links.__getitem__, active_links), woken, drained)
             if drained:
                 active_links.difference_update(drained)
-
-        channels = self.credit_channels
+                drained.clear()
         active_channels = self._active_channels
         if active_channels:
-            drained = []
-            for idx in active_channels:
-                chan = channels[idx]
-                if not (chan._now or chan._next):
-                    drained.append(idx)
-                    continue
-                chan.step()
-                if chan._now:
-                    # Visible credits: the upstream collects at latch.
-                    up = chan.upstream
-                    new_active.add(up)
-                    latch_pending.add(up)
+            shift_channels(
+                map(self.credit_channels.__getitem__, active_channels), woken, drained
+            )
             if drained:
                 active_channels.difference_update(drained)
-
-        self._active_routers = new_active
-        self.cycle = cycle + 1
+        if woken:
+            latch_pending = self._latch_pending
+            latch_pending.update(woken)
+            self._active_routers |= latch_pending
 
     def wake_router(self, node: int) -> None:
         """Mark ``node`` as having work (new injection, queued retransmit).
@@ -547,3 +561,8 @@ class Network:
                 f"flit conservation violated: injected="
                 f"{self.stats.total_injected_flits} accounted={accounted}"
             )
+
+
+#: Each walk's (latch, routers, links) parts, in the order :meth:`Network.step` runs them.
+_FULL_WALK = (Network._latch_all, Network._step_all, Network._shift_all)
+_ACTIVE_WALK = (Network._latch_active, Network._step_active, Network._shift_active)

@@ -147,7 +147,7 @@ class StatsCollector:
         # Throughput is a property of the network, not of the measured
         # cohort: count every ejection that lands inside the window (at
         # high load the window drains backlog injected before it).
-        if self.in_window(cycle):
+        if self.measure_start <= cycle < self.measure_end:  # in_window, inlined
             self.ejected_in_window += 1
         if flit.measured:
             self.ejected_flits += 1

@@ -366,9 +366,9 @@ class VectorNetwork:
 
     def _process_ejections(self, slots: np.ndarray, nodes: np.ndarray, cycle: int) -> None:
         """Eject ``slots`` (pre-sorted in the object walk's order: node
-        ascending, oldest-first within a node).  Mirrors
-        ``BaseRouter.send(LOCAL)`` + ``Network.eject`` exactly; the caller
-        has already applied the design's pre-ejection charges."""
+        ascending, oldest-first within a node).  Mirrors the LOCAL branch
+        of ``BaseRouter.traverse`` + ``Network.eject`` exactly; the caller
+        has already applied the crossbar and other pre-ejection charges."""
         n = len(slots)
         if not n:
             return

@@ -152,6 +152,7 @@ class FlitStore:
         f.ready_cycle = int(self.ready_cycle[slot])
         f.reply_tag = self.reply_tag[slot]
         f.energy_pj = float(self.energy_pj[slot])
+        f.age = (f.injected_cycle, f.packet_id, f.flit_index, f.fid)
         return f
 
     def intern(self, data: dict) -> int:

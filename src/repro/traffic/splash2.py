@@ -334,7 +334,7 @@ def generate_app_trace(
     network and records every packet injection.  Returns a list of
     :class:`~repro.traffic.trace.TraceEvent`.
     """
-    from .trace import TraceEvent
+    from .trace import EVENT_ORDER, TraceEvent
 
     profile = SPLASH2_PROFILES.get(app)
     if profile is None:
@@ -387,5 +387,5 @@ def generate_app_trace(
         if remaining[core] > 0:
             seq_local = seq = seq + 1
             heapq.heappush(heap, (t + think(), seq_local, core))
-    events.sort()
+    events.sort(key=EVENT_ORDER)
     return events

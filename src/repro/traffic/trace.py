@@ -14,6 +14,7 @@ A tiny text format is supported for interchange::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, List, Union
 
@@ -39,6 +40,11 @@ class TraceEvent:
             raise ValueError("trace event needs >= 1 flit")
 
 
+#: Sort key giving the dataclass order (cycle, src, dst, num_flits) without
+#: the generated ``__lt__``, which builds two tuples per comparison.
+EVENT_ORDER = attrgetter("cycle", "src", "dst", "num_flits")
+
+
 class TraceWorkload(Workload):
     """Open-loop replay of a trace; ``done`` when all events are injected
     (the simulator additionally waits for the network to drain)."""
@@ -46,7 +52,7 @@ class TraceWorkload(Workload):
     is_trace = True
 
     def __init__(self, events: Iterable[TraceEvent]) -> None:
-        self.events: List[TraceEvent] = sorted(events)
+        self.events: List[TraceEvent] = sorted(events, key=EVENT_ORDER)
         self._idx = 0
 
     def tick(self, cycle: int, network: Network) -> None:
@@ -87,7 +93,7 @@ def write_trace(events: Iterable[TraceEvent], path: Union[str, Path]) -> None:
     path = Path(path)
     with path.open("w") as fh:
         fh.write("# cycle src dst num_flits\n")
-        for ev in sorted(events):
+        for ev in sorted(events, key=EVENT_ORDER):
             fh.write(f"{ev.cycle} {ev.src} {ev.dst} {ev.num_flits}\n")
 
 

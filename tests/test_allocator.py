@@ -1,11 +1,14 @@
-"""Unit and property tests for the separable dual allocator (Section II.B.1-2)."""
+"""Unit and property tests for the separable dual allocator (Section II.B.1-2).
+
+Requests are ``(input_index, lane, flit, wants)`` tuples and grants
+``(request, output)`` tuples.
+"""
 
 from hypothesis import given, strategies as st
 
 from repro.core.allocator import (
     BUFFERED,
     BUFFERLESS,
-    Request,
     SeparableDualAllocator,
     requires_swap,
 )
@@ -18,7 +21,7 @@ def _flit(fid):
 
 
 def _req(inp, lane, fid, wants):
-    return Request(inp, lane, _flit(fid), tuple(Port(w) for w in wants))
+    return (inp, lane, _flit(fid), tuple(Port(w) for w in wants))
 
 
 class TestRequiresSwap:
@@ -43,7 +46,7 @@ class TestAllocatorBasics:
     def test_single_request_granted(self):
         grants, _ = SeparableDualAllocator().allocate([_req(0, BUFFERLESS, 1, [2])])
         assert len(grants) == 1
-        assert int(grants[0].output) == 2
+        assert int(grants[0][1]) == 2
 
     def test_dual_lane_same_input_both_granted(self):
         """The whole point of the dual-input crossbar: I0 and I0' traverse
@@ -54,7 +57,7 @@ class TestAllocatorBasics:
         ]
         grants, swaps = SeparableDualAllocator().allocate(reqs)
         assert len(grants) == 2
-        assert {int(g.output) for g in grants} == {2, 3}
+        assert {int(out) for _req, out in grants} == {2, 3}
         assert swaps == 0
 
     def test_conflict_free_swap_counted(self):
@@ -83,7 +86,8 @@ class TestAllocatorBasics:
         ]
         grants, _ = SeparableDualAllocator().allocate(reqs)
         assert len(grants) == 1
-        assert grants[0].request.lane == BUFFERLESS
+        (_i, lane, _f, _w), _out = grants[0]
+        assert lane == BUFFERLESS
 
     def test_waiters_first_flips_lane_priority(self):
         reqs = [
@@ -92,7 +96,8 @@ class TestAllocatorBasics:
         ]
         grants, _ = SeparableDualAllocator().allocate(reqs, waiters_first=True)
         assert len(grants) == 1
-        assert grants[0].request.lane == BUFFERED
+        (_i, lane, _f, _w), _out = grants[0]
+        assert lane == BUFFERED
 
     def test_round_robin_rotates_between_inputs(self):
         alloc = SeparableDualAllocator()
@@ -103,7 +108,7 @@ class TestAllocatorBasics:
                 _req(1, BUFFERLESS, 2, [2]),
             ]
             grants, _ = alloc.allocate(reqs)
-            winners.append(grants[0].request.input_index)
+            winners.append(grants[0][0][0])
         assert set(winners) == {0, 1}
 
     def test_swaps_total_accumulates(self):
@@ -134,25 +139,25 @@ class TestAllocatorInvariants:
     @given(request_sets(), st.booleans())
     def test_matching_is_conflict_free(self, reqs, flip):
         grants, _ = SeparableDualAllocator().allocate(reqs, waiters_first=flip)
-        outputs = [int(g.output) for g in grants]
+        outputs = [int(out) for _req, out in grants]
         assert len(outputs) == len(set(outputs)), "output granted twice"
-        lanes = [(g.request.input_index, g.request.lane) for g in grants]
+        lanes = [(i, lane) for (i, lane, _f, _w), _out in grants]
         assert len(lanes) == len(set(lanes)), "lane granted twice"
-        flits = [id(g.request.flit) for g in grants]
+        flits = [id(flit) for (_i, _lane, flit, _w), _out in grants]
         assert len(flits) == len(set(flits)), "flit granted twice"
 
     @given(request_sets(), st.booleans())
     def test_grants_respect_wants(self, reqs, flip):
         grants, _ = SeparableDualAllocator().allocate(reqs, waiters_first=flip)
-        for g in grants:
-            assert g.output in g.request.wants
+        for (_i, _lane, _f, wants), out in grants:
+            assert out in wants
 
     @given(request_sets())
     def test_at_most_two_grants_per_input(self, reqs):
         grants, _ = SeparableDualAllocator().allocate(reqs)
         per_input = {}
-        for g in grants:
-            per_input[g.request.input_index] = per_input.get(g.request.input_index, 0) + 1
+        for (i, _lane, _f, _w), _out in grants:
+            per_input[i] = per_input.get(i, 0) + 1
         assert all(v <= 2 for v in per_input.values())
 
     @given(request_sets())
@@ -204,12 +209,12 @@ class _OracleAllocator:
         # ---- stage 1: per-output P:1 arbitration over OR-ed requests ----
         by_input = {}
         for req in requests:
-            by_input.setdefault(req.input_index, []).append(req)
+            by_input.setdefault(req[0], []).append(req)
 
         output_requests = {o: set() for o in range(self.num_ports)}
-        for req in requests:
-            for port in req.wants:
-                output_requests[int(port)].add(req.input_index)
+        for i, _lane, _flit, wants in requests:
+            for port in wants:
+                output_requests[int(port)].add(i)
 
         granted_outputs = {i: [] for i in by_input}
         for o in range(self.num_ports):
@@ -224,13 +229,13 @@ class _OracleAllocator:
         for i, outs in granted_outputs.items():
             if not outs:
                 continue
-            lanes = {r.lane: r for r in by_input[i]}
+            lanes = {r[1]: r for r in by_input[i]}
             ordered = [lane for lane in (first_lane, self._other(first_lane)) if lane in lanes]
             available = set(outs)
             chosen = {}
             for lane in ordered:
                 req = lanes[lane]
-                pick = self._first_match(req.wants, available)
+                pick = self._first_match(req[3], available)
                 if pick is not None:
                     available.discard(int(pick))
                     chosen[lane] = pick
@@ -287,10 +292,10 @@ class TestAllocatorMatchesOracle:
         for reqs, flip in rounds:
             grants, swaps = alloc.allocate(reqs, waiters_first=flip)
             want_grants, want_swaps = oracle.allocate(reqs, waiters_first=flip)
-            assert [(g.request, g.output) for g in grants] == want_grants
+            assert grants == want_grants
             assert all(
-                g.request is req for g, (req, _) in zip(grants, want_grants)
+                req is want for (req, _), (want, _) in zip(grants, want_grants)
             )
-            assert all(isinstance(g.output, Port) for g in grants)
+            assert all(isinstance(out, Port) for _req, out in grants)
             assert swaps == want_swaps
             assert alloc.state_dict() == oracle.state_dict()

@@ -19,7 +19,7 @@ import pytest
 
 from repro.audit import AuditConfig, Auditor, AuditViolation, _as_audit_config
 from repro.checkpoint import CheckpointPolicy, list_checkpoints
-from repro.core.allocator import BUFFERED, BUFFERLESS, Grant, Request
+from repro.core.allocator import BUFFERED, BUFFERLESS
 from repro.core.dxbar import DXbarRouter
 from repro.registry import DESIGNS, register_design
 from repro.routers.scarab import ScarabRouter
@@ -324,8 +324,8 @@ class TestChecksUnit:
         f1 = Flit(0, 0, 0, 5, injected_cycle=0)
         f2 = Flit(1, 1, 1, 5, injected_cycle=0)
         grants = [
-            Grant(Request(0, BUFFERLESS, f1, (Port.EAST,)), Port.EAST),
-            Grant(Request(2, BUFFERED, f2, (Port.EAST,)), Port.EAST),
+            ((0, BUFFERLESS, f1, (Port.EAST,)), Port.EAST),
+            ((2, BUFFERED, f2, (Port.EAST,)), Port.EAST),
         ]
         with pytest.raises(AuditViolation) as ei:
             auditor.observe_grants(3, 7, grants)
@@ -340,8 +340,8 @@ class TestChecksUnit:
         f1 = Flit(0, 0, 0, 5, injected_cycle=0)
         f2 = Flit(1, 1, 0, 5, injected_cycle=0)
         grants = [
-            Grant(Request(0, BUFFERLESS, f1, (Port.EAST,)), Port.EAST),
-            Grant(Request(0, BUFFERED, f2, (Port.EAST,)), Port.EAST),
+            ((0, BUFFERLESS, f1, (Port.EAST,)), Port.EAST),
+            ((0, BUFFERED, f2, (Port.EAST,)), Port.EAST),
         ]
         with pytest.raises(AuditViolation) as ei:
             auditor.observe_grants(4, 9, grants)

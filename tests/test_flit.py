@@ -57,3 +57,31 @@ class TestMakePacket:
     def test_shared_packet_id(self):
         flits = make_packet(0, 42, src=0, dst=1, cycle=0, num_flits=2, measured=True)
         assert {f.packet_id for f in flits} == {42}
+
+
+class TestAgeKey:
+    """``Flit.age`` is the age key, built once and never serialised."""
+
+    @staticmethod
+    def _key(f):
+        return (f.injected_cycle, f.packet_id, f.flit_index, f.fid)
+
+    def test_set_at_init(self):
+        f = Flit(7, 3, src=0, dst=1, injected_cycle=12, flit_index=1, num_flits=2)
+        assert f.age == self._key(f) == (12, 3, 1, 7)
+        assert age_key(f) is f.age
+
+    def test_not_serialised_and_rebuilt_by_from_dict(self):
+        f = Flit(7, 3, src=0, dst=1, injected_cycle=12, flit_index=1, num_flits=2)
+        d = f.to_dict()
+        assert "age" not in d
+        g = Flit.from_dict(d)
+        assert g.age == self._key(g) == f.age
+
+    def test_set_by_vector_materialize(self):
+        from repro.sim.vector.store import FlitStore
+
+        f = Flit(9, 4, src=2, dst=5, injected_cycle=30, flit_index=2, num_flits=3)
+        store = FlitStore()
+        g = store.materialize(store.intern(f.to_dict()))
+        assert g.age == self._key(g) == f.age

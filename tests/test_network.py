@@ -92,3 +92,86 @@ class TestConservation:
 
     def test_quiescent_initially(self):
         assert _network().quiescent()
+
+
+class TestHopPath:
+    """The network's latch/shift loops and ``BaseRouter.traverse`` keep the
+    link protocol checks that ``BaseRouter.latch``/``Link.step``/
+    ``Link.push`` made."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_unlatched_link_head_strands_in_both_walks(self, dense):
+        bench = make_bench("flit_bless", k=3)
+        bench.network.dense_step = dense
+        bench.router(4).latch_ports = ()  # node 4 never takes its arrivals
+        bench.inject(3, 4)
+        with pytest.raises(RuntimeError, match="stranded on link 3->4"):
+            bench.step(20)
+
+    def test_traverse_onto_a_staged_link_is_double_driven(self):
+        from repro.sim.flit import Flit
+
+        bench = make_bench("flit_bless", k=3)
+        router = bench.router(4)
+        port = next(iter(router.out_links))
+        router.traverse(Flit(0, 0, src=4, dst=0, injected_cycle=0), port, 0)
+        with pytest.raises(RuntimeError, match="double-driven"):
+            router.traverse(Flit(1, 1, src=4, dst=0, injected_cycle=0), port, 0)
+
+    def test_enqueue_packet_matches_enqueue_flit_per_flit(self):
+        from repro.sim.flit import make_packet
+
+        a, b = make_bench("dxbar_dor", k=3), make_bench("dxbar_dor", k=3)
+        flits_a = make_packet(0, 0, src=4, dst=0, cycle=0, num_flits=3, measured=True)
+        flits_b = make_packet(0, 0, src=4, dst=0, cycle=0, num_flits=3, measured=True)
+        a.router(4).enqueue_packet(flits_a)
+        for flit in flits_b:
+            b.router(4).enqueue_flit(flit)
+        assert list(a.router(4).inj_queue) == flits_a
+        assert a.router(4).counters.snapshot() == b.router(4).counters.snapshot()
+        assert a.stats.state_dict() == b.stats.state_dict()
+        assert a.network._pending_wakes == b.network._pending_wakes == {4}
+
+
+class TestEjectHook:
+    """``on_eject`` is bound when the workload is set, and only when the
+    workload's class overrides ``Workload.on_eject``."""
+
+    def test_only_overriding_workloads_are_called(self, monkeypatch):
+        from repro.traffic.generator import Workload
+
+        def base_hook(self, flit, cycle, network):
+            raise AssertionError("the base class's no-op on_eject was called")
+
+        monkeypatch.setattr(Workload, "on_eject", base_hook)
+
+        class Plain(Workload):
+            def tick(self, cycle, network):
+                pass
+
+        class Hooked(Plain):
+            def __init__(self):
+                self.seen = []
+
+            def on_eject(self, flit, cycle, network):
+                self.seen.append(flit.fid)
+
+        net = make_bench("flit_bless", k=3).network
+
+        def deliver():
+            fid = net._next_flit_id
+            net.inject_packet(0, 8, net.cycle, num_flits=1)
+            while not net.quiescent():
+                net.step()
+            return fid
+
+        net.workload = Plain()
+        deliver()
+        hooked = Hooked()
+        net.workload = hooked
+        assert hooked.seen == [deliver()]
+        net.workload = Plain()
+        deliver()
+        net.workload = None
+        deliver()
+        assert len(hooked.seen) == 1

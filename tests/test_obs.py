@@ -351,6 +351,19 @@ class TestProfiler:
         assert sum(d["share"] for d in prof.values()) == pytest.approx(1.0)
         assert all(d["seconds"] >= 0 for d in prof.values())
 
+    def test_network_step_parts(self):
+        """The object walk splits ``network.step`` into its three parts,
+        timed once per cycle, without adding top-level phases."""
+        cfg = tiny_config(telemetry=TelemetryConfig(profile=True))
+        result = Simulator(cfg).run()
+        prof = result.extra["profile"]
+        parts = prof["network.step"]["parts"]
+        assert set(parts) == {"latch", "routers", "links"}
+        assert all(p["calls"] == result.final_cycle for p in parts.values())
+        assert sum(p["seconds"] for p in parts.values()) <= prof["network.step"]["seconds"]
+        assert sum(p["share"] for p in parts.values()) == pytest.approx(1.0)
+        assert all("parts" not in prof[phase] for phase in ("workload.tick", "stats.finalize"))
+
     def test_no_profile_key_when_disabled(self):
         result = run_simulation(tiny_config())
         assert "profile" not in result.extra

@@ -7,6 +7,8 @@ unobstructed flit travels one hop every 2 cycles and ejects at
 ``2 * hops`` when injected at cycle 0.
 """
 
+import pytest
+
 from tests.conftest import make_bench, run_digest
 
 from repro.core.faults import PRIMARY, SECONDARY, RouterFault
@@ -158,6 +160,24 @@ class TestOverflowDeflection:
             for r in b.network.routers:
                 for fifo in r.fifos.values():
                     assert len(fifo) <= 2
+
+    def test_buffer_helper_keeps_the_fifo_overflow_check(self):
+        """``_buffer`` (every loser's way into a FIFO) raises on a full
+        FIFO like ``FlitFIFO.push``; only the undetected-fault latch hold
+        (``overfill``) may go past the depth."""
+        from repro.sim.flit import Flit
+
+        b = make_bench("dxbar_dor", buffer_depth=2)
+        router = b.router(5)
+        port = next(iter(router.fifos))
+        flits = [Flit(i, i, src=0, dst=15, injected_cycle=0) for i in range(4)]
+        router._buffer(flits[0], port, 0)
+        router._buffer(flits[1], port, 0, lost=True)
+        with pytest.raises(RuntimeError, match="FIFO overflow"):
+            router._buffer(flits[2], port, 0)
+        router._buffer(flits[3], port, 0, overfill=True)
+        assert list(router.fifos[port]) == [flits[0], flits[1], flits[3]]
+        assert [f.buffered_events for f in flits] == [1, 1, 0, 1]
 
 
 class TestWestFirstAdaptivity:

@@ -4,7 +4,13 @@ import pytest
 
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
-from repro.traffic.trace import TraceEvent, TraceWorkload, read_trace, write_trace
+from repro.traffic.trace import (
+    EVENT_ORDER,
+    TraceEvent,
+    TraceWorkload,
+    read_trace,
+    write_trace,
+)
 
 
 class TestTraceEvent:
@@ -18,6 +24,26 @@ class TestTraceEvent:
 
     def test_ordering_by_cycle(self):
         assert TraceEvent(1, 0, 1) < TraceEvent(2, 0, 1)
+
+    def test_sort_key_gives_the_dataclass_order(self):
+        """Replays sort by ``EVENT_ORDER``, not the generated ``__lt__``:
+        the order must be the same, ties on cycle and src included."""
+        import random
+
+        events = [
+            TraceEvent(c, s, d, n)
+            for c in (0, 3) for s in (0, 1) for d in (2, 5) for n in (1, 4)
+        ]
+        random.Random(1).shuffle(events)
+        assert TraceWorkload(events).events == sorted(events)
+        assert sorted(events, key=EVENT_ORDER) == sorted(events)
+
+    def test_generated_splash2_trace_is_sorted(self):
+        from repro.sim.topology import Mesh
+        from repro.traffic.splash2 import generate_app_trace
+
+        trace = generate_app_trace("FFT", Mesh(4), txns_per_core=3, seed=5)
+        assert trace == sorted(trace)
 
 
 class TestTraceIO:
