@@ -2,8 +2,9 @@
 """Simulator-throughput benchmark: activity-scheduled vs dense stepping,
 plus the vectorized (SoA) backend where a design has one.
 
-Measures wall-clock cycles/sec of the same configuration under the two
-bit-exact network walks (``Network.dense_step``) across a design x load
+Measures wall-clock cycles/sec of the same configuration under the
+bit-exact network walks (chosen by the busy-switch thresholds
+``BUSY_*_PER_ROUTER`` in ``repro.sim.network``) across a design x load
 matrix — and, for designs with a vectorized kernel
 (``backend="vector"``), a third bit-exact implementation — and writes a
 machine-readable ``BENCH_sim_perf.json``.  Rows without a vector kernel
@@ -18,7 +19,7 @@ The "active" columns time the default walk: activity-scheduled while
 the mesh is sparse, the node-ordered full walk while it is busy (the
 ``BUSY_*_PER_ROUTER`` switch in ``repro.sim.network``); the "sparse"
 columns time the activity-scheduled walk alone (switch disabled), the
-"dense" columns the full walk on every cycle (``Network.dense_step``).
+"dense" columns the full walk on every cycle (both thresholds 0).
 ``switch_speedup`` is active over sparse and ``busy_share`` the share of
 cycles the default walk spent in the full walk, so each row shows what
 the switch costs or saves.  A row the switch never engages on
@@ -154,12 +155,17 @@ def run_once(cfg: SimConfig, walk: str, workload_spec=None) -> tuple:
     ``"sparse"``: the default walk with the busy switch disabled;
     ``"dense"``: the full walk on every cycle); returns (cycles/sec,
     final_cycle, busy_cycles)."""
-    enter = math.inf if walk == "sparse" else network_mod.BUSY_ENTER_PER_ROUTER
-    with mock.patch.object(network_mod, "BUSY_ENTER_PER_ROUTER", enter):
+    enter = network_mod.BUSY_ENTER_PER_ROUTER
+    exit_ = network_mod.BUSY_EXIT_PER_ROUTER
+    if walk == "sparse":
+        enter = math.inf
+    elif walk == "dense":
+        enter = exit_ = 0.0
+    # The thresholds are read at network construction (the vector network
+    # has one walk and ignores them).
+    with mock.patch.object(network_mod, "BUSY_ENTER_PER_ROUTER", enter), \
+            mock.patch.object(network_mod, "BUSY_EXIT_PER_ROUTER", exit_):
         sim = Simulator(cfg, materialize_workload(workload_spec, cfg))
-    # Meaningful for the object walk only; the vector network carries an
-    # inert compatibility attribute.
-    sim.network.dense_step = walk == "dense"
     t0 = time.perf_counter()
     result = sim.run()
     elapsed = time.perf_counter() - t0

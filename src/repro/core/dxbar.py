@@ -382,9 +382,10 @@ class DXbarRouter(BaseRouter):
                 won = True
             else:
                 # Undetected primary fault with a full FIFO: the flit is
-                # forced into the buffer anyway — physically this is the
-                # input latch holding; modelled as a one-slot overfill that
-                # the degraded mode drains after detection.
+                # held in the buffer anyway, and so is every later arrival
+                # until BIST detection — nothing is lost, and the FIFO
+                # grows by at most one flit per cycle of the detection
+                # delay; the degraded mode drains it after detection.
                 self._buffer(flit, in_port, cycle, overfill=True)
         return won
 
@@ -551,16 +552,20 @@ class DXbarRouter(BaseRouter):
                 f"fairness counter at {self.fairness.count} exceeds "
                 f"threshold {self.fairness.threshold} without flipping",
             )
-        # FIFO overfill is legal only as the undetected-non-crosspoint-fault
-        # input-latch hold (drained by the degraded mode after detection).
-        overfill_ok = self._fault is not None and not self._fault.is_crosspoint
+        # An undetected whole-crossbar fault holds every arrival in its
+        # input FIFO until BIST detection: at most one flit per cycle of the
+        # detection delay beyond the depth (drained by the degraded mode).
+        fault = self._fault
+        window = 0
+        if fault is not None and not fault.is_crosspoint:
+            window = fault.detected_cycle - fault.manifest_cycle
         for port, fifo in self.fifos.items():
-            if len(fifo) > fifo.depth and not overfill_ok:
+            if len(fifo) > fifo.depth + window:
                 yield (
                     "design",
-                    f"secondary FIFO {port.name} holds {len(fifo)} flits "
-                    f"(depth {fifo.depth}) with no fault to excuse the "
-                    "overfill",
+                    f"secondary FIFO {port.name} holds {len(fifo)} flits, over "
+                    f"its depth {fifo.depth} plus the {window}-cycle "
+                    "undetected-fault window",
                 )
 
     def is_idle(self) -> bool:

@@ -58,7 +58,9 @@ class UnifiedRouter(DXbarRouter):
     # ------------------------------------------------------------------
     def _step_normal(self, cycle: int, primary_ok: bool, secondary_ok: bool) -> None:
         # A fault anywhere in the single crossbar freezes traversal until
-        # the BIST detects it (then step() routes us to degraded mode).
+        # the BIST detects it (then step() routes us to degraded mode);
+        # meanwhile every arrival is held in its input FIFO, which grows
+        # by at most one flit per cycle of the detection delay.
         if not (primary_ok and secondary_ok):
             for in_port, flit in self.incoming:
                 self._buffer(flit, in_port, cycle, overfill=True)

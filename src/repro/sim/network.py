@@ -69,14 +69,13 @@ class Network:
         # None on fault-free runs; _apply_faults installs the plan.
         self.fault_plan: Optional[FaultPlan] = None
 
-        # Activity scheduling (see docs/architecture.md).  ``dense_step``
-        # is a plain attribute rather than a SimConfig field on purpose:
-        # both walks are bit-exact, so the toggle must not perturb
-        # config_hash (result-cache and checkpoint identity).
-        self.dense_step = False
-        # The busy switch: True while the default walk runs the full walk
-        # because the mesh is busy (see BUSY_ENTER_PER_ROUTER).  Read at
-        # construction, so tests can move the thresholds per network.
+        # Activity scheduling (see docs/architecture.md).  The busy switch:
+        # True while step() takes the full walk because the mesh is busy
+        # (see BUSY_ENTER_PER_ROUTER).  The thresholds are read here, and
+        # every walk is a pair of them: (0, 0) the dense reference, (inf,
+        # inf) the active walk alone.  They are not SimConfig fields:
+        # walks are bit-exact, so the choice must not perturb config_hash
+        # (result-cache and checkpoint identity).
         self._busy_walk = False
         # Cycles the busy switch ran the full walk (a diagnostic for
         # benchmarks/bench_perf.py; derived, never serialised).
@@ -240,15 +239,15 @@ class Network:
     def step(self) -> None:
         """Advance the whole network by one clock cycle.
 
-        Dispatches to the dense reference walk (``dense_step = True``)
-        or the default walk, which is activity-scheduled while the mesh
-        is sparse and switches to the same full walk once at least
-        ``BUSY_ENTER_PER_ROUTER`` flits per router are in flight, until
-        they fall below ``BUSY_EXIT_PER_ROUTER``.  All of these are
-        bit-exact (enforced by tests/test_active_scheduling.py).  The full
-        walk does not maintain the active sets, so every hand-back to the
-        active walk goes through :meth:`_rebuild_active_sets` — call it
-        too when flipping ``dense_step`` back to False mid-run.
+        The walk is activity-scheduled while the mesh is sparse and
+        switches to the full walk (every router, link and channel) once at
+        least ``BUSY_ENTER_PER_ROUTER`` flits per router are in flight,
+        until they fall below ``BUSY_EXIT_PER_ROUTER``.  Thresholds of
+        (0, 0) give the dense reference walk, the full walk on every
+        cycle; (inf, inf) the active walk alone.  Every threshold pair is
+        bit-exact (enforced by tests/test_equivalence.py).  The full walk
+        does not maintain the active sets, so every hand-back to the
+        active walk goes through :meth:`_rebuild_active_sets`.
 
         Either walk is three parts, in order: latch (phase 1 of every
         router that has inputs or credits to take), routers (phase 2,
@@ -256,9 +255,7 @@ class Network:
         channel).  A profiled run times each part into the profiler's
         ``network.step`` parts.
         """
-        if self.dense_step:
-            walk = _FULL_WALK
-        elif self._busy_walk:
+        if self._busy_walk:
             if self._active_flits < self._busy_exit:
                 self._rebuild_active_sets()
                 walk = _ACTIVE_WALK
@@ -455,8 +452,8 @@ class Network:
         active = set()
         for r in self.routers:
             # ``incoming`` is transient within a cycle and semantically dead
-            # at every rebuild point (construction, checkpoint load, walk
-            # toggle); clearing it here makes the skip-latch rule safe even
+            # at every rebuild point (construction, checkpoint load,
+            # hand-back); clearing it here makes the skip-latch rule safe even
             # when the previous walk left stale arrivals behind.
             r.incoming.clear()
             if not r.is_idle():

@@ -167,10 +167,6 @@ class VectorNetwork:
         self._next_packet_id = 0
         self._next_flit_id = 0
         self.fault_plan = None  # vector designs support no fault plans
-        # Inert compatibility knob: the object Network dispatches between
-        # its dense and activity-scheduled walks on this; the vector
-        # kernels have a single walk.
-        self.dense_step = False
 
         # Object-surface views (auditor, interval metrics, checkpoints).
         self.routers = [VectorRouterView(self, node) for node in range(n_nodes)]

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from contextlib import contextmanager
 
 import pytest
 
+import repro.sim.network as network_mod
 from repro.sim.config import SimConfig
 from repro.sim.network import Network
 from repro.sim.stats import StatsCollector
@@ -102,6 +105,24 @@ def run_digest(config: SimConfig):
     report = Simulator(config).run().to_dict()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     return report, digest
+
+
+#: Walks as busy-switch thresholds (enter, exit), in flits per router:
+#: ``dense`` takes the full walk every cycle (the differential reference),
+#: ``sparse`` never leaves the active walk, ``flip`` has no hysteresis and
+#: flips many times per k=4 run at 0.3 load.
+WALKS = {"dense": (0.0, 0.0), "sparse": (math.inf, math.inf), "flip": (2.0, 2.0)}
+
+
+@contextmanager
+def on_walk(walk: str):
+    """Networks built inside the block take ``walk`` (a :data:`WALKS` key,
+    or ``"default"``); the thresholds are read at construction."""
+    with pytest.MonkeyPatch.context() as mp:
+        if walk != "default":
+            mp.setattr(network_mod, "BUSY_ENTER_PER_ROUTER", WALKS[walk][0])
+            mp.setattr(network_mod, "BUSY_EXIT_PER_ROUTER", WALKS[walk][1])
+        yield
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 Three layers:
 
 * **differential** — for every design (open loop, with faults, closed
-  loop) an audited run is bit-exact with an unaudited one and reports
-  zero violations: the auditor is a pure observer;
+  loop) an audited run is bit-exact with the dense walk and reports zero
+  violations: the auditor is a pure observer (cases of the oracle in
+  ``tests/test_equivalence.py``);
 * **test doubles** — designs with deliberately injected bugs (flit
   duplication, silent loss, starvation) registered through the plugin
   registry, which the auditor must catch at the recorded cycle and node;
@@ -18,9 +19,9 @@ import pickle
 import pytest
 
 from repro.audit import AuditConfig, Auditor, AuditViolation, _as_audit_config
-from repro.checkpoint import CheckpointPolicy, list_checkpoints
 from repro.core.allocator import BUFFERED, BUFFERLESS
 from repro.core.dxbar import DXbarRouter
+from repro.core.unified import UnifiedRouter
 from repro.registry import DESIGNS, register_design
 from repro.routers.scarab import ScarabRouter
 from repro.runner.executor import run_specs
@@ -29,46 +30,20 @@ from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.flit import Flit
 from repro.sim.ports import Port
-from repro.sim.topology import Mesh
-from repro.traffic.splash2 import make_splash2_workload
-
-TINY = dict(
-    k=4,
-    warmup_cycles=50,
-    measure_cycles=200,
-    drain_cycles=400,
-    offered_load=0.30,
-    packet_size=2,
-    seed=11,
-)
-
-
-def tiny(**kw):
-    return SimConfig(**{**TINY, **kw})
-
-
-def run_dict(sim):
-    d = sim.run().to_dict()
-    d.get("extra", {}).pop("profile", None)
-    return d
-
+from tests.test_equivalence import Case, assert_paths_agree, splash2
 
 # ----------------------------------------------------------------------
 # the auditor is a pure observer
 # ----------------------------------------------------------------------
 class TestBitExactObserver:
+    """Audited runs are cases of the oracle in ``tests/test_equivalence.py``."""
+
     def test_disabled_auditor_is_absent(self):
-        sim = Simulator(tiny(design="dxbar_dor"))
+        sim = Simulator(Case("dxbar_dor").config())
         assert sim.auditor is None
 
     def test_audited_run_bit_exact(self, any_design):
-        cfg = tiny(design=any_design)
-        base = run_dict(Simulator(cfg))
-        sim = Simulator(cfg, audit=True)
-        assert run_dict(sim) == base
-        assert sim.auditor is not None
-        assert sim.auditor.checks_run > 0
-        assert sim.auditor.violations == 0
+        assert_paths_agree(Case(any_design))
 
     @pytest.mark.parametrize(
         "design", ["dxbar_dor", "dxbar_wf", "unified_dor", "unified_wf"]
@@ -82,46 +57,17 @@ class TestBitExactObserver:
         ids=["crossbar100", "crosspoint50"],
     )
     def test_audited_run_with_faults(self, design, faults):
-        """The degraded/reconfigured modes (including the input-latch FIFO
-        overfill an undetected fault legitimises) audit clean."""
-        cfg = tiny(design=design, faults=faults)
-        base = run_dict(Simulator(cfg))
-        sim = Simulator(cfg, audit=True)
-        assert run_dict(sim) == base
-        assert sim.auditor.violations == 0
+        """The degraded modes and the undetected-fault overfill audit clean."""
+        assert_paths_agree(Case(design, faults=faults))
 
     @pytest.mark.parametrize("design", ["scarab", "dxbar_wf", "unified_dor"])
     def test_audited_closed_loop(self, design):
-        cfg = SimConfig(
-            design=design, k=4, warmup_cycles=0, measure_cycles=1,
-            drain_cycles=0, max_cycles=50_000, seed=7,
-        )
+        assert_paths_agree(Case(design, seed=7, workload=splash2("FFT", 5, 7, closed_loop=True)))
 
-        def wl():
-            return make_splash2_workload("FFT", Mesh(4), txns_per_core=5, seed=7)
-
-        base = Simulator(cfg, workload=wl()).run().to_dict()
-        sim = Simulator(cfg, workload=wl(), audit=True)
-        assert sim.run().to_dict() == base
-        assert sim.auditor.violations == 0
-
-    def test_audit_survives_checkpoint_resume(self, tmp_path):
+    def test_audit_survives_checkpoint_resume(self):
         """The auditor's state is derived: a resume re-baselines the
-        movement history and the remainder of the run audits clean and
-        stays bit-exact."""
-        cfg = tiny(design="unified_wf")
-        base = run_dict(Simulator(cfg))
-        policy = CheckpointPolicy(tmp_path, every=50, keep=0)
-        audited = Simulator(cfg, checkpoint=policy, audit=True)
-        assert run_dict(audited) == base
-        snaps = list_checkpoints(tmp_path)
-        assert snaps
-        mid = snaps[len(snaps) // 2]
-        sim = Simulator.resume_from(mid, audit=True)
-        assert run_dict(sim) == base
-        assert sim.auditor is not None
-        assert sim.auditor.checks_run > 0
-        assert sim.auditor.violations == 0
+        movement history and the remainder of the run audits clean."""
+        assert_paths_agree(Case("unified_wf"))
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +132,19 @@ class StarvingRouter(DXbarRouter):
 
     def _serve_incoming(self, incoming, outputs_used, cycle, primary_ok):
         return super()._serve_incoming(incoming, outputs_used, cycle, False)
+
+
+class LateBistRouter(UnifiedRouter):
+    """Unified router with an injected bug: BIST detection fires one cycle
+    late, so an undetected fault holds one more arrival in its FIFO."""
+
+    def step(self, cycle):
+        fault = self._fault
+        if fault is not None and not self.reconfigured and cycle == fault.detected_cycle:
+            self._current_cycle = cycle
+            self._step_normal(cycle, False, False)
+            return
+        super().step(cycle)
 
 
 @pytest.fixture
@@ -276,6 +235,46 @@ class TestDoubles:
         assert outcome.attempts == 1
         assert "AuditViolation" in outcome.error
         assert "duplication" in outcome.error
+
+
+class TestUndetectedFaultWindow:
+    """Until BIST detection a whole-crossbar fault holds every arrival in
+    its input FIFO; the audit bounds each FIFO at its depth plus the
+    detection delay, one flit per cycle of the window."""
+
+    @staticmethod
+    def _config(design, detection_cycles):
+        # k=8 at 0.5 keeps some input busy through a whole window.
+        faults = FaultConfig(percent=100.0, detection_cycles=detection_cycles,
+                             manifest_window=80)
+        return SimConfig(design=design, k=8, offered_load=0.5, packet_size=2, warmup_cycles=0,
+                         measure_cycles=150, drain_cycles=0, seed=1, faults=faults)
+
+    @pytest.mark.parametrize("design", ["dxbar_dor", "unified_dor"])
+    @pytest.mark.parametrize("detection_cycles", [0, 5])
+    def test_overfill_reaches_the_detection_delay(self, design, detection_cycles):
+        sim = Simulator(self._config(design, detection_cycles), audit=True)
+        net = sim.network
+        worst = 0
+        for _ in range(150):
+            sim.workload.tick(net.cycle, net)
+            net.step()
+            sim.auditor.after_step()
+            for router in net.routers:
+                for fifo in router.fifos.values():
+                    worst = max(worst, len(fifo) - fifo.depth)
+        assert worst == detection_cycles
+        assert sim.auditor.violations == 0
+
+    def test_one_more_held_flit_is_caught(self, double):
+        double("test_late_bist", LateBistRouter, routing="dor")
+        sim = Simulator(self._config("test_late_bist", 5), audit=True)
+        with pytest.raises(AuditViolation) as ei:
+            sim.run()
+        v = ei.value
+        assert v.check == "design"
+        assert "holds 10 flits, over its depth 4 plus the 5-cycle" in v.message
+        assert v.cycle == sim.network.fault_plan.fault_for(v.node).detected_cycle
 
 
 # ----------------------------------------------------------------------
@@ -466,8 +465,8 @@ class TestConfigPlumbing:
         """The audit flag crosses the process boundary (as a dict) and the
         workers' results still match the serial, unaudited ones."""
         specs = [
-            RunSpec(tiny(design="dxbar_dor")),
-            RunSpec(tiny(design="unified_wf")),
+            RunSpec(Case("dxbar_dor").config()),
+            RunSpec(Case("unified_wf").config()),
         ]
         base = [o.result.to_dict() for o in run_specs(specs)]
         audited = run_specs(

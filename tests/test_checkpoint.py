@@ -1,7 +1,8 @@
 """Checkpoint/restore: on-disk format, and the bit-exact resume guarantee
 (interrupt a run at cycle k, restore, finish — identical SimResult) for
 every registered design, both routing functions, faulty networks and
-closed-loop workloads."""
+closed-loop workloads.  Single resumes run through the one oracle in
+``tests/test_equivalence.py``, which checkpoints every case."""
 
 import json
 
@@ -22,8 +23,7 @@ from repro.checkpoint import (
 from repro.registry import design_names
 from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
-from repro.sim.topology import Mesh
-from repro.traffic.splash2 import make_splash2_workload
+from tests.test_equivalence import Case, assert_paths_agree, splash2
 
 TINY = dict(
     k=4,
@@ -39,16 +39,10 @@ def tiny(**kw):
     return SimConfig(**{**TINY, **kw})
 
 
-def base_run(config):
-    return Simulator(config).run().to_dict()
-
-
-def checkpointed_run(config, root, every=10):
-    """Run with periodic checkpointing on; returns (result dict, snapshots
-    indexed by cycle)."""
+def resume_points(config, root, every):
+    """The result dict of a run snapshotting every ``every`` cycles, and the snapshots."""
     policy = CheckpointPolicy(root, every=every, keep=0)
-    result = Simulator(config, checkpoint=policy).run().to_dict()
-    return result, {cycle_of(p): p for p in list_checkpoints(root)}
+    return Simulator(config, checkpoint=policy).run().to_dict(), list_checkpoints(root)
 
 
 # ----------------------------------------------------------------------
@@ -56,82 +50,37 @@ def checkpointed_run(config, root, every=10):
 # ----------------------------------------------------------------------
 class TestBitExactResume:
     @pytest.mark.parametrize("design", design_names())
-    def test_resume_matches_uninterrupted(self, design, tmp_path):
-        """For every registered design: checkpointing never perturbs the
-        run, and resuming mid-warmup or mid-measurement reproduces the
-        uninterrupted result bit for bit."""
-        cfg = tiny(design=design)
-        base = base_run(cfg)
-        with_ckpt, snaps = checkpointed_run(cfg, tmp_path)
-        assert with_ckpt == base
-        # warmup ends at 60 and measurement at 260, so cycle 40 is
-        # mid-warmup and 150 is mid-measurement.
-        for cycle in (40, 150):
-            resumed = Simulator.resume_from(snaps[cycle]).run().to_dict()
-            assert resumed == base, f"resume at cycle {cycle} diverged"
+    def test_resume_matches_uninterrupted(self, design):
+        """Checkpointing never perturbs a run; a mid-run resume matches it."""
+        assert_paths_agree(Case(design))
 
     def test_resume_from_every_checkpoint(self, tmp_path):
         """Every snapshot of one run is a valid resume point (unified_wf
         exercises the buffered/bufferless hybrid and west-first routing)."""
-        cfg = tiny(design="unified_wf")
-        base = base_run(cfg)
-        _, snaps = checkpointed_run(cfg, tmp_path, every=20)
+        base, snaps = resume_points(tiny(design="unified_wf"), tmp_path, every=20)
         assert len(snaps) >= 5
-        for cycle, path in sorted(snaps.items()):
+        for path in snaps:
             assert Simulator.resume_from(path).run().to_dict() == base
 
     @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
-    def test_resume_with_faults(self, granularity, tmp_path):
-        """Fault detection/reconfiguration state survives a resume: the
-        plan is rebuilt deterministically and the per-router latches are
-        restored."""
-        cfg = tiny(
-            design="dxbar_dor",
-            faults=FaultConfig(percent=50.0, granularity=granularity),
-        )
-        base = base_run(cfg)
-        _, snaps = checkpointed_run(cfg, tmp_path, every=20)
-        for cycle, path in sorted(snaps.items())[:6]:
-            assert Simulator.resume_from(path).run().to_dict() == base
+    def test_resume_with_faults(self, granularity):
+        """The fault plan is rebuilt and the detection latches restored."""
+        faults = FaultConfig(percent=50.0, granularity=granularity)
+        assert_paths_agree(Case("dxbar_dor", faults=faults))
 
-    def test_resume_closed_loop(self, tmp_path):
-        """Closed-loop (SPLASH-2 request/response) runs resume bit-exactly
-        too: the workload's RNG, outstanding transactions and event heaps
-        are all part of the snapshot."""
-        cfg = SimConfig(
-            design="dxbar_dor",
-            k=4,
-            warmup_cycles=0,
-            measure_cycles=1,
-            drain_cycles=0,
-            max_cycles=20_000,
-            seed=11,
-        )
-
-        def workload():
-            return make_splash2_workload("FFT", Mesh(4), txns_per_core=2, seed=5)
-
-        base = Simulator(cfg, workload=workload()).run().to_dict()
-        policy = CheckpointPolicy(tmp_path, every=50, keep=0)
-        again = Simulator(cfg, workload=workload(), checkpoint=policy).run().to_dict()
-        assert again == base
-        snaps = list_checkpoints(tmp_path)
-        assert snaps
-        mid = snaps[len(snaps) // 2]
-        resumed = Simulator.resume_from(mid, workload=workload()).run().to_dict()
-        assert resumed == base
+    def test_resume_closed_loop(self):
+        """The workload's RNG, transactions and event heaps are snapshotted."""
+        assert_paths_agree(Case("dxbar_dor", workload=splash2("FFT", 2, 5, closed_loop=True)))
 
     def test_resume_is_restartable(self, tmp_path):
         """A resumed run with its own policy writes further checkpoints
         that are themselves valid resume points (crash -> resume -> crash
         -> resume, as a retried worker would)."""
-        cfg = tiny(design="dxbar_wf")
-        base = base_run(cfg)
-        _, snaps = checkpointed_run(cfg, tmp_path, every=30)
-        first = sorted(snaps)[0]
+        base, snaps = resume_points(tiny(design="dxbar_wf"), tmp_path, every=30)
+        first = cycle_of(snaps[0])
         second_root = tmp_path / "second"
         sim = Simulator.resume_from(
-            snaps[first], checkpoint=CheckpointPolicy(second_root, every=30, keep=0)
+            snaps[0], checkpoint=CheckpointPolicy(second_root, every=30, keep=0)
         )
         assert sim.run().to_dict() == base
         later = list_checkpoints(second_root)
@@ -276,7 +225,7 @@ class TestApplyFaultsEdges:
         result = Simulator(cfg).run()
         assert result.accepted_load > 0.0  # graceful degradation, not collapse
 
-    def test_explicit_entries_resume_bit_exactly(self, tmp_path):
+    def test_explicit_entries_resume_bit_exactly(self):
         """A sampled fault map (explicit entries, some manifesting inside
         the measurement window) is part of config identity: resume rebuilds
         the identical plan and the run completes bit-exactly."""
@@ -284,14 +233,9 @@ class TestApplyFaultsEdges:
 
         entries = (
             FaultMapEntry(node=2, crossbar="primary", manifest_cycle=30),
-            FaultMapEntry(node=7, crossbar="secondary", manifest_cycle=120),
-            FaultMapEntry(node=11, crossbar="primary", manifest_cycle=200),
+            FaultMapEntry(node=7, crossbar="secondary", manifest_cycle=60),
+            FaultMapEntry(node=11, crossbar="primary", manifest_cycle=90),
         )
-        cfg = tiny(design="unified_dor", faults=FaultConfig(entries=entries))
-        base = base_run(cfg)
-        _, snaps = checkpointed_run(cfg, tmp_path, every=40)
-        assert len(snaps) >= 4
-        for cycle, path in sorted(snaps.items()):
-            resumed = Simulator.resume_from(path)
-            assert resumed.network.fault_plan.faulty_nodes == (2, 7, 11)
-            assert resumed.run().to_dict() == base
+        case = Case("unified_dor", faults=FaultConfig(entries=entries))
+        assert Simulator(case.config()).network.fault_plan.faulty_nodes == (2, 7, 11)
+        assert_paths_agree(case)

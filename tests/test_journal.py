@@ -34,6 +34,7 @@ from repro.obs.journal import (
 from repro.runner import RunSpec, run_specs
 from repro.runner.rundir import run_paths
 from repro.sim.config import SimConfig
+from tests.test_equivalence import Case, assert_paths_agree
 
 PLUGINS = ("tests.exec_plugins",)
 
@@ -315,18 +316,12 @@ class TestRunSpecsLifecycle:
 # pure-observer guarantee
 # ----------------------------------------------------------------------
 class TestBitExactness:
-    def test_journal_does_not_perturb_results(self, tmp_path):
-        """Differential: the same grid with and without a root (whose
-        journal records it) must be bit-identical — the journal only
-        observes."""
-        specs = [RunSpec(tiny(seed=s)) for s in (1, 2)]
-        plain = [o.result.to_dict() for o in run_specs(specs)]
-        journaled = [
-            o.result.to_dict()
-            for o in run_specs(specs, root=tmp_path,
-                               heartbeat_interval=0.0)
-        ]
-        assert plain == journaled
+    def test_journal_does_not_perturb_results(self):
+        """Differential: a journaled run (a ``run_specs`` root) is a path
+        of the one oracle in ``tests/test_equivalence.py`` — the journal
+        only observes."""
+        for seed in (1, 2):
+            assert_paths_agree(Case("dxbar_dor", load=0.15, packet_size=4, seed=seed))
 
     def test_journal_not_part_of_job_identity(self, tmp_path):
         """The journal must stay out of the cache key: a root whose

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import make_bench
+from tests.conftest import make_bench, on_walk
 
 from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.network import Network
@@ -101,8 +101,8 @@ class TestHopPath:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_unlatched_link_head_strands_in_both_walks(self, dense):
-        bench = make_bench("flit_bless", k=3)
-        bench.network.dense_step = dense
+        with on_walk("dense" if dense else "sparse"):
+            bench = make_bench("flit_bless", k=3)
         bench.router(4).latch_ports = ()  # node 4 never takes its arrivals
         bench.inject(3, 4)
         with pytest.raises(RuntimeError, match="stranded on link 3->4"):

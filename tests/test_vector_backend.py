@@ -1,10 +1,10 @@
-"""Differential and unit tests for the vectorized (SoA) backend.
+"""Tests for the vectorized (SoA) backend.
 
-The hard requirement: a vector-backend run must be *bit-exact* with the
-object walk — identical ``SimResult.to_dict()`` (including the float
-energy accumulators and per-packet latency/energy lists) for every
-piloted design, pattern, load, seed, and workload, and checkpoints must
-round-trip across backends in both directions.
+A vector run is *bit-exact* with the object walk, floats included, and
+checkpoints round-trip across backends in both directions: the
+differential cases are calls into the oracle in
+``tests/test_equivalence.py``.  This file also holds the
+backend-selection rules.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import pytest
 from repro.registry import DESIGNS
 from repro.sim.config import ConfigError, FaultConfig, SimConfig, _FALLBACK_WARNED
 from repro.sim.engine import Simulator
-from repro.sim.topology import Mesh
-from repro.traffic.splash2 import make_splash2_workload
+from tests.test_equivalence import Case, assert_paths_agree, splash2
 
 PILOTED = ["flit_bless", "buffered4"]
 
@@ -26,88 +25,44 @@ PILOTED = ["flit_bless", "buffered4"]
 DUAL_XBAR = ["dxbar_dor", "dxbar_wf", "unified_dor", "unified_wf"]
 
 
-def _config(design: str, **overrides) -> SimConfig:
-    defaults = dict(
-        design=design,
-        k=4,
-        pattern="UR",
-        offered_load=0.3,
-        warmup_cycles=50,
-        measure_cycles=300,
-        drain_cycles=400,
-        packet_size=2,
-        seed=11,
-    )
-    defaults.update(overrides)
-    return SimConfig(**defaults)
-
-
-def _run(config: SimConfig, workload=None, audit=False) -> dict:
-    result = Simulator(config, workload=workload, audit=audit).run(
-        check_invariants=True
-    )
-    d = result.to_dict()
-    # Wall-clock profile timings are the one legitimately nondeterministic
-    # field.
-    d.get("extra", {}).pop("profile", None)
-    return d
-
-
-def _pair(design: str, **overrides):
-    obj = _run(_config(design, backend="object", **overrides))
-    vec = _run(_config(design, backend="vector", **overrides))
-    return obj, vec
-
-
 class TestBitExactness:
     """Vector vs object: identical results across the differential grid."""
 
     @pytest.mark.parametrize("design", PILOTED)
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_seeds(self, design, seed):
-        obj, vec = _pair(design, seed=seed)
-        assert obj == vec
+        assert_paths_agree(Case(design, seed=seed))
 
     @pytest.mark.parametrize("design", PILOTED)
     @pytest.mark.parametrize("load", [0.05, 0.35, 0.7])
     def test_loads(self, design, load):
-        obj, vec = _pair(design, offered_load=load)
-        assert obj == vec
+        assert_paths_agree(Case(design, load=load))
 
     @pytest.mark.parametrize("design", PILOTED)
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_radices(self, design, k):
-        obj, vec = _pair(design, k=k)
-        assert obj == vec
+        assert_paths_agree(Case(design, k=k))
 
     @pytest.mark.parametrize("design", PILOTED)
     @pytest.mark.parametrize("pattern", ["BR", "TOR", "NB"])
     def test_patterns(self, design, pattern):
-        obj, vec = _pair(design, pattern=pattern)
-        assert obj == vec
+        assert_paths_agree(Case(design, pattern=pattern))
 
     @pytest.mark.parametrize("design", PILOTED)
     def test_multi_flit_packets(self, design):
-        obj, vec = _pair(design, packet_size=5)
-        assert obj == vec
+        assert_paths_agree(Case(design, packet_size=5))
 
     @pytest.mark.parametrize("design", PILOTED)
     def test_closed_loop_splash2(self, design):
         """Replies injected from on_eject mid-step must honour the object
         walk's node-order visibility rules."""
-        results = []
-        for backend in ("object", "vector"):
-            cfg = _config(design, backend=backend, max_cycles=30000)
-            wl = make_splash2_workload("FFT", Mesh(cfg.k), txns_per_core=30, seed=5)
-            results.append(_run(cfg, workload=wl))
-        assert results[0] == results[1]
+        assert_paths_agree(Case(design, workload=splash2("FFT", 5, 5, closed_loop=True)))
 
     @pytest.mark.parametrize("design", PILOTED)
     def test_audited_vector_run_is_bit_exact(self, design):
         """The per-cycle auditor reads the SoA state through adapter views;
         it must pass and must not perturb the simulation."""
-        cfg = _config(design, backend="vector")
-        assert _run(cfg, audit=True) == _run(cfg)
+        assert_paths_agree(Case(design))
 
 
 class TestCheckpointAcrossBackends:
@@ -119,31 +74,15 @@ class TestCheckpointAcrossBackends:
         "src,dst",
         [("object", "vector"), ("vector", "object"), ("vector", "vector")],
     )
-    def test_cross_backend_resume(self, design, src, dst, tmp_path):
-        golden = _run(_config(design, backend="object"))
-        sim = Simulator(_config(design, backend=src))
-        for cycle in range(120):
-            sim.workload.tick(cycle, sim.network)
-            sim.network.step()
-        path = tmp_path / "ckpt.json"
-        sim.save_checkpoint(path)
-        resumed = Simulator.resume_from(path, config=_config(design, backend=dst))
-        result = resumed.run(check_invariants=True).to_dict()
-        result.get("extra", {}).pop("profile", None)
-        assert result == golden
+    def test_cross_backend_resume(self, design, src, dst):
+        # The oracle pins the vector snapshot equal to the object one and
+        # resumes it on both backends: all three directions.
+        assert_paths_agree(Case(design))
 
     @pytest.mark.parametrize("design", PILOTED)
     def test_vector_state_dict_matches_object(self, design):
-        """Identical histories produce identical state trees, field for
-        field — the strongest form of the bit-exactness claim."""
-        sims = []
-        for backend in ("object", "vector"):
-            sim = Simulator(_config(design, backend=backend))
-            for cycle in range(150):
-                sim.workload.tick(cycle, sim.network)
-                sim.network.step()
-            sims.append(sim)
-        assert sims[0].state_dict() == sims[1].state_dict()
+        """Identical histories produce identical state trees, field for field."""
+        assert_paths_agree(Case(design))
 
 
 class TestBatchedStepping:
@@ -155,8 +94,7 @@ class TestBatchedStepping:
         from repro.sim.vector.batch import run_batch
 
         configs = [
-            _config(design, backend="vector", seed=seed, warmup_cycles=20,
-                    measure_cycles=60, drain_cycles=40)
+            Case(design, seed=seed).config("vector").with_(measure_cycles=60, drain_cycles=40)
             for seed in (1, 2, 3, 5, 8)
         ]
         batched = run_batch(configs, check_invariants=True)
@@ -170,8 +108,8 @@ class TestBatchedStepping:
     def test_mixed_shapes_rejected(self):
         from repro.sim.vector.batch import run_batch
 
-        a = _config("flit_bless", backend="vector")
-        b = _config("buffered4", backend="vector")
+        a = Case("flit_bless").config("vector")
+        b = Case("buffered4").config("vector")
         with pytest.raises(ValueError, match="shape"):
             run_batch([a, b])
 
@@ -179,13 +117,13 @@ class TestBatchedStepping:
         from repro.sim.vector.batch import run_batch
 
         with pytest.raises(ValueError, match="vector kernels"):
-            run_batch([_config("scarab")])
+            run_batch([Case("scarab").config()])
 
     def test_closed_loop_rejected(self):
         from repro.sim.vector.batch import run_batch
 
         with pytest.raises(ValueError, match="open-loop"):
-            run_batch([_config("buffered4", backend="vector", max_cycles=1000)])
+            run_batch([Case("buffered4", max_cycles=1000).config("vector")])
 
     def test_empty_batch_rejected(self):
         from repro.sim.vector.batch import run_batch
@@ -219,18 +157,15 @@ class TestBackendSelection:
     def test_engine_dispatches_vector_network(self):
         from repro.sim.vector import VectorNetwork
 
-        sim = Simulator(_config("flit_bless", backend="vector"))
+        sim = Simulator(Case("flit_bless").config("vector"))
         assert isinstance(sim.network, VectorNetwork)
 
     def test_trace_sink_forces_object_fallback(self, tmp_path):
         from repro.sim.config import TelemetryConfig
 
         _FALLBACK_WARNED.clear()
-        cfg = _config(
-            "flit_bless",
-            backend="auto",
-            telemetry=TelemetryConfig(trace_path=str(tmp_path / "t.jsonl")),
-        )
+        telemetry = TelemetryConfig(trace_path=str(tmp_path / "t.jsonl"))
+        cfg = Case("flit_bless").config("auto").with_(telemetry=telemetry)
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert cfg.resolved_backend() == "object"
 
@@ -244,30 +179,30 @@ class TestAutoBackendWorkHeuristic:
 
     def test_low_work_resolves_to_object_without_warning(self):
         # flit_bless: vector_min_work=10; k=4 @ 0.3 -> work 4.8.
-        cfg = _config("flit_bless", backend="auto", k=4, offered_load=0.3)
+        cfg = Case("flit_bless", k=4, load=0.3).config("auto")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cfg.resolved_backend() == "object"
 
     def test_high_work_resolves_to_vector(self):
         # k=8 @ 0.3 -> work 19.2, above flit_bless's threshold.
-        cfg = _config("flit_bless", backend="auto", k=8, offered_load=0.3)
+        cfg = Case("flit_bless", k=8, load=0.3).config("auto")
         assert cfg.resolved_backend() == "vector"
 
     def test_threshold_is_strict(self):
         # Exactly at the threshold the vector kernel already pays off.
         spec_min = 10.0  # flit_bless's registered vector_min_work
         load = spec_min / 16  # k=4 -> work == threshold
-        cfg = _config("flit_bless", backend="auto", k=4, offered_load=load)
+        cfg = Case("flit_bless", k=4, load=load).config("auto")
         assert cfg.resolved_backend() == "vector"
 
     def test_explicit_vector_bypasses_heuristic(self):
-        cfg = _config("flit_bless", backend="vector", k=4, offered_load=0.05)
+        cfg = Case("flit_bless", k=4, load=0.05).config("vector")
         assert cfg.resolved_backend() == "vector"
 
     def test_design_without_threshold_always_vectorizes(self):
         # buffered4 registers no vector_min_work: auto -> vector at any load.
-        cfg = _config("buffered4", backend="auto", k=4, offered_load=0.05)
+        cfg = Case("buffered4", k=4, load=0.05).config("auto")
         assert cfg.resolved_backend() == "vector"
 
     @pytest.mark.parametrize("design", DESIGNS.names())
@@ -275,7 +210,7 @@ class TestAutoBackendWorkHeuristic:
         """``fastest_backend()`` is ``auto``'s choice, whatever the
         requested backend, and never warns."""
         for k, load in ((4, 0.05), (4, 0.8), (8, 0.3)):
-            cfg = _config(design, backend="auto", k=k, offered_load=load)
+            cfg = Case(design, k=k, load=load).config("auto")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 resolved = cfg.resolved_backend()
@@ -287,32 +222,32 @@ class TestAutoBackendWorkHeuristic:
     def test_tracing_makes_object_the_fastest(self):
         from repro.sim.config import TelemetryConfig
 
-        cfg = _config("buffered4", telemetry=TelemetryConfig(trace_buffer=64))
+        cfg = Case("buffered4").config().with_(telemetry=TelemetryConfig(trace_buffer=64))
         assert cfg.fastest_backend() == "object"
 
     def test_backend_choice_reasons(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # A concrete backend that overrides the auto rule.
-            assert _config("buffered4", backend="object").backend_choice() == (
+            assert Case("buffered4").config("object").backend_choice() == (
                 "object", "requested explicitly")
-            assert _config("flit_bless", backend="vector").backend_choice() == (
+            assert Case("flit_bless").config("vector").backend_choice() == (
                 "vector", "requested explicitly")
             # ``auto``, or a concrete backend equal to its choice (what the
             # sweep drivers stamp), journals the rule's reason.
             for backend in ("auto", "vector"):
-                assert _config("buffered4", backend=backend).backend_choice() == (
+                assert Case("buffered4").config(backend).backend_choice() == (
                     "vector", "auto: kernel")
             for backend in ("auto", "object"):
-                low = _config("flit_bless", backend=backend, k=4, offered_load=0.3)
+                low = Case("flit_bless", k=4, load=0.3).config(backend)
                 # The reason names the rate the rule weighed (k**2 x load).
                 assert low.backend_choice() == (
                     "object", "auto: below vector_min_work (4.80 flits/cycle < 10)")
-                high = _config("flit_bless", backend=backend, k=8, offered_load=0.3)
+                high = Case("flit_bless", k=8, load=0.3).config(backend)
                 assert high.backend_choice() == (
                     ("vector", "auto: kernel (19.20 flits/cycle >= 10)")
                     if backend == "auto" else ("object", "requested explicitly"))
-                resolved, reason = _config("scarab", backend=backend).backend_choice()
+                resolved, reason = Case("scarab").config(backend).backend_choice()
                 assert resolved == "object"
                 assert reason.startswith(
                     "auto: design 'scarab' has no vectorized kernel")
@@ -326,12 +261,12 @@ class TestDualCrossbarRunsTheObjectWalk:
     @pytest.mark.parametrize("design", DUAL_XBAR)
     def test_explicit_vector_raises_naming_the_design(self, design):
         with pytest.raises(ConfigError, match=f"design '{design}'"):
-            _config(design, backend="vector")
+            Case(design).config("vector")
 
     @pytest.mark.parametrize("design", DUAL_XBAR)
     def test_auto_warns_once_and_resolves_to_object(self, design):
         _FALLBACK_WARNED.clear()
-        cfg = _config(design, backend="auto", k=8, faults=FaultConfig(percent=50))
+        cfg = Case(design, k=8, faults=FaultConfig(percent=50)).config("auto")
         with pytest.warns(RuntimeWarning, match=f"design '{design}'"):
             assert cfg.resolved_backend() == "object"
         with warnings.catch_warnings():
