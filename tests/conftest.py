@@ -107,21 +107,18 @@ def run_digest(config: SimConfig):
     return report, digest
 
 
-#: Walks as busy-switch thresholds (enter, exit), in flits per router:
-#: ``dense`` takes the full walk every cycle (the differential reference),
-#: ``sparse`` never leaves the active walk, ``flip`` has no hysteresis and
-#: flips many times per k=4 run at 0.3 load.
+#: Walks as busy-switch thresholds (enter, exit), in flits per router: the
+#: differential reference, the active walk alone, and a switch that flips often.
 WALKS = {"dense": (0.0, 0.0), "sparse": (math.inf, math.inf), "flip": (2.0, 2.0)}
 
 
 @contextmanager
 def on_walk(walk: str):
-    """Networks built inside the block take ``walk`` (a :data:`WALKS` key,
-    or ``"default"``); the thresholds are read at construction."""
+    """Networks built inside the block take ``walk`` (a :data:`WALKS` key);
+    the thresholds are read at construction."""
     with pytest.MonkeyPatch.context() as mp:
-        if walk != "default":
-            mp.setattr(network_mod, "BUSY_ENTER_PER_ROUTER", WALKS[walk][0])
-            mp.setattr(network_mod, "BUSY_EXIT_PER_ROUTER", WALKS[walk][1])
+        mp.setattr(network_mod, "BUSY_ENTER_PER_ROUTER", WALKS[walk][0])
+        mp.setattr(network_mod, "BUSY_EXIT_PER_ROUTER", WALKS[walk][1])
         yield
 
 

@@ -14,7 +14,7 @@ from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
 from repro.traffic.generator import Workload
 from tests.conftest import on_walk
-from tests.test_equivalence import Case, assert_paths_agree, splash2
+from tests.test_equivalence import Case, assert_paths_agree, faults, splash2
 
 
 def _advance(sim: Simulator, cycles: int) -> None:
@@ -29,22 +29,21 @@ class TestBitExactness:
     def test_all_designs(self, any_design):
         assert_paths_agree(Case(any_design))
 
-    # The same cases as tests/test_audit.py's fault grid.
     @pytest.mark.parametrize("design", ["dxbar_dor", "unified_wf"])
     def test_full_fault_run(self, design):
-        assert_paths_agree(Case(design, faults=FaultConfig(percent=100)))
+        assert_paths_agree(Case(design, load=0.25, faults=faults(100, seed=3)))
 
     def test_crosspoint_fault_run(self):
-        faults = FaultConfig(percent=50, granularity="crosspoint")
-        assert_paths_agree(Case("dxbar_dor", faults=faults))
+        plan = faults(50, "crosspoint", seed=5)
+        assert_paths_agree(Case("dxbar_dor", load=0.25, faults=plan))
 
     @pytest.mark.parametrize("design", ["dxbar_dor", "unified_dor"])
     @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
     def test_mid_measurement_fault_grid(self, design, granularity):
         """Faults manifesting inside the measurement window flip routers to
         degraded mode while measured traffic is in flight."""
-        faults = FaultConfig(percent=50, granularity=granularity, manifest_window=80)
-        assert_paths_agree(Case(design, faults=faults))
+        plan = FaultConfig(percent=50, granularity=granularity, manifest_window=80)
+        assert_paths_agree(Case(design, faults=plan))
 
     def test_closed_loop_run(self):
         assert_paths_agree(Case("dxbar_dor", max_cycles=3000))
@@ -62,8 +61,8 @@ class TestBitExactness:
 
     def test_flip_walk_flips(self):
         """The ``flip`` walk really exercises the hand-back path."""
-        cfg = SimConfig(design="dxbar_dor", k=4, offered_load=0.3, warmup_cycles=50,
-                        measure_cycles=300, drain_cycles=400, packet_size=2, seed=11)
+        cfg = Case("dxbar_dor").config().with_(warmup_cycles=50, measure_cycles=300,
+                                               drain_cycles=400)
         with on_walk("flip"):
             sim = Simulator(cfg)
         net = sim.network
@@ -117,23 +116,29 @@ class TestActiveSets:
         assert resumed.network._active_channels == orig.network._active_channels
 
     def test_checkpoint_in_busy_phase_resumes(self):
-        """The oracle's flip walk snapshots in its full-walk phase, whose
-        active sets are stale; the snapshot resumes bit-exactly."""
-        case = Case("dxbar_dor")
+        """At 0.4 the oracle's flip walk takes both snapshots in its
+        full-walk phase, whose active sets are stale."""
+        case = Case("dxbar_dor", load=0.4)
         with on_walk("flip"):
             sim = case.simulator(case.config())
-        _advance(sim, case.checkpoint_at)
-        assert sim.network._busy_walk
+        for cycle in case.snapshots:
+            _advance(sim, cycle - sim.network.cycle)
+            assert sim.network._busy_walk
         assert_paths_agree(case)
 
 
 class TestConservationEveryCycle:
-    """Flit conservation holds at *every* cycle boundary of the default
-    walk: the oracle's audited run checks it each cycle."""
+    """Flit conservation must hold at *every* cycle boundary of the
+    activity-scheduled walk, not just at the engine's periodic checks."""
 
     @pytest.mark.parametrize("design", ["flit_bless", "buffered4"])
     def test_conservation_each_cycle(self, design):
-        assert_paths_agree(Case(design))
+        cfg = Case(design).config().with_(warmup_cycles=0, measure_cycles=250,
+                                          drain_cycles=150)
+        sim = Simulator(cfg)
+        for _ in range(cfg.total_cycles):
+            _advance(sim, 1)
+            sim.network.check_conservation()
 
 
 class TestClosedLoopMeasurement:

@@ -4,8 +4,7 @@ Three layers:
 
 * **differential** — for every design (open loop, with faults, closed
   loop) an audited run is bit-exact with the dense walk and reports zero
-  violations: the auditor is a pure observer (cases of the oracle in
-  ``tests/test_equivalence.py``);
+  violations (the oracle in ``tests/test_equivalence.py``);
 * **test doubles** — designs with deliberately injected bugs (flit
   duplication, silent loss, starvation) registered through the plugin
   registry, which the auditor must catch at the recorded cycle and node;
@@ -30,7 +29,8 @@ from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.flit import Flit
 from repro.sim.ports import Port
-from tests.test_equivalence import Case, assert_paths_agree, splash2
+from tests.test_equivalence import (Case, assert_paths_agree, checkpointed, faults, resume,
+                                    run_checked, splash2)
 
 # ----------------------------------------------------------------------
 # the auditor is a pure observer
@@ -43,31 +43,31 @@ class TestBitExactObserver:
         assert sim.auditor is None
 
     def test_audited_run_bit_exact(self, any_design):
-        assert_paths_agree(Case(any_design))
+        """Tornado traffic loads a few links per row, filling their buffers."""
+        assert_paths_agree(Case(any_design, pattern="TOR"))
 
     @pytest.mark.parametrize(
         "design", ["dxbar_dor", "dxbar_wf", "unified_dor", "unified_wf"]
     )
     @pytest.mark.parametrize(
-        "faults",
-        [
-            FaultConfig(percent=100.0),
-            FaultConfig(percent=50.0, granularity="crosspoint"),
-        ],
+        "plan",
+        [faults(100.0), faults(50.0, "crosspoint")],
         ids=["crossbar100", "crosspoint50"],
     )
-    def test_audited_run_with_faults(self, design, faults):
+    def test_audited_run_with_faults(self, design, plan):
         """The degraded modes and the undetected-fault overfill audit clean."""
-        assert_paths_agree(Case(design, faults=faults))
+        assert_paths_agree(Case(design, faults=plan))
 
     @pytest.mark.parametrize("design", ["scarab", "dxbar_wf", "unified_dor"])
     def test_audited_closed_loop(self, design):
         assert_paths_agree(Case(design, seed=7, workload=splash2("FFT", 5, 7, closed_loop=True)))
 
-    def test_audit_survives_checkpoint_resume(self):
+    def test_audit_survives_checkpoint_resume(self, tmp_path):
         """The auditor's state is derived: a resume re-baselines the
         movement history and the remainder of the run audits clean."""
-        assert_paths_agree(Case("unified_wf"))
+        case = Case("unified_wf", snapshots=(50,))
+        expected, (snapshot,) = checkpointed(case, "object", tmp_path)
+        assert run_checked(resume(case, snapshot, "object", audit=True)) == expected
 
 
 # ----------------------------------------------------------------------

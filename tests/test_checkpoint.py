@@ -23,7 +23,8 @@ from repro.checkpoint import (
 from repro.registry import design_names
 from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
-from tests.test_equivalence import Case, assert_paths_agree, splash2
+from tests.test_equivalence import (Case, assert_paths_agree, checkpointed, faults,
+                                    run_checked, splash2)
 
 TINY = dict(
     k=4,
@@ -39,34 +40,26 @@ def tiny(**kw):
     return SimConfig(**{**TINY, **kw})
 
 
-def resume_points(config, root, every):
-    """The result dict of a run snapshotting every ``every`` cycles, and the snapshots."""
-    policy = CheckpointPolicy(root, every=every, keep=0)
-    return Simulator(config, checkpoint=policy).run().to_dict(), list_checkpoints(root)
-
-
 # ----------------------------------------------------------------------
 # the tentpole guarantee
 # ----------------------------------------------------------------------
 class TestBitExactResume:
     @pytest.mark.parametrize("design", design_names())
     def test_resume_matches_uninterrupted(self, design):
-        """Checkpointing never perturbs a run; a mid-run resume matches it."""
-        assert_paths_agree(Case(design))
+        """Checkpointing never perturbs a run; mid-warmup and
+        mid-measurement resumes of 4-flit packets match it."""
+        assert_paths_agree(Case(design, packet_size=4))
 
-    def test_resume_from_every_checkpoint(self, tmp_path):
+    def test_resume_from_every_checkpoint(self):
         """Every snapshot of one run is a valid resume point (unified_wf
         exercises the buffered/bufferless hybrid and west-first routing)."""
-        base, snaps = resume_points(tiny(design="unified_wf"), tmp_path, every=20)
-        assert len(snaps) >= 5
-        for path in snaps:
-            assert Simulator.resume_from(path).run().to_dict() == base
+        assert_paths_agree(Case("unified_wf", packet_size=4, snapshots=(20, 40, 60, 80, 100)))
 
     @pytest.mark.parametrize("granularity", ["crossbar", "crosspoint"])
     def test_resume_with_faults(self, granularity):
         """The fault plan is rebuilt and the detection latches restored."""
-        faults = FaultConfig(percent=50.0, granularity=granularity)
-        assert_paths_agree(Case("dxbar_dor", faults=faults))
+        plan = faults(50.0, granularity)
+        assert_paths_agree(Case("dxbar_dor", packet_size=4, faults=plan))
 
     def test_resume_closed_loop(self):
         """The workload's RNG, transactions and event heaps are snapshotted."""
@@ -76,16 +69,14 @@ class TestBitExactResume:
         """A resumed run with its own policy writes further checkpoints
         that are themselves valid resume points (crash -> resume -> crash
         -> resume, as a retried worker would)."""
-        base, snaps = resume_points(tiny(design="dxbar_wf"), tmp_path, every=30)
-        first = cycle_of(snaps[0])
-        second_root = tmp_path / "second"
-        sim = Simulator.resume_from(
-            snaps[0], checkpoint=CheckpointPolicy(second_root, every=30, keep=0)
-        )
-        assert sim.run().to_dict() == base
-        later = list_checkpoints(second_root)
-        assert later and all(cycle_of(p) > first for p in later)
-        assert Simulator.resume_from(later[-1]).run().to_dict() == base
+        case = Case("dxbar_wf", packet_size=4, snapshots=(30,))
+        base, (first,) = checkpointed(case, "object", tmp_path / "first")
+        second = tmp_path / "second"
+        sim = Simulator.resume_from(first, checkpoint=CheckpointPolicy(second, every=30, keep=0))
+        assert run_checked(sim) == base
+        later = list_checkpoints(second)
+        assert later and all(cycle_of(p) > 30 for p in later)
+        assert run_checked(Simulator.resume_from(later[-1])) == base
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +218,8 @@ class TestApplyFaultsEdges:
 
     def test_explicit_entries_resume_bit_exactly(self):
         """A sampled fault map (explicit entries, some manifesting inside
-        the measurement window) is part of config identity: resume rebuilds
-        the identical plan and the run completes bit-exactly."""
+        the measurement window) is part of config identity: every resume
+        rebuilds the identical plan and completes bit-exactly."""
         from repro.sim.config import FaultMapEntry
 
         entries = (
@@ -236,6 +227,7 @@ class TestApplyFaultsEdges:
             FaultMapEntry(node=7, crossbar="secondary", manifest_cycle=60),
             FaultMapEntry(node=11, crossbar="primary", manifest_cycle=90),
         )
-        case = Case("unified_dor", faults=FaultConfig(entries=entries))
+        case = Case("unified_dor", packet_size=4, faults=FaultConfig(entries=entries),
+                    snapshots=(25, 50, 75, 100))
         assert Simulator(case.config()).network.fault_plan.faulty_nodes == (2, 7, 11)
         assert_paths_agree(case)

@@ -6,25 +6,24 @@ wall-clock ``extra.profile``) from: the default walk, audited (checks
 run, no violation); the active walk alone, journaled by ``run_specs``;
 a busy switch that flips the walk many times per run, checkpointed; the
 vector backend where the design has a kernel, checkpointed at the same
-cycles (equal state trees); and the object walk's first snapshot resumed
-on every backend, the last resume audited.  Walks are busy-switch
-thresholds (``tests.conftest.WALKS``).  The fixed cases keep their test
-ids in the per-topic files, one call each; ``hypothesis`` draws more
-here.  A case passes once per session.
+cycles (equal state trees at every snapshot); and every snapshot
+resumed (by default one in warmup and one in measurement), across
+backends where there is a kernel.  Walks are busy-switch thresholds
+(``tests.conftest.WALKS``).  The fixed cases keep their test ids in the
+per-topic files; ``hypothesis`` draws more here.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.checkpoint import CheckpointPolicy, list_checkpoints, read_checkpoint
+from repro.checkpoint import CheckpointPolicy, cycle_of, list_checkpoints, read_checkpoint
 from repro.obs.journal import EV_COMPLETED, merge_journal
 from repro.registry import design_spec, pattern_names, register_workload
 from repro.runner import RunSpec, run_specs
@@ -49,14 +48,22 @@ register_workload("splash2_closed_loop", lambda spec, config: make_splash2_workl
 def splash2(app: str, txns_per_core: int, seed: int, closed_loop=False) -> Tuple:
     """A trace replay, or the request/response engine (replies mid-step)."""
     kind = "splash2_closed_loop" if closed_loop else "splash2"
-    return (("kind", kind), ("app", app), ("txns_per_core", txns_per_core),
-            ("seed", seed))
+    return (("kind", kind), ("app", app), ("txns_per_core", txns_per_core), ("seed", seed))
+
+
+def faults(percent: float, granularity: str = "crossbar", **kwargs) -> FaultConfig:
+    """A fault plan whose faults all manifest while a case injects."""
+    return FaultConfig(percent=percent, granularity=granularity,
+                       manifest_window=INJECTION_CYCLES, **kwargs)
 
 
 @dataclass(frozen=True)
 class Case:
     """``workload`` is a ``RunSpec`` workload spec as items, empty for
-    Bernoulli traffic; a workload runs closed-loop to its end."""
+    Bernoulli traffic; a workload runs closed-loop to its end.  The
+    checkpointed runs snapshot after each of ``snapshots``, by default
+    once in warmup and once in measurement; ``audit_vector`` also audits
+    the vector run from cycle 0."""
 
     design: str
     k: int = 4
@@ -67,7 +74,8 @@ class Case:
     faults: FaultConfig = field(default_factory=FaultConfig)
     workload: Tuple = ()
     max_cycles: Optional[int] = None
-    checkpoint_at: int = 70
+    snapshots: Tuple[int, ...] = (15, 60)
+    audit_vector: bool = False
 
     def config(self, backend: str = "object") -> SimConfig:
         window = dict(warmup_cycles=0, measure_cycles=1, drain_cycles=0)
@@ -84,18 +92,26 @@ class Case:
         return dict(self.workload) or None
 
     def simulator(self, config: SimConfig, **kwargs) -> Simulator:
-        workload = materialize_workload(self.workload_spec, config)
-        return Simulator(config, workload, **kwargs)
+        return Simulator(config, materialize_workload(self.workload_spec, config), **kwargs)
+
+
+class SnapshotAt(CheckpointPolicy):
+    """A checkpoint policy that snapshots after the given cycles only."""
+
+    def __init__(self, root: Path, cycles: Tuple[int, ...]) -> None:
+        super().__init__(root, every=1, keep=0)
+        object.__setattr__(self, "due", frozenset(cycles).__contains__)
 
 
 def canonical(result) -> str:
-    """The result's canonical JSON, one key per line (readable diffs)."""
+    """The result's canonical JSON."""
     d = result.to_dict()
     d.get("extra", {}).pop("profile", None)
-    return json.dumps(d, sort_keys=True, indent=0)
+    return json.dumps(d, sort_keys=True)
 
 
-def _run(sim: Simulator) -> str:
+def run_checked(sim: Simulator) -> str:
+    """Run with invariant checks; an audited run must check and pass."""
     out = canonical(sim.run(check_invariants=True))
     if sim.auditor is not None:
         assert sim.auditor.checks_run > 0
@@ -103,20 +119,31 @@ def _run(sim: Simulator) -> str:
     return out
 
 
-def _checkpointed(case: Case, config: SimConfig, root: Path):
-    """Run snapshotting every ``checkpoint_at`` cycles: the result, the first snapshot."""
-    policy = CheckpointPolicy(root, every=case.checkpoint_at, keep=0)
-    out = _run(case.simulator(config, checkpoint=policy))
-    return out, list_checkpoints(root)[0]
+def checkpointed(case: Case, backend: str, root: Path, audit=False) -> Tuple[str, List[Path]]:
+    """A run snapshotting after each of ``case.snapshots``: its bytes, its snapshots."""
+    sim = case.simulator(case.config(backend), checkpoint=SnapshotAt(root, case.snapshots),
+                         audit=audit)
+    out = run_checked(sim)
+    snapshots = list_checkpoints(root)
+    assert [cycle_of(p) for p in snapshots] == sorted(case.snapshots), "run ended early"
+    return out, snapshots
 
 
-@functools.cache
+def resume(case: Case, snapshot: Path, backend: str, audit=False) -> Simulator:
+    """``snapshot`` resumed on ``backend``, on the active walk alone."""
+    config = case.config(backend)
+    with on_walk("sparse"):
+        return Simulator.resume_from(snapshot, config=config, audit=audit,
+                                     workload=materialize_workload(case.workload_spec, config))
+
+
 def assert_paths_agree(case: Case) -> None:
     """Every path of ``case`` gives the dense walk's bytes (module docstring)."""
     config = case.config()
     with on_walk("dense"):
-        reference = _run(case.simulator(config))
-    runs = {"audited default walk": _run(case.simulator(config, audit=True))}
+        dense = case.simulator(config)
+    expected = run_checked(dense)
+    runs = {"audited default walk": run_checked(case.simulator(config, audit=True))}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         with on_walk("sparse"):
@@ -129,30 +156,27 @@ def assert_paths_agree(case: Case) -> None:
         assert events.count(EV_COMPLETED) == 1
 
         with on_walk("flip"):
-            runs["checkpointed flip walk"], snapshot = _checkpointed(
-                case, config, root / "object"
-            )
-        backends = ["object"]
+            runs["checkpointed flip walk"], snapshots = checkpointed(case, "object", root / "obj")
+        resumes = [(snapshot, "object") for snapshot in snapshots]
         if design_spec(case.design).supports_vector:
-            backends.append("vector")
-            runs["checkpointed vector backend"], vector_snapshot = _checkpointed(
-                case, case.config("vector"), root / "vector"
-            )
-            # Equal state trees: resuming one snapshot resumes both.
-            assert (read_checkpoint(vector_snapshot)["state"]
-                    == read_checkpoint(snapshot)["state"])
-        for backend in backends:
-            resumed = case.config(backend)
-            audit = backend == backends[-1]
-            with on_walk("sparse"):
-                sim = Simulator.resume_from(
-                    snapshot, config=resumed, audit=audit,
-                    workload=materialize_workload(case.workload_spec, resumed),
-                )
-            runs[f"resume on the {backend} backend"] = _run(sim)
+            runs["checkpointed vector backend"], vector_snapshots = checkpointed(
+                case, "vector", root / "vector", audit=case.audit_vector)
+            for obj, vec in zip(snapshots, vector_snapshots):
+                assert read_checkpoint(obj)["state"] == read_checkpoint(vec)["state"], obj.name
+            # Across backends: an object snapshot on the vector backend, then
+            # a vector snapshot on the object walk, and so on.
+            resumes = [(vec, "object") if i % 2 else (obj, "vector")
+                       for i, (obj, vec) in enumerate(zip(snapshots, vector_snapshots))]
+        plan = dense.network.fault_plan
+        for snapshot, backend in resumes:
+            sim = resume(case, snapshot, backend)
+            if plan is not None:  # rebuilt from the config
+                assert sim.network.fault_plan.faulty_nodes == plan.faulty_nodes
+            path = f"{snapshot.parent.name} snapshot at cycle {cycle_of(snapshot)} on {backend}"
+            runs[path] = run_checked(sim)
 
     for path, result in runs.items():
-        assert result == reference, f"{path} diverged from the dense walk"
+        assert result == expected, f"{path} diverged from the dense walk"
 
 
 def _defined(pattern: str, k: int) -> bool:
@@ -172,14 +196,11 @@ KERNEL_DESIGNS = tuple(d for d in ALL_DESIGNS if design_spec(d).supports_vector)
 def cases(draw, designs=ALL_DESIGNS) -> Case:
     design = draw(st.sampled_from(designs))
     k = draw(st.integers(3, 5))
-    faults = FaultConfig()
+    plan = FaultConfig()
     percent = draw(st.sampled_from([0, 25, 50, 100]))
     if percent and design_spec(design).supports_faults:
-        faults = FaultConfig(
-            percent=percent,
-            granularity=draw(st.sampled_from(["crossbar", "crosspoint"])),
-            manifest_window=draw(st.integers(1, 500)),
-        )
+        plan = FaultConfig(percent=percent, manifest_window=draw(st.integers(1, INJECTION_CYCLES)),
+                           granularity=draw(st.sampled_from(["crossbar", "crosspoint"])))
     workload = ()
     # A 3x3 mesh has one memory controller: the trace generator needs two.
     if k > 3 and draw(st.booleans()):
@@ -188,8 +209,10 @@ def cases(draw, designs=ALL_DESIGNS) -> Case:
     return Case(
         design, k=k, pattern=draw(st.sampled_from(PATTERNS[k])),
         load=draw(st.integers(1, 10)) / 20, packet_size=draw(st.integers(1, 5)),
-        seed=draw(st.integers(0, 999)), faults=faults, workload=workload,
-        checkpoint_at=draw(st.integers(10, INJECTION_CYCLES - 1)),
+        seed=draw(st.integers(0, 999)), faults=plan, workload=workload,
+        snapshots=tuple(sorted(draw(st.sets(st.integers(1, INJECTION_CYCLES),
+                                            min_size=1, max_size=2)))),
+        audit_vector=draw(st.booleans()),
     )
 
 
@@ -197,13 +220,13 @@ DRAWN = settings(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
 
-@settings(DRAWN, max_examples=6)
+@settings(DRAWN, max_examples=4)
 @given(cases())
 def test_drawn_cases_agree(case):
     assert_paths_agree(case)
 
 
-@settings(DRAWN, max_examples=3)
+@settings(DRAWN, max_examples=2)
 @given(cases(KERNEL_DESIGNS))
 def test_drawn_vector_cases_agree(case):
     assert_paths_agree(case)

@@ -317,9 +317,8 @@ class TestRunSpecsLifecycle:
 # ----------------------------------------------------------------------
 class TestBitExactness:
     def test_journal_does_not_perturb_results(self):
-        """Differential: a journaled run (a ``run_specs`` root) is a path
-        of the one oracle in ``tests/test_equivalence.py`` — the journal
-        only observes."""
+        """A journaled run (a ``run_specs`` root) is a path of the oracle
+        in ``tests/test_equivalence.py``: the journal only observes."""
         for seed in (1, 2):
             assert_paths_agree(Case("dxbar_dor", load=0.15, packet_size=4, seed=seed))
 
