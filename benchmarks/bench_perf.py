@@ -23,19 +23,23 @@ columns time the activity-scheduled walk alone (switch disabled), the
 ``switch_speedup`` is active over sparse and ``busy_share`` the share of
 cycles the default walk spent in the full walk, so each row shows what
 the switch costs or saves.  A row the switch never engages on
-(``busy_share`` 0) runs the same walk either way, so its sparse run is
-skipped and both columns are null.  ``switch_speedup`` is reported, not
-gated: on a row the switch barely touches it is run-to-run noise (a
-``buffered4`` FFT row at 3% busy has read 0.87x).
+(``busy_share`` 0) runs the same walk either way, so both columns are
+null.  ``switch_speedup`` is reported, not gated: on a row the switch
+barely touches it is run-to-run noise (a ``buffered4`` FFT row at 3%
+busy has read 0.87x).
 
 ``--check`` exits non-zero when the default walk falls materially behind
 the dense walk on any row (the CI perf-smoke gate).  The floor is 0.85x
 rather than 1.0x: busy rows run the two walks at parity (the default
 walk *is* the full walk there), so a strict >= 1.0 gate would fail on
 machine noise.
-Each cell reports the median of ``--repeats`` interleaved runs; both
-walks share every run's Python process, so the comparison cancels
-machine-level drift.
+Each cell reports the median of ``--repeats`` lockstep runs.  A lockstep
+run builds every variant of the row (default, sparse and dense walks,
+and the vector backend where there is a kernel) in one process and
+steps them ``ROUND`` cycles at a time, in a shuffled order each round,
+with the garbage collector paused, summing each variant's own step
+time: drift on a shared host lands on every variant alike, so the
+ratios cancel it.
 
 Rows may carry a sixth column, the percentage of routers given a
 whole-crossbar fault (default 0); the 100% row times the degraded
@@ -57,9 +61,11 @@ stays the precise one).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import platform
+import random
 import statistics
 import sys
 import time
@@ -150,11 +156,10 @@ def row_key(row: dict) -> tuple:
             row["packet_size"], row.get("faults", 0))
 
 
-def run_once(cfg: SimConfig, walk: str, workload_spec=None) -> tuple:
-    """One timed run of ``walk`` (``"active"``: the default walk;
+def build(cfg: SimConfig, walk: str, workload_spec=None) -> Simulator:
+    """A simulator on ``walk`` (``"active"``: the default walk;
     ``"sparse"``: the default walk with the busy switch disabled;
-    ``"dense"``: the full walk on every cycle); returns (cycles/sec,
-    final_cycle, busy_cycles)."""
+    ``"dense"``: the full walk on every cycle)."""
     enter = network_mod.BUSY_ENTER_PER_ROUTER
     exit_ = network_mod.BUSY_EXIT_PER_ROUTER
     if walk == "sparse":
@@ -165,35 +170,79 @@ def run_once(cfg: SimConfig, walk: str, workload_spec=None) -> tuple:
     # has one walk and ignores them).
     with mock.patch.object(network_mod, "BUSY_ENTER_PER_ROUTER", enter), \
             mock.patch.object(network_mod, "BUSY_EXIT_PER_ROUTER", exit_):
-        sim = Simulator(cfg, materialize_workload(workload_spec, cfg))
-    t0 = time.perf_counter()
-    result = sim.run()
-    elapsed = time.perf_counter() - t0
-    busy = getattr(sim.network, "busy_cycles", 0)
-    return result.final_cycle / elapsed, result.final_cycle, busy
+        return Simulator(cfg, materialize_workload(workload_spec, cfg))
+
+
+def finished(sim: Simulator) -> bool:
+    """``Simulator.run``'s stop rule, checked after each cycle."""
+    cfg, cycle = sim.config, sim.network.cycle
+    if cfg.max_cycles is None:
+        return cycle >= cfg.total_cycles or (
+            cycle >= cfg.warmup_cycles + cfg.measure_cycles
+            and sim.stats.measured_pending == 0)
+    return cycle >= cfg.max_cycles or (sim.workload.done() and sim.network.quiescent())
+
+
+#: Cycles a variant steps per turn of a lockstep run.  One-cycle turns
+#: refill each variant's caches after every switch, which on the
+#: flit_bless Ocean row (the mis-selection gate's crossover) read the
+#: vector kernel at 0.86-0.96x the active walk against 0.98-1.01x at 16
+#: cycles.  A turn of 16 cycles lasts a few ms; a shared host's drift
+#: moves over seconds, so it still lands on every variant alike.
+ROUND = 16
+
+
+def lockstep(sims: dict, rng: random.Random) -> dict:
+    """Step every simulator ``ROUND`` cycles at a time, in a shuffled order
+    each round, until all stop; returns each one's summed step seconds."""
+    elapsed = dict.fromkeys(sims, 0.0)
+    running = list(sims)
+    while running:
+        rng.shuffle(running)
+        for name in running:
+            sim = sims[name]
+            network, workload = sim.network, sim.workload
+            t0 = time.perf_counter()
+            for _ in range(ROUND):
+                workload.tick(network.cycle, network)
+                network.step()
+                if finished(sim):
+                    break
+            elapsed[name] += time.perf_counter() - t0
+        running = [name for name in running if not finished(sims[name])]
+    return elapsed
 
 
 def measure(cfg: SimConfig, repeats: int, workload_spec=None) -> dict:
-    """Median cycles/sec for each implementation, runs interleaved
-    (a,s,d[,v],a,s,d[,v],...) so machine-level drift cancels."""
-    has_vector = design_spec(cfg.design).supports_vector
-    active, sparse, dense, vector = [], [], [], []
-    final_cycle = busy = 0
+    """Median cycles/sec of each implementation over ``repeats`` lockstep
+    runs of every variant (default, sparse and dense walks, and the vector
+    backend where the design has one)."""
+    variants = {walk: (cfg, walk) for walk in ("active", "sparse", "dense")}
+    if design_spec(cfg.design).supports_vector:
+        variants["vector"] = (cfg.with_(backend="vector"), "active")
+    rng = random.Random(7)
+    samples = {name: [] for name in variants}
     for _ in range(repeats):
-        cps, final_cycle, busy = run_once(cfg, "active", workload_spec)
-        active.append(cps)
-        # Runs are bit-exact, so busy is the same every repeat; with no
-        # busy cycle the default walk *is* the switch-off walk.
-        if busy:
-            sparse.append(run_once(cfg, "sparse", workload_spec)[0])
-        dense.append(run_once(cfg, "dense", workload_spec)[0])
-        if has_vector:
-            cps, _, _ = run_once(cfg.with_(backend="vector"), "active", workload_spec)
-            vector.append(cps)
-    active_cps = statistics.median(active)
-    sparse_cps = statistics.median(sparse) if sparse else None
-    dense_cps = statistics.median(dense)
-    vector_cps = statistics.median(vector) if vector else None
+        sims = {name: build(c, walk, workload_spec) for name, (c, walk) in variants.items()}
+        # A collection walks every variant's heap but is charged to the one
+        # whose allocation triggered it: on a 97%-busy row, where default
+        # and dense run the same walk, that swung their ratio by 5-10%.
+        gc.collect()
+        gc.disable()
+        try:
+            elapsed = lockstep(sims, rng)
+        finally:
+            gc.enable()
+        # Walks are bit-exact, so every variant stops at the same cycle.
+        final_cycle = sims["dense"].network.cycle
+        assert all(sim.network.cycle == final_cycle for sim in sims.values())
+        for name, seconds in elapsed.items():
+            samples[name].append(final_cycle / seconds)
+    busy = sims["active"].network.busy_cycles
+    cps = {name: statistics.median(values) for name, values in samples.items()}
+    active_cps, dense_cps, vector_cps = cps["active"], cps["dense"], cps.get("vector")
+    # With no busy cycle the default walk *is* the switch-off walk.
+    sparse_cps = cps["sparse"] if busy else None
     # What backend="auto" would run for this cell (the vector_min_work
     # rule on the workload's rate, plus capability gating); recorded so
     # --compare can assert the rule never picks the slower implementation.
@@ -312,7 +361,7 @@ def main(argv=None) -> int:
     ap.add_argument("--cycles", type=int, default=None,
                     help="measurement cycles per run (default 4000, quick 1200)")
     ap.add_argument("--repeats", type=int, default=3,
-                    help="runs per (config, walk) cell; median wins")
+                    help="lockstep runs per row; median wins")
     ap.add_argument("--check", action="store_true",
                     help="exit 1 if the default walk falls below 0.85x dense "
                     "on any row")

@@ -30,10 +30,6 @@ class FlitFIFO:
         return iter(self._q)
 
     @property
-    def free_slots(self) -> int:
-        return self.depth - len(self._q)
-
-    @property
     def full(self) -> bool:
         return len(self._q) >= self.depth
 
@@ -42,16 +38,6 @@ class FlitFIFO:
         must have checked for space or chosen the deflection fallback)."""
         if self.full:
             raise RuntimeError("FIFO overflow: flow-control protocol violated")
-        self._q.append(flit)
-
-    def force_push(self, flit: Flit) -> None:
-        """Append even beyond ``depth``.
-
-        Used only for the transient overfill while an undetected primary
-        crossbar fault forces every incoming flit into the buffer (the
-        physical analogue is the input latch holding the flit); normal
-        operation never calls this.
-        """
         self._q.append(flit)
 
     def head(self) -> Optional[Flit]:
@@ -70,8 +56,9 @@ class FlitFIFO:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore the queue contents in order.  Appends directly so a
-        snapshot taken during a transient ``force_push`` overfill restores
-        beyond ``depth`` exactly as it was."""
+        snapshot taken during a transient overfill (an undetected crossbar
+        fault's latch hold, see ``DXbarRouter._buffer``) restores beyond
+        ``depth`` exactly as it was."""
         self._q.clear()
         for d in state["flits"]:
             self._q.append(Flit.from_dict(d))

@@ -138,7 +138,6 @@ class DXbarRouter(BaseRouter):
         if not fault.is_crosspoint and fault.detected(cycle):
             self.reconfigured = True
             self.counters.fault_reconfigs += 1
-            self.stats.fault_reconfigurations += 1
             if self.trace is not None:
                 self.trace.emit(
                     cycle, EV_FAULT_RECONFIG, self.node, **fault.as_event()
@@ -394,9 +393,9 @@ class DXbarRouter(BaseRouter):
         overfill: bool = False,
     ) -> None:
         """Demux ``flit`` into its input FIFO: the buffer charge, the append
-        (with :meth:`FlitFIFO.push`'s overflow check unless ``overfill``,
-        the :meth:`FlitFIFO.force_push` latch hold) and the trace records,
-        led by an arbitration loss when ``lost``."""
+        (with :meth:`FlitFIFO.push`'s overflow check unless ``overfill``:
+        an undetected fault's latch hold may fill past ``depth``) and the
+        trace records, led by an arbitration loss when ``lost``."""
         fifo = self.fifos[in_port]
         q = fifo._q
         if not overfill and len(q) >= fifo.depth:
@@ -459,7 +458,6 @@ class DXbarRouter(BaseRouter):
             incoming_won |= self._serve_incoming(rest, outputs_used, cycle, primary_ok)
             self.fairness.note_flip()
             self.counters.fairness_flips += 1
-            self.stats.fairness_flips += 1
         else:
             incoming_won = self._serve_incoming(incoming, outputs_used, cycle, primary_ok)
             waiter_won = self._serve_waiters(waiters, outputs_used, cycle)

@@ -126,7 +126,6 @@ class UnifiedRouter(DXbarRouter):
         if flip:
             self.fairness.note_flip()
             self.counters.fairness_flips += 1
-            self.stats.fairness_flips += 1
 
         won_inputs = 0  # mask of inputs whose incoming flit was granted
         waiter_won = False

@@ -229,7 +229,6 @@ class Simulator:
         # ``getattr`` probing this replaces lived here before repro.obs).
         per_router = network.router_counters()
         counter_totals = merge_counters(per_router)
-        self.stats.fairness_flips = counter_totals.get("fairness_flips", 0)
 
         telemetry.finish(network, final_cycle)
 
@@ -259,6 +258,7 @@ class Simulator:
             final_cycle=final_cycle,
             extra=extra,
             per_router=per_router,
+            counter_totals=counter_totals,
         )
         if prof is not None:
             prof.add("stats.finalize", perf_counter() - t_stats)

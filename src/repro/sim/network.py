@@ -7,8 +7,6 @@ One :meth:`step` is one clock cycle of the whole mesh.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
 from functools import partial
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
@@ -83,16 +81,12 @@ class Network:
         n = config.k * config.k
         self._busy_enter = BUSY_ENTER_PER_ROUTER * n
         self._busy_exit = BUSY_EXIT_PER_ROUTER * n
-        self._active_routers: Set[int] = set()
+        # Router membership is a flag per node, so the step phase is one
+        # ascending scan (see _step_active).
+        self._active_routers = bytearray(n)
         self._active_links: Set[int] = set()
         self._active_channels: Set[int] = set()
-        self._pending_wakes: Set[int] = set()
         self._latch_pending: Set[int] = set()
-        self._in_step_phase = False
-        self._step_pos = -1
-        self._step_order: List[int] = []
-        self._step_index = 0
-        self._step_extra: List[int] = []
 
         self._wire()
         self._apply_faults()
@@ -306,76 +300,42 @@ class Network:
             latch_pending.clear()
 
     def _step_active(self) -> None:
-        """Step the active routers.
+        """Step the active routers: one ascending scan of the flags.
 
         Bit-exactness with the dense walk rests on three invariants:
 
         * active routers are stepped in ascending node order — the dense
           iteration order — so order-dependent float accumulation and any
-          cross-router interaction (SCARAB NACKs) see identical sequences;
+          cross-router interaction (SCARAB NACKs, closed-loop injection
+          from ``on_eject``) see identical sequences;
         * a router is skipped only when stepping it would be an observable
           no-op: it reported :meth:`~repro.routers.base.BaseRouter.is_idle`
           at the end of the previous cycle, no link head or pending credit
           points at it, and nothing woke it since;
-        * a wake that lands *during* the step phase (e.g. a NACK queued at
-          a source the walk has not reached yet) joins this cycle's walk at
-          its node position — exactly when the dense walk would have
-          stepped it — and defers to the next cycle otherwise.
+        * a wake that lands *during* the scan sets its node's flag: the
+          scan finds it this cycle if it has not passed that node yet —
+          exactly when the dense walk would step it — and next cycle
+          otherwise.
         """
         cycle = self.cycle
         routers = self.routers
         active = self._active_routers
-        if self._pending_wakes:
-            active |= self._pending_wakes
-            self._pending_wakes.clear()
-        order = sorted(active)
-
-        # Common case: no mid-step wakes — a plain index walk over the
-        # sorted worklist.  A wake for a node the walk has not reached yet
-        # lands in the ``_step_extra`` min-heap (rare: SCARAB NACKs,
-        # closed-loop reply injection) and is merged by front comparison,
-        # keeping the overall visit order ascending.
-        extra = self._step_extra
-        new_active: Set[int] = set()
-        self._step_order = order
-        self._in_step_phase = True
-        i = 0
-        n = len(order)
-        try:
-            while True:
-                if extra:
-                    if i < n and order[i] < extra[0]:
-                        node = order[i]
-                        i += 1
-                    else:
-                        node = heapq.heappop(extra)
-                elif i < n:
-                    node = order[i]
-                    i += 1
-                else:
-                    break
-                self._step_index = i
-                self._step_pos = node
-                router = routers[node]
-                router.step(cycle)
-                # A mid-step-woken router never latched this cycle; clearing
-                # after every step keeps the stale arrivals of its last
-                # active cycle from being served twice.
-                router.incoming.clear()
-                # A later router can only affect this one through
-                # wake_router (caught by the pending-wake merge below), so
-                # idleness can be judged immediately after the step.
-                if not router.is_idle():
-                    new_active.add(node)
-        finally:
-            self._in_step_phase = False
-            self._step_pos = -1
-            extra.clear()
-
-        if self._pending_wakes:
-            new_active |= self._pending_wakes
-            self._pending_wakes.clear()
-        self._active_routers = new_active
+        find = active.find
+        node = find(1)
+        while node >= 0:
+            active[node] = 0
+            router = routers[node]
+            router.step(cycle)
+            # A mid-step-woken router never latched this cycle; clearing
+            # after every step keeps the stale arrivals of its last active
+            # cycle from being served twice.
+            router.incoming.clear()
+            # A later router can only affect this one through wake_router,
+            # which sets the flag again, so idleness can be judged
+            # immediately after the step.
+            if not router.is_idle():
+                active[node] = 1
+            node = find(1, node + 1)
 
     def _shift_active(self) -> None:
         """Shift the active links and channels (they touch no shared state,
@@ -398,32 +358,18 @@ class Network:
             if drained:
                 active_channels.difference_update(drained)
         if woken:
-            latch_pending = self._latch_pending
-            latch_pending.update(woken)
-            self._active_routers |= latch_pending
+            self._latch_pending.update(woken)
+            active = self._active_routers
+            for node in woken:
+                active[node] = 1
 
     def wake_router(self, node: int) -> None:
         """Mark ``node`` as having work (new injection, queued retransmit).
 
-        During the step phase a wake for a node the ascending walk has not
-        reached yet joins the current cycle's worklist; any other wake takes
-        effect next cycle.  Waking an already-active router is a no-op.
+        During the step phase the ascending scan steps a node it has not
+        reached yet in this cycle, and any other next cycle.
         """
-        if self._in_step_phase and node > self._step_pos:
-            # The walk visits nodes in ascending order, so node > _step_pos
-            # means it has not been stepped; it is already scheduled iff it
-            # sits in the unvisited tail of the worklist or in the overflow
-            # heap (both are tiny scans in practice).
-            order = self._step_order
-            j = bisect_left(order, node, self._step_index)
-            if j < len(order) and order[j] == node:
-                return
-            extra = self._step_extra
-            if node in extra:
-                return
-            heapq.heappush(extra, node)
-        else:
-            self._pending_wakes.add(node)
+        self._active_routers[node] = 1
 
     def _rebuild_active_sets(self) -> None:
         """Derive the active sets from component state.
@@ -438,7 +384,6 @@ class Network:
         direction of every rule below.
         """
         self._busy_walk = False
-        self._pending_wakes.clear()
         # The link/channel callbacks capture these set objects: mutate in
         # place, never rebind.
         self._active_links.clear()
@@ -449,25 +394,23 @@ class Network:
         self._active_channels.update(
             chan.index for chan in self.credit_channels if chan.in_flight()
         )
-        active = set()
+        active = self._active_routers
         for r in self.routers:
             # ``incoming`` is transient within a cycle and semantically dead
             # at every rebuild point (construction, checkpoint load,
             # hand-back); clearing it here makes the skip-latch rule safe even
             # when the previous walk left stale arrivals behind.
             r.incoming.clear()
-            if not r.is_idle():
-                active.add(r.node)
+            active[r.node] = not r.is_idle()
         self._latch_pending.clear()
         for link in self.links:
             if link.peek() is not None:
-                active.add(link.dst)
+                active[link.dst] = 1
                 self._latch_pending.add(link.dst)
         for chan in self.credit_channels:
             if chan.pending():
-                active.add(chan.upstream)
+                active[chan.upstream] = 1
                 self._latch_pending.add(chan.upstream)
-        self._active_routers = active
 
     # ------------------------------------------------------------------
     # checkpointing

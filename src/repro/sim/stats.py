@@ -35,9 +35,7 @@ _SCALAR_STATE = (
     "buffered_flit_events",
     "xbar_traversals",
     "link_traversals",
-    "fairness_flips",
     "allocator_swaps",
-    "fault_reconfigurations",
     "energy_buffer_pj",
     "energy_xbar_pj",
     "energy_link_pj",
@@ -80,9 +78,7 @@ class StatsCollector:
         self.buffered_flit_events = 0
         self.xbar_traversals = 0
         self.link_traversals = 0
-        self.fairness_flips = 0
         self.allocator_swaps = 0
-        self.fault_reconfigurations = 0
 
         # Energy in pJ, measured flits only.
         self.energy_buffer_pj = 0.0
@@ -257,13 +253,17 @@ class StatsCollector:
         final_cycle: int,
         extra: Optional[dict] = None,
         per_router: Optional[List[Dict[str, int]]] = None,
+        counter_totals: Optional[Dict[str, int]] = None,
     ) -> "SimResult":
         """Freeze the collector into an immutable :class:`SimResult`.
 
         ``per_router`` is the engine-collected list of uniform router
-        telemetry-counter dicts (one per node); the per-node source-queue
-        arrival / network-entry / ejection splits are always included.
+        telemetry-counter dicts (one per node) and ``counter_totals`` their
+        merge, the source of the fairness-flip and fault-reconfiguration
+        counts; the per-node source-queue arrival / network-entry /
+        ejection splits are always included.
         """
+        counter_totals = counter_totals or {}
         window = max(1, self.measure_end - self.measure_start)
         accepted_rate = self.ejected_in_window / (self.num_nodes * window)
         return SimResult(
@@ -310,9 +310,9 @@ class StatsCollector:
             ),
             retransmissions=self.retransmissions,
             drops=self.drops,
-            fairness_flips=self.fairness_flips,
+            fairness_flips=counter_totals.get("fairness_flips", 0),
             allocator_swaps=self.allocator_swaps,
-            fault_reconfigurations=self.fault_reconfigurations,
+            fault_reconfigurations=counter_totals.get("fault_reconfigs", 0),
             energy_buffer_nj=self.energy_buffer_pj / 1e3,
             energy_xbar_nj=self.energy_xbar_pj / 1e3,
             energy_link_nj=self.energy_link_pj / 1e3,

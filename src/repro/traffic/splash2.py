@@ -117,6 +117,37 @@ def memory_controller_nodes(mesh: Mesh) -> List[int]:
     ]
 
 
+def _placement(mesh: Mesh) -> Tuple[List[int], List[int]]:
+    """The memory controllers and each core's home controller (the
+    nearest, ties by id).  A core on a controller sends its misses to
+    another one (see :func:`_pick_controller`), so a mesh needs two."""
+    mcs = memory_controller_nodes(mesh)
+    if len(mcs) < 2:
+        raise ValueError(
+            f"SPLASH-2 traffic needs at least two memory controllers (one per "
+            f"2x2 quad); a {mesh.k}x{mesh.k} mesh has {len(mcs)}: use k >= 4"
+        )
+    home_mc = [min(mcs, key=lambda m: (mesh.manhattan(n, m), m)) for n in mesh.nodes()]
+    return mcs, home_mc
+
+
+def _pick_controller(
+    rng: np.random.Generator, profile: AppProfile, mcs: List[int], home_mc: List[int], core: int
+) -> int:
+    """The controller one miss from ``core`` targets: its home controller
+    with probability ``profile.locality``, else a uniform draw."""
+    if rng.random() < profile.locality:
+        mc = home_mc[core]
+    else:
+        mc = mcs[int(rng.integers(len(mcs)))]
+    if mc == core:
+        # A core co-located with its MC picks another controller: the
+        # local L2 slice hit would not travel the network at all.
+        others = [m for m in mcs if m != core]
+        mc = others[int(rng.integers(len(others)))]
+    return mc
+
+
 class Splash2Workload(Workload):
     """Closed-loop MESI-style request/response engine for one application."""
 
@@ -133,14 +164,7 @@ class Splash2Workload(Workload):
         self.mesh = mesh
         self.txns_per_core = txns_per_core
         self.rng = np.random.default_rng(seed)
-        self.mcs = memory_controller_nodes(mesh)
-        if not self.mcs:
-            raise ValueError("mesh too small to place memory controllers")
-        # Home MC of each core: the nearest controller (ties by id).
-        self.home_mc = [
-            min(self.mcs, key=lambda m: (mesh.manhattan(n, m), m))
-            for n in mesh.nodes()
-        ]
+        self.mcs, self.home_mc = _placement(mesh)
         n = mesh.num_nodes
         self.remaining = [txns_per_core] * n
         self.outstanding = [0] * n
@@ -168,18 +192,6 @@ class Splash2Workload(Workload):
         # Geometric think time with the configured mean.
         return 1 + int(self.rng.geometric(1.0 / max(1.0, self.profile.think_mean)))
 
-    def _target_mc(self, core: int) -> int:
-        if self.rng.random() < self.profile.locality:
-            mc = self.home_mc[core]
-        else:
-            mc = self.mcs[int(self.rng.integers(len(self.mcs)))]
-        if mc == core:
-            # A core co-located with its MC picks another controller: the
-            # local L2 slice hit would not travel the network at all.
-            others = [m for m in self.mcs if m != core]
-            mc = others[int(self.rng.integers(len(others)))]
-        return mc
-
     # ------------------------------------------------------------------
     def tick(self, cycle: int, network: Network) -> None:
         # Issue due requests (MSHR-throttled).
@@ -196,7 +208,7 @@ class Splash2Workload(Workload):
             self.outstanding[core] += 1
             self.remaining[core] -= 1
             is_read = self.rng.random() < self.profile.read_frac
-            mc = self._target_mc(core)
+            mc = _pick_controller(self.rng, self.profile, self.mcs, self.home_mc, core)
             self._seq += 1
             pid = network.inject_packet(
                 core,
@@ -340,10 +352,7 @@ def generate_app_trace(
     if profile is None:
         raise ValueError(f"unknown SPLASH-2 app {app!r}; known: {sorted(SPLASH2_PROFILES)}")
     rng = np.random.default_rng(seed)
-    mcs = memory_controller_nodes(mesh)
-    home_mc = [
-        min(mcs, key=lambda m: (mesh.manhattan(n, m), m)) for n in mesh.nodes()
-    ]
+    mcs, home_mc = _placement(mesh)
     n = mesh.num_nodes
     remaining = [txns_per_core] * n
     events = []
@@ -368,13 +377,7 @@ def generate_app_trace(
             continue
         remaining[core] -= 1
         is_read = rng.random() < profile.read_frac
-        if rng.random() < profile.locality:
-            mc = home_mc[core]
-        else:
-            mc = mcs[int(rng.integers(len(mcs)))]
-        if mc == core:
-            others = [m for m in mcs if m != core]
-            mc = others[int(rng.integers(len(others)))]
+        mc = _pick_controller(rng, profile, mcs, home_mc, core)
         events.append(TraceEvent(cycle, core, mc, CTRL_FLITS))
         t = cycle + _ideal_latency(mesh, core, mc, CTRL_FLITS)
         service = DIRECTORY_LATENCY

@@ -81,6 +81,10 @@ class Bench:
     def delivered_fids(self):
         return sorted(f.fid for f, _ in self.delivered)
 
+    def counter_total(self, name: str) -> int:
+        """One ``RouterCounters`` field summed over the mesh."""
+        return sum(getattr(r.counters, name) for r in self.network.routers)
+
 
 def make_bench(design: str, k: int = 4, **overrides) -> Bench:
     """Build a Bench over a small mesh of the given design."""

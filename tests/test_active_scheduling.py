@@ -83,7 +83,7 @@ class TestActiveSets:
         b.run_until_quiescent()
         b.step(3)  # let links/channels drain out of the active sets
         net = b.network
-        assert net._active_routers == set()
+        assert not any(net._active_routers)
         assert net._active_links == set()
         assert net._active_channels == set()
 

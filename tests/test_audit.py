@@ -107,7 +107,7 @@ class DuplicatingRouter(DXbarRouter):
             for fifo in self.fifos.values():
                 head = fifo.head()
                 if head is not None:
-                    fifo.force_push(Flit.from_dict(head.to_dict()))
+                    fifo._q.append(Flit.from_dict(head.to_dict()))
                     DuplicatingRouter.trigger = (cycle, self.node)
                     break
 

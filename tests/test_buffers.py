@@ -40,19 +40,6 @@ class TestFlitFIFO:
         with pytest.raises(RuntimeError, match="overflow"):
             fifo.push(_flit(2))
 
-    def test_force_push_overrides_depth(self):
-        fifo = FlitFIFO(1)
-        fifo.push(_flit(0))
-        fifo.force_push(_flit(1))
-        assert len(fifo) == 2
-        assert fifo.free_slots == -1
-
-    def test_free_slots(self):
-        fifo = FlitFIFO(3)
-        assert fifo.free_slots == 3
-        fifo.push(_flit())
-        assert fifo.free_slots == 2
-
     def test_iteration_order(self):
         fifo = FlitFIFO(4)
         for i in range(4):

@@ -10,7 +10,8 @@ cycles (equal state trees at every snapshot); and every snapshot
 resumed (by default one in warmup and one in measurement), across
 backends where there is a kernel.  Walks are busy-switch thresholds
 (``tests.conftest.WALKS``).  The fixed cases keep their test ids in the
-per-topic files; ``hypothesis`` draws more here.
+per-topic files; ``hypothesis`` draws more here, and the closed-loop
+cases whose ``on_eject`` injects mid-step live here too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.checkpoint import CheckpointPolicy, cycle_of, list_checkpoints, read_checkpoint
@@ -32,6 +35,7 @@ from repro.runner.spec import materialize_workload
 from repro.sim.config import FaultConfig, SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.topology import Mesh
+from repro.traffic.generator import Workload
 from repro.traffic.patterns import make_pattern
 from repro.traffic.splash2 import SPLASH2_PROFILES, make_splash2_workload
 from tests.conftest import ALL_DESIGNS, on_walk
@@ -46,9 +50,70 @@ register_workload("splash2_closed_loop", lambda spec, config: make_splash2_workl
 
 
 def splash2(app: str, txns_per_core: int, seed: int, closed_loop=False) -> Tuple:
-    """A trace replay, or the request/response engine (replies mid-step)."""
+    """A trace replay, or the request/response engine (its responses are
+    queued from ``on_eject`` and injected on the next ``tick``)."""
     kind = "splash2_closed_loop" if closed_loop else "splash2"
     return (("kind", kind), ("app", app), ("txns_per_core", txns_per_core), ("seed", seed))
+
+
+class OneOutstanding(Workload):
+    """Closed-loop traffic that injects from inside the step phase.
+
+    Each node keeps one packet outstanding.  When the last flit of a
+    node's packet ejects, ``on_eject`` injects that node's next packet in
+    the same cycle, at the source, to a random destination.  The source
+    can be any node, ahead of the ejecting router in the walk's ascending
+    order or behind it, so this is the traffic the active walk's mid-step
+    wake rule exists for.
+    """
+
+    def __init__(self, k: int, packets_per_node: int, packet_size: int, seed: int) -> None:
+        self.nodes = k * k
+        self.packet_size = packet_size
+        self.rng = np.random.default_rng(seed)
+        self.left = [packets_per_node] * self.nodes  # packets not yet injected
+        self.in_flight = [0] * self.nodes  # flits of the outstanding packet
+        self.started = False
+
+    def _send(self, src: int, cycle: int, network) -> None:
+        if self.left[src]:
+            self.left[src] -= 1
+            self.in_flight[src] = self.packet_size
+            dst = int(self.rng.integers(self.nodes - 1))
+            network.inject_packet(src, dst + (dst >= src), cycle, num_flits=self.packet_size)
+
+    def tick(self, cycle: int, network) -> None:
+        if not self.started:
+            self.started = True
+            for src in range(self.nodes):
+                self._send(src, cycle, network)
+
+    def on_eject(self, flit, cycle: int, network) -> None:
+        self.in_flight[flit.src] -= 1
+        if not self.in_flight[flit.src]:
+            self._send(flit.src, cycle, network)
+
+    def done(self) -> bool:
+        return self.started and not any(self.left) and not any(self.in_flight)
+
+    def state_dict(self) -> dict:
+        return {"rng": self.rng.bit_generator.state, "left": list(self.left),
+                "in_flight": list(self.in_flight), "started": self.started}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.rng.bit_generator.state = state["rng"]
+        self.left = list(state["left"])
+        self.in_flight = list(state["in_flight"])
+        self.started = state["started"]
+
+
+register_workload("one_outstanding", lambda spec, config: OneOutstanding(
+    config.k, spec["packets_per_node"], config.packet_size, spec["seed"]))
+
+
+def one_outstanding(packets_per_node: int, seed: int) -> Tuple:
+    """:class:`OneOutstanding` traffic: ``packets_per_node`` packets per node."""
+    return (("kind", "one_outstanding"), ("packets_per_node", packets_per_node), ("seed", seed))
 
 
 def faults(percent: float, granularity: str = "crossbar", **kwargs) -> FaultConfig:
@@ -230,3 +295,13 @@ def test_drawn_cases_agree(case):
 @given(cases(KERNEL_DESIGNS))
 def test_drawn_vector_cases_agree(case):
     assert_paths_agree(case)
+
+
+@pytest.mark.parametrize("design", ALL_DESIGNS)
+def test_injection_from_on_eject_agrees(design):
+    """A packet injected from ``on_eject`` is stepped in the same cycle
+    when its source comes later in the walk, as the dense walk does."""
+    packet_size = 3 if ALL_DESIGNS.index(design) % 2 else 1
+    # Runs last 44-110 cycles: snapshot while every node has a packet out.
+    assert_paths_agree(Case(design, packet_size=packet_size, snapshots=(10, 30),
+                            workload=one_outstanding(6, seed=1)))

@@ -130,7 +130,8 @@ class TestHopPath:
         assert list(a.router(4).inj_queue) == flits_a
         assert a.router(4).counters.snapshot() == b.router(4).counters.snapshot()
         assert a.stats.state_dict() == b.stats.state_dict()
-        assert a.network._pending_wakes == b.network._pending_wakes == {4}
+        assert a.network._active_routers == b.network._active_routers
+        assert [n for n, flag in enumerate(a.network._active_routers) if flag] == [4]
 
 
 class TestEjectHook:

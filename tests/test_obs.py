@@ -277,7 +277,7 @@ class TestIntervalMetrics:
         sim, result, path = self._run(tmp_path)
         frame = load_metrics(str(path))
         assert frame.total("deflections") == sim.stats.deflections
-        assert frame.total("fairness_flips") == sim.stats.fairness_flips
+        assert frame.total("fairness_flips") == result.fairness_flips
         assert frame.total("buffered_events") == sim.stats.buffered_flit_events
         assert frame.total("injected") == sim.stats.total_injected_flits
         assert frame.total("ejected") == sim.stats.total_ejected_flits

@@ -131,7 +131,7 @@ class TestFairness:
         # Without fairness the victim would wait ~60 cycles for the stream
         # to drain; the flip bounds its wait.
         assert victim_cycle < 40
-        assert b.stats.fairness_flips > 0
+        assert b.counter_total("fairness_flips") > 0
 
     def test_threshold_configurable(self):
         b = make_bench("dxbar_dor", fairness_threshold=7)
@@ -211,12 +211,12 @@ class TestDXbarFaults:
     def test_primary_fault_still_delivers_everything(self):
         b = self._run_with_fault(PRIMARY)
         assert len(b.delivered) == 7
-        assert b.stats.fault_reconfigurations == 1
+        assert b.counter_total("fault_reconfigs") == 1
 
     def test_secondary_fault_still_delivers_everything(self):
         b = self._run_with_fault(SECONDARY)
         assert len(b.delivered) == 7
-        assert b.stats.fault_reconfigurations == 1
+        assert b.counter_total("fault_reconfigs") == 1
 
     def test_degraded_mode_buffers_every_flit(self):
         """After detection the router behaves as a buffered router."""
@@ -233,13 +233,13 @@ class TestDXbarFaults:
         b.inject(4, 7)
         b.run_until_quiescent()
         assert b.delivered[0][0].buffered_events == 0
-        assert b.stats.fault_reconfigurations == 0
+        assert b.counter_total("fault_reconfigs") == 0
 
     def test_reconfiguration_counted_once(self):
         b = self._run_with_fault(PRIMARY)
         b.inject(4, 7)
         b.run_until_quiescent(max_cycles=1000)
-        assert b.stats.fault_reconfigurations == 1
+        assert b.counter_total("fault_reconfigs") == 1
 
 
 def _golden_config(design, load, faults=None):

@@ -78,7 +78,7 @@ class TestUnifiedFaults:
         b.run_until_quiescent(max_cycles=300)
         flit, _ = b.delivered[0]
         assert flit.buffered_events >= 1
-        assert b.stats.fault_reconfigurations == 1
+        assert b.counter_total("fault_reconfigs") == 1
 
     def test_undetected_fault_freezes_then_recovers(self):
         from repro.core.faults import SECONDARY, RouterFault

@@ -56,6 +56,14 @@ class TestMemoryControllers:
             x, y = mesh.coords(mc)
             assert x % 2 == 1 and y % 2 == 1
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mesh_with_one_controller_rejected(self, k):
+        """A core on the only controller would have no other to pick."""
+        with pytest.raises(ValueError, match="two memory controllers"):
+            make_splash2_workload("FFT", Mesh(k))
+        with pytest.raises(ValueError, match="two memory controllers"):
+            generate_app_trace("FFT", Mesh(k), txns_per_core=2)
+
 
 class TestClosedLoop:
     def _run(self, app="FFT", txns=5, design="dxbar_dor"):

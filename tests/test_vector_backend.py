@@ -54,8 +54,9 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("design", PILOTED)
     def test_closed_loop_splash2(self, design):
-        """Replies injected from on_eject mid-step must honour the object
-        walk's node-order visibility rules."""
+        """The request/response engine: responses queued from on_eject and
+        injected on the next tick.  Injection from inside the step phase is
+        ``test_equivalence.py::test_injection_from_on_eject_agrees``."""
         assert_paths_agree(Case(design, workload=splash2("FFT", 5, 5, closed_loop=True)))
 
     @pytest.mark.parametrize("design", PILOTED)
